@@ -20,7 +20,6 @@ from . import environment as env
 from .inference import (
     ContradictionError,
     EFEDecomposition,
-    Precision,
     PreferenceVector,
     bayes_update,
     expected_free_energy,
@@ -28,7 +27,13 @@ from .inference import (
     shannon_entropy,
     surprisal as surprisal_bits,
 )
-from .task import Categorical, CandidateSpace, ReadingEvidenceModel, positional_entropy
+from .task import (
+    Categorical,
+    CandidateSpace,
+    ReadingEvidenceModel,
+    placement_row,
+    positional_entropy,
+)
 from .trace import ProcessEvent, Trace
 
 HEAD_STARTER = "head_starter"
@@ -93,12 +98,12 @@ class AffectiveState:
     gamma: float
     zeta: float
     surprise_ema: float = 0.0
-    mood: str = "confident"
 
     def __post_init__(self):
         if self.surprise_ema < 0.0:
             raise ValueError("surprise average cannot be negative")
-        Precision(self.gamma, self.zeta)
+        if self.gamma <= 0.0 or self.zeta <= 0.0:
+            raise ValueError("precisions must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,6 @@ class CognitiveState:
 
 @dataclass(frozen=True)
 class BehavioralState:
-    repertoire: tuple[env.Action, ...] = ()
     current_policy: tuple[env.Action, ...] = ()
     last_action_kind: str | None = None
 
@@ -147,8 +151,6 @@ class AgentConfig:
     revision_enabled: bool = True
     sample_policies: bool = False
     max_policies: int = 4096
-    confident_frac: float = 0.75
-    anxious_frac: float = 0.35
     timing: MotorTiming = MotorTiming()
     prefs: PreferenceVector = PreferenceVector()
 
@@ -219,9 +221,7 @@ class AgentState:
 
 def initial_agent_state(space: CandidateSpace, cfg: AgentConfig) -> AgentState:
     belief = space.prior
-    affective = AffectiveState(
-        gamma=cfg.gamma_max, zeta=cfg.zeta_base, surprise_ema=0.0, mood="confident"
-    )
+    affective = AffectiveState(gamma=cfg.gamma_max, zeta=cfg.zeta_base, surprise_ema=0.0)
     cognitive = CognitiveState(belief=belief, evidence_belief=belief)
     return AgentState(affective=affective, cognitive=cognitive, behavioral=BehavioralState())
 
@@ -235,51 +235,52 @@ def update_affect(state: AffectiveState, observation_surprisal: float, cfg: Agen
     if observation_surprisal < 0.0:
         raise ValueError("surprisal cannot be negative")
     ema = (1.0 - cfg.beta) * state.surprise_ema + cfg.beta * observation_surprisal
-    gamma = Precision.clamp(
-        cfg.gamma_max * math.exp(-cfg.surprise_gain * ema), cfg.gamma_min, cfg.gamma_max
+    gamma = min(
+        cfg.gamma_max, max(cfg.gamma_min, cfg.gamma_max * math.exp(-cfg.surprise_gain * ema))
     )
-    zeta = Precision.clamp(cfg.zeta_base * (1.0 + cfg.zeta_gain * ema), cfg.zeta_min, cfg.zeta_max)
-    if gamma >= cfg.confident_frac * cfg.gamma_max:
-        mood = "confident"
-    elif gamma <= cfg.anxious_frac * cfg.gamma_max:
-        mood = "anxious"
-    else:
-        mood = "neutral"
-    return AffectiveState(gamma=gamma, zeta=zeta, surprise_ema=ema, mood=mood)
+    zeta = min(cfg.zeta_max, max(cfg.zeta_min, cfg.zeta_base * (1.0 + cfg.zeta_gain * ema)))
+    return AffectiveState(gamma=gamma, zeta=zeta, surprise_ema=ema)
 
 
-def _leftmost_empty(buffer: dict[int, int], n_slots: int) -> int | None:
-    for slot in range(1, n_slots + 1):
-        if slot not in buffer:
-            return slot
-    return None
-
-
-def _typing_candidates(
+def _next_actions(
     space: CandidateSpace,
-    live_orderings: tuple[int, ...],
+    read,
     buffer: dict[int, int],
+    live: tuple[int, ...],
+    last_was_pause: bool,
+    cfg: AgentConfig,
 ) -> list[tuple[env.Action, tuple[int, ...]]]:
-    """Chunks placeable at the leftmost empty slot, with the orderings that survive.
+    """The admissibility rule: every possible next action, with the live orderings it leaves.
 
-    Typing is append-like: only the next empty target position accepts text,
-    so revision means deleting back to a slot and retyping. Candidates are
-    ordered most-informative first (descending positional entropy of the
-    chunk, then chunk id) to fix the pruning order deterministically.
+    Reads take unread source chunks. Typing is append-like: only the leftmost
+    empty target slot accepts text, so revision means deleting back to a slot
+    and retyping. A chunk is typable there under at least one live ordering
+    consistent with everything placed so far, and only typing narrows the
+    live orderings. Typing candidates are ordered most-informative first
+    (descending positional entropy of the chunk, then chunk id) to fix the
+    pruning order deterministically. Pauses never repeat back to back. A
+    complete translation admits nothing.
     """
-    cursor = _leftmost_empty(buffer, space.n_slots)
+    cursor = next((s for s in range(1, space.n_slots + 1) if s not in buffer), None)
     if cursor is None:
         return []
+    acts = [(env.fixate_source(c), live) for c in space.table.source_order if c not in read]
+    rows = [placement_row(space, c, s) for s, c in buffer.items()]
     options: dict[int, list[int]] = {}
-    for idx in live_orderings:
-        ordering = space.orderings[idx]
-        if any(ordering.chunk_at(s) != c for s, c in buffer.items()):
-            continue
-        options.setdefault(ordering.chunk_at(cursor), []).append(idx)
+    for idx in live:
+        if all(row[idx] for row in rows):
+            options.setdefault(space.orderings[idx].chunk_at(cursor), []).append(idx)
     ranked = sorted(
         options.items(), key=lambda kv: (-positional_entropy(space, kv[0]), kv[0])
     )
-    return [(env.type_chunk(chunk, cursor), tuple(idxs)) for chunk, idxs in ranked]
+    acts.extend((env.type_chunk(chunk, cursor), tuple(idxs)) for chunk, idxs in ranked)
+    if not last_was_pause:
+        acts.append((env.pause(cfg.timing.pause_ms), live))
+    return acts
+
+
+def _live(belief: Categorical) -> tuple[int, ...]:
+    return tuple(i for i, p in enumerate(belief.probs) if p > 0.0)
 
 
 def enumerate_policies(
@@ -291,40 +292,29 @@ def enumerate_policies(
 ) -> list[tuple[env.Action, ...]]:
     """All admissible action sequences up to the horizon, capped and ordered.
 
-    Admissibility is simulated along each candidate prefix: reads consume
-    unread source chunks, typed chunks must fit the leftmost empty slot under
-    at least one live ordering consistent with everything placed so far, and
-    pauses never repeat back to back. Returns [] only when the translation is
-    already complete.
+    Admissibility (``_next_actions``) is simulated along each candidate
+    prefix. Returns [] only when the translation is already complete.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     space = state.space
-    live = tuple(i for i, p in enumerate(cognitive.belief.probs) if p > 0.0)
-    buffer0 = cognitive.placed_map()
     out: list[tuple[env.Action, ...]] = []
-
     order_pos = {c: i for i, c in enumerate(space.table.source_order)}
 
-    def expand(prefix, read, buffer, live_now, paused):
+    def expand(prefix, read, buffer, live, paused):
         if len(out) >= cfg.max_policies:
             return
-        acts: list[tuple[env.Action, object]] = []
-        if len(buffer) < space.n_slots:  # a complete translation admits nothing
-            # Within a consecutive run of reads, chunks are taken in source
-            # order: read permutations are outcome-equivalent, so one
-            # representative per read set suffices.
-            min_pos = -1
-            if prefix and prefix[-1].kind == env.FIXATE_SOURCE:
-                min_pos = order_pos[prefix[-1].chunk_id]
-            for c in space.table.source_order:
-                if c not in read and order_pos[c] > min_pos:
-                    acts.append((env.fixate_source(c), None))
-            for action, survivors in _typing_candidates(space, live_now, buffer):
-                acts.append((action, survivors))
-            if not paused:
-                acts.append((env.pause(cfg.timing.pause_ms), None))
-
+        acts = _next_actions(space, read, buffer, live, paused, cfg)
+        # Within a consecutive run of reads, chunks are taken in source
+        # order: read permutations are outcome-equivalent, so one
+        # representative per read set suffices.
+        if prefix and prefix[-1].kind == env.FIXATE_SOURCE:
+            min_pos = order_pos[prefix[-1].chunk_id]
+            acts = [
+                (a, survivors)
+                for a, survivors in acts
+                if a.kind != env.FIXATE_SOURCE or order_pos[a.chunk_id] > min_pos
+            ]
         if not acts:
             if prefix:
                 out.append(tuple(prefix))
@@ -332,21 +322,19 @@ def enumerate_policies(
         for action, survivors in acts:
             if len(out) >= cfg.max_policies:
                 return
-            nxt_read, nxt_buffer, nxt_live = read, buffer, live_now
+            nxt_read, nxt_buffer = read, buffer
             if action.kind == env.FIXATE_SOURCE:
                 nxt_read = read | {action.chunk_id}
             elif action.kind == env.TYPE:
-                nxt_buffer = dict(buffer)
-                nxt_buffer[action.slot] = action.chunk_id
-                nxt_live = survivors
+                nxt_buffer = buffer | {action.slot: action.chunk_id}
             prefix.append(action)
             if len(prefix) == horizon:
                 out.append(tuple(prefix))
             else:
-                expand(prefix, nxt_read, nxt_buffer, nxt_live, action.kind == env.PAUSE)
+                expand(prefix, nxt_read, nxt_buffer, survivors, action.kind == env.PAUSE)
             prefix.pop()
 
-    expand([], set(cognitive.read_set), buffer0, live, last_was_pause)
+    expand([], cognitive.read_set, cognitive.placed_map(), _live(cognitive.belief), last_was_pause)
     return out
 
 
@@ -404,6 +392,7 @@ def select_policy(
         tuple(sorted(cognitive.read_set)),
         horizon,
         last_was_pause,
+        affective.zeta,
     )
     cached = _SELECTION_CACHE.get(cache_key)
     if cached is None:
@@ -485,9 +474,7 @@ def _recompute_working(
         return evidence
     mask = np.ones(len(evidence), dtype=float)
     for slot, chunk in placed:
-        for i, ordering in enumerate(space.orderings):
-            if ordering.chunk_at(slot) != chunk:
-                mask[i] = 0.0
+        mask *= placement_row(space, chunk, slot)
     weighted = evidence.as_array() * mask
     total = float(weighted.sum())
     if total <= 0.0:
@@ -508,58 +495,9 @@ def _evidence_map_index(
     top = max(probs)
     candidates = [i for i, p in enumerate(probs) if p >= top - 1e-12]
     for i in candidates:
-        ordering = space.orderings[i]
-        if all(ordering.chunk_at(s) == c for s, c in placed):
+        if all(placement_row(space, c, s)[i] for s, c in placed):
             return i
     return candidates[0]
-
-
-def _repertoire(
-    cognitive: CognitiveState,
-    state: env.ExternalState,
-    last_kind: str | None,
-    cfg: AgentConfig,
-) -> tuple[env.Action, ...]:
-    """Admissible next actions given the buffer, the read set, and the pause rule."""
-    if env.is_complete(state):
-        return ()
-    acts = [
-        env.fixate_source(c)
-        for c in state.space.table.source_order
-        if c not in cognitive.read_set
-    ]
-    live = tuple(i for i, p in enumerate(cognitive.belief.probs) if p > 0.0)
-    acts.extend(a for a, _ in _typing_candidates(state.space, live, cognitive.placed_map()))
-    if last_kind != env.PAUSE:
-        acts.append(env.pause(cfg.timing.pause_ms))
-    return tuple(acts)
-
-
-def _action_admissible(
-    action: env.Action,
-    cognitive: CognitiveState,
-    state: env.ExternalState,
-    last_kind: str | None,
-) -> bool:
-    if action.kind == env.FIXATE_SOURCE:
-        return action.chunk_id not in cognitive.read_set
-    if action.kind == env.TYPE:
-        buffer = cognitive.placed_map()
-        if action.slot != _leftmost_empty(buffer, state.space.n_slots):
-            return False
-        if action.chunk_id in buffer.values():
-            return False
-        live = [i for i, p in enumerate(cognitive.belief.probs) if p > 0.0]
-        for idx in live:
-            ordering = state.space.orderings[idx]
-            if ordering.chunk_at(action.slot) == action.chunk_id and not any(
-                ordering.chunk_at(s) != c for s, c in buffer.items()
-            ):
-                return True
-        return False
-    if action.kind == env.PAUSE:
-        return last_kind != env.PAUSE
-    return True
 
 
 def step(
@@ -591,10 +529,20 @@ def step(
     # Behavioral layer: continue the committed policy while its next action
     # stays admissible; otherwise select a fresh one.
     policy = behavioral.current_policy
-    selection = None
+    last_was_pause = behavioral.last_action_kind == env.PAUSE
     hesitate = False
     annotations: tuple[str, ...] = ()
-    if policy and _action_admissible(policy[0], cognitive, state, behavioral.last_action_kind):
+    if policy and any(
+        a == policy[0]
+        for a, _ in _next_actions(
+            space,
+            cognitive.read_set,
+            cognitive.placed_map(),
+            _live(cognitive.belief),
+            last_was_pause,
+            cfg,
+        )
+    ):
         action, remaining = policy[0], policy[1:]
     else:
         selection = select_policy(
@@ -604,7 +552,7 @@ def step(
             models,
             cfg,
             rng=rng,
-            last_was_pause=behavioral.last_action_kind == env.PAUSE,
+            last_was_pause=last_was_pause,
         )
         chosen = selection.policy
         action, remaining = chosen[0], chosen[1:]
@@ -684,16 +632,13 @@ def step(
     # evidence consistent with every placement it contradicts, otherwise a
     # hedged buffer would be torn apart piecemeal and retyped in a loop.
     if placed and (cfg.revision_enabled or forced_revision):
-        map_ordering = space.orderings[_evidence_map_index(evidence, placed, space)]
-        map_mass = evidence.probs[space.index_of(map_ordering.id)]
-        offending = [(s, c) for s, c in placed if map_ordering.chunk_at(s) != c]
+        map_idx = _evidence_map_index(evidence, placed, space)
+        map_mass = evidence.probs[map_idx]
+        offending = [(s, c) for s, c in placed if not placement_row(space, c, s)[map_idx]]
         if offending and not forced_revision:
             for s, c in offending:
-                consistent_mass = sum(
-                    p
-                    for ordering, p in zip(space.orderings, evidence.probs)
-                    if ordering.chunk_at(s) == c
-                )
+                row = placement_row(space, c, s)
+                consistent_mass = sum(p for p, k in zip(evidence.probs, row) if k)
                 if map_mass <= consistent_mass:
                     offending = []
                     break
@@ -742,9 +687,7 @@ def step(
         belief=working, evidence_belief=evidence, placed=placed, read_set=read_set
     )
     behavioral = BehavioralState(
-        repertoire=_repertoire(cognitive, state, events[-1].kind, cfg),
-        current_policy=tuple(remaining),
-        last_action_kind=events[-1].kind,
+        current_policy=tuple(remaining), last_action_kind=events[-1].kind
     )
     agent = AgentState(
         affective=affective, cognitive=cognitive, behavioral=behavioral, clock_ms=clock

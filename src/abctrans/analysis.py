@@ -259,15 +259,6 @@ def _target_field(e: ProcessEvent) -> str:
     return ""
 
 
-def _cycle_of_event(idx: int, segments: list[Segment], cycles: list[PolicyCycle]) -> int:
-    for seg_idx, seg in enumerate(segments):
-        if idx in seg.events:
-            for c_idx, cyc in enumerate(cycles):
-                if seg_idx in cyc.segments:
-                    return c_idx
-    return -1
-
-
 def export_progression(
     trace: Trace,
     segments: list[Segment],
@@ -285,10 +276,16 @@ def export_progression(
 def _export_tsv(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]) -> bytes:
     out = io.StringIO()
     out.write("\t".join(TSV_COLUMNS) + "\n")
-    state_of = {}
-    for seg in segments:
+    cycle_of_segment: dict[int, int] = {}
+    for c_idx, cyc in enumerate(cycles):
+        for seg_idx in cyc.segments:
+            cycle_of_segment.setdefault(seg_idx, c_idx)
+    state_of, cycle_of = {}, {}
+    for seg_idx, seg in enumerate(segments):
         for i in seg.events:
             state_of[i] = seg.state
+            if seg_idx in cycle_of_segment:
+                cycle_of.setdefault(i, cycle_of_segment[seg_idx])
     for i, e in enumerate(trace.events):
         entropy = f"{e.belief_entropy:.9f}" if e.belief_entropy is not None else ""
         gamma = f"{e.gamma:.9f}" if e.gamma is not None else ""
@@ -297,7 +294,7 @@ def _export_tsv(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]
             e.kind,
             _target_field(e),
             state_of.get(i, ""),
-            str(_cycle_of_event(i, segments, cycles)),
+            str(cycle_of.get(i, -1)),
             entropy,
             gamma,
         )

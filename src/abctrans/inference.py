@@ -25,22 +25,6 @@ class ContradictionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Precision:
-    """Confidence weights: gamma scales policy selection, zeta scales sensory trust."""
-
-    gamma: float
-    zeta: float
-
-    def __post_init__(self):
-        if self.gamma <= 0.0 or self.zeta <= 0.0:
-            raise ValueError("precisions must be strictly positive")
-
-    @staticmethod
-    def clamp(value: float, lo: float, hi: float) -> float:
-        return min(hi, max(lo, value))
-
-
-@dataclass(frozen=True)
 class PreferenceVector:
     """Log-preferences over outcomes plus the configured action costs.
 

@@ -180,6 +180,15 @@ class CandidateSpace:
                     f"ordering {o.id} duplicates {seen[o.slots]}: {list(o.slots)}"
                 )
             seen[o.slots] = o.id
+        # Placement likelihoods, built once: rows[slot - 1][i] is 1.0 when
+        # ordering i puts the chunk at that slot. Not a field, so equality
+        # and hashing still see only the task itself.
+        layouts = np.array([o.slots for o in self.orderings])
+        object.__setattr__(
+            self,
+            "_placement",
+            {cid: _read_only((layouts == cid).T.astype(float)) for cid in self.table.chunk_ids},
+        )
 
     @property
     def n_slots(self) -> int:
@@ -202,6 +211,11 @@ class CandidateSpace:
         if chunk_id not in self.table.chunk_ids:
             raise UnknownChunkError(f"chunk {chunk_id} not in this space")
         return self.table.chunk(chunk_id)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 def _check_permutation(ordering: CandidateOrdering, chunk_ids: frozenset[int]) -> None:
@@ -281,11 +295,13 @@ def placement_likelihood(ordering: CandidateOrdering, chunk_id: int, slot: int) 
 
 
 def placement_row(space: CandidateSpace, chunk_id: int, slot: int) -> np.ndarray:
-    """Per-ordering consistency indicators for placing a chunk at a slot."""
-    space.require_chunk(chunk_id)
-    return np.array(
-        [placement_likelihood(o, chunk_id, slot) for o in space.orderings], dtype=float
-    )
+    """Per-ordering consistency indicators for placing a chunk at a slot (read-only)."""
+    rows = space._placement.get(chunk_id)
+    if rows is None:
+        raise UnknownChunkError(f"chunk {chunk_id} not in this space")
+    if not 1 <= slot <= len(rows):
+        raise TaskError(f"slot {slot} out of range 1..{len(rows)}")
+    return rows[slot - 1]
 
 
 @dataclass(frozen=True)
@@ -305,11 +321,22 @@ class ReadingEvidenceModel:
     def __post_init__(self):
         object.__setattr__(self, "reliabilities", tuple(self.reliabilities))
         known = {cid for cid, _ in self.reliabilities}
-        if known != set(self.space.table.chunk_ids):
+        if known != set(self.space.table.chunk_ids) or len(known) != len(self.reliabilities):
             raise TaskError("evidence model must cover every chunk exactly once")
         for cid, r in self.reliabilities:
             if not 0.0 <= r <= 1.0:
                 raise TaskError(f"reliability for chunk {cid} must lie in [0, 1], got {r}")
+        # One [cue, ordering] matrix per chunk, built once and not a field.
+        n = len(self.space.orderings)
+        tables = {}
+        for cid, r in self.reliabilities:
+            if abs(r - UNINFORMATIVE) < 1e-12 or n == 1:
+                table = np.full((n, n), 1.0 / n)
+            else:
+                table = np.full((n, n), (1.0 - r) / (n - 1))
+                np.fill_diagonal(table, r)
+            tables[cid] = _read_only(table)
+        object.__setattr__(self, "_likelihood", tables)
 
     @classmethod
     def with_defaults(
@@ -332,30 +359,23 @@ class ReadingEvidenceModel:
                 return r
         raise UnknownChunkError(f"chunk {chunk_id} not in evidence model")
 
+    def _table(self, chunk_id: int) -> np.ndarray:
+        table = self._likelihood.get(chunk_id)
+        if table is None:
+            raise UnknownChunkError(f"chunk {chunk_id} not in evidence model")
+        return table
+
     def cue_distribution(self, chunk_id: int, true_label: str) -> np.ndarray:
-        """P(cue | true ordering) over cue labels, for reading one chunk."""
-        n = len(self.space.orderings)
-        r = self.reliability(chunk_id)
-        if abs(r - UNINFORMATIVE) < 1e-12 or n == 1:
-            return np.full(n, 1.0 / n)
-        true_idx = self.space.index_of(true_label)
-        dist = np.full(n, (1.0 - r) / (n - 1))
-        dist[true_idx] = r
-        return dist
+        """P(cue | true ordering) over cue labels, for reading one chunk (read-only)."""
+        return self._table(chunk_id)[:, self.space.index_of(true_label)]
 
     def likelihood_row(self, chunk_id: int, cue_label: str) -> np.ndarray:
-        """P(cue | ordering) for a fixed observed cue, one entry per candidate."""
-        return np.array(
-            [
-                self.cue_distribution(chunk_id, o.id)[self.space.index_of(cue_label)]
-                for o in self.space.orderings
-            ]
-        )
+        """P(cue | ordering) for a fixed observed cue, one entry per candidate (read-only)."""
+        return self._table(chunk_id)[self.space.index_of(cue_label)]
 
 
 def reading_likelihood(
     model: ReadingEvidenceModel, chunk_id: int, cue_label: str, ordering_label: str
 ) -> float:
     """Probability of observing a cue after reading a chunk, given the true ordering."""
-    dist = model.cue_distribution(chunk_id, ordering_label)
-    return float(dist[model.space.index_of(cue_label)])
+    return float(model.likelihood_row(chunk_id, cue_label)[model.space.index_of(ordering_label)])

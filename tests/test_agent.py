@@ -8,6 +8,7 @@ from abctrans.agent import (
     CognitiveState,
     Message,
     MessageRouteError,
+    _next_actions,
     enumerate_policies,
     head_starter_config,
     initial_agent_state,
@@ -17,7 +18,7 @@ from abctrans.agent import (
     step,
     update_affect,
 )
-from abctrans.inference import PreferenceVector, bayes_update
+from abctrans.inference import PreferenceVector, bayes_update, expected_free_energy
 from abctrans.task import Categorical, ReadingEvidenceModel
 
 from conftest import render_of
@@ -35,11 +36,10 @@ def agent_after_cue(space, models, cfg, cue: str, chunk: int = 1):
 class TestUpdateAffect:
     def test_zero_surprise_restores_confidence(self):
         cfg = AgentConfig(gamma_max=8.0)
-        state = AffectiveState(gamma=1.0, zeta=1.4, surprise_ema=3.0, mood="anxious")
+        state = AffectiveState(gamma=1.0, zeta=1.4, surprise_ema=3.0)
         for _ in range(60):
             state = update_affect(state, 0.0, cfg)
         assert abs(state.gamma - cfg.gamma_max) <= 1e-3
-        assert state.mood == "confident"
 
     def test_full_replacement_at_beta_one(self):
         cfg = AgentConfig(beta=1.0)
@@ -65,11 +65,16 @@ class TestUpdateAffect:
             state = update_affect(state, 30.0, cfg)
         assert state.gamma >= cfg.gamma_min
         assert state.zeta <= cfg.zeta_max
-        assert state.mood == "anxious"
 
     def test_negative_surprisal_rejected(self):
         with pytest.raises(ValueError):
             update_affect(AffectiveState(8.0, 1.0), -0.1, AgentConfig())
+
+    def test_precision_requires_positive_values(self):
+        with pytest.raises(ValueError):
+            AffectiveState(0.0, 1.0)
+        with pytest.raises(ValueError):
+            AffectiveState(1.0, -2.0)
 
 
 class TestMessages:
@@ -180,6 +185,30 @@ class TestSelectPolicy:
         n = len(sel.policies)
         assert np.allclose(sel.posterior.probs, 1.0 / n, atol=1e-6)
 
+    def test_scores_follow_zeta_on_a_repeated_state(self, space, models):
+        # zeta tempers every predicted cue, so the same state scored under
+        # another zeta must not reuse the earlier scores
+        cfg = head_starter_config()
+        state = env.ExternalState.initial(space, "TT0")
+        agent = initial_agent_state(space, cfg)
+        cognitive = agent.cognitive
+        select_policy(cognitive, AffectiveState(gamma=8.0, zeta=1.0), state, models, cfg)
+        sel = select_policy(cognitive, AffectiveState(gamma=8.0, zeta=2.0), state, models, cfg)
+        direct = tuple(
+            expected_free_energy(
+                cognitive.belief,
+                policy,
+                models,
+                cfg.prefs,
+                w_e=cfg.w_e,
+                w_p=cfg.w_p,
+                read_chunks=cognitive.read_set,
+                zeta=2.0,
+            )
+            for policy in sel.policies
+        )
+        assert sel.efes == direct
+
     def test_messages_cover_the_three_layers(self, space, models):
         cfg = large_context_planner_config()
         state = env.ExternalState.initial(space, "TT3")
@@ -198,7 +227,15 @@ class TestStep:
         agent = initial_agent_state(space, cfg)
         rng = np.random.default_rng(0)
         agent, state, _ = step(agent, state, models, cfg, rng)
-        rep = agent.behavioral.repertoire
+        cognitive = agent.cognitive
+        live = tuple(i for i, p in enumerate(cognitive.belief.probs) if p > 0.0)
+        last_was_pause = agent.behavioral.last_action_kind == env.PAUSE
+        rep = [
+            a
+            for a, _ in _next_actions(
+                space, cognitive.read_set, cognitive.placed_map(), live, last_was_pause, cfg
+            )
+        ]
         assert rep, "an unfinished episode always offers actions"
         assert env.fixate_source(1) not in rep  # already read
         assert env.fixate_source(2) in rep

@@ -328,6 +328,14 @@ class TestExportAndIngest:
         assert [s.events for s in segs2] == [s.events for s in segs]
         assert [c.label for c in group_policies(segs2)] == [c.label for c in cycles]
 
+    def test_cycle_index_column_follows_the_cycles(self):
+        trace = make_events(REVISING_SESSION)
+        segs = segment_ohrf(trace)
+        tsv = export_progression(trace, segs, group_policies(segs), "tsv").decode()
+        col = TSV_COLUMNS.index("cycle_index")
+        got = [line.split("\t")[col] for line in tsv.splitlines()[1:]]
+        assert got == ["0", "0", "1", "1", "2", "2", "3", "3", "3", "4", "4", "4"]
+
     def test_header_only_file_is_empty_trace(self):
         data = ("\t".join(TSV_COLUMNS) + "\n").encode()
         assert len(ingest_tsv(data).events) == 0

@@ -9,7 +9,6 @@ from abctrans import environment as env
 from abctrans.inference import (
     ContradictionError,
     PreferenceVector,
-    Precision,
     bayes_update,
     expected_free_energy,
     expected_information_gain,
@@ -266,9 +265,3 @@ class TestPolicyPosterior:
         a = policy_posterior(totals, gamma)
         b = policy_posterior([t + shift for t in totals], gamma)
         assert np.allclose(a.probs, b.probs, atol=1e-9)
-
-    def test_precision_requires_positive_values(self):
-        with pytest.raises(ValueError):
-            Precision(0.0, 1.0)
-        with pytest.raises(ValueError):
-            Precision(1.0, -2.0)

@@ -15,9 +15,11 @@ from abctrans.task import (
     build_candidate_space,
     lexical_entropy,
     placement_likelihood,
+    placement_row,
     positional_entropy,
     reading_likelihood,
 )
+from abctrans.taskfile import bundled_task_path, load_task
 
 from conftest import ORDERINGS, entropy_of_counts, make_table
 
@@ -153,6 +155,48 @@ class TestPlacementLikelihood:
             placement_likelihood(space.ordering("TT0"), 1, 6)
 
 
+class TestLikelihoodTables:
+    @pytest.mark.parametrize("content", [0.3, 0.5, 1.0])
+    def test_reading_table_is_the_closed_form_channel(self, content):
+        space = load_task(bundled_task_path()).space
+        m = ReadingEvidenceModel.with_defaults(space, content=content)
+        n = len(space.orderings)
+        for chunk in space.table.chunks:
+            r = m.reliability(chunk.id)
+            for cue in space.labels:
+                row = m.likelihood_row(chunk.id, cue)
+                for i, label in enumerate(space.labels):
+                    if r == 0.5:
+                        want = 1.0 / n
+                    else:
+                        want = r if cue == label else (1.0 - r) / (n - 1)
+                    assert row[i] == want
+                    assert m.cue_distribution(chunk.id, label)[space.index_of(cue)] == want
+                    assert reading_likelihood(m, chunk.id, cue, label) == want
+
+    def test_placement_table_matches_each_ordering(self, space):
+        for cid in space.table.chunk_ids:
+            for slot in range(1, space.n_slots + 1):
+                row = placement_row(space, cid, slot)
+                assert list(row) == [placement_likelihood(o, cid, slot) for o in space.orderings]
+
+    def test_tables_are_read_only(self, space, models):
+        for row in (
+            models.likelihood_row(1, "TT0"),
+            models.cue_distribution(1, "TT0"),
+            placement_row(space, 1, 1),
+        ):
+            with pytest.raises(ValueError):
+                row[0] = 0.5
+
+    def test_placement_row_rejects_unknown_chunk_and_slot(self, space):
+        with pytest.raises(UnknownChunkError):
+            placement_row(space, 7, 1)
+        for slot in (0, 6):
+            with pytest.raises(TaskError):
+                placement_row(space, 1, slot)
+
+
 class TestReadingLikelihood:
     def test_noiseless_channel(self, space):
         m = ReadingEvidenceModel.with_defaults(space, content=1.0)
@@ -178,6 +222,10 @@ class TestReadingLikelihood:
     def test_reliability_bounds_checked(self, space):
         with pytest.raises(TaskError):
             ReadingEvidenceModel.with_defaults(space, content=1.2)
+
+    def test_each_chunk_has_exactly_one_reliability(self, space, models):
+        with pytest.raises(TaskError):
+            ReadingEvidenceModel(space, models.reliabilities + ((1, 0.3),))
 
 
 @given(perm=st.permutations([1, 2, 3, 4, 0]))
