@@ -40,57 +40,22 @@ HEAD_STARTER = "head_starter"
 LARGE_CONTEXT_PLANNER = "large_context_planner"
 CUSTOM = "custom"
 
-AFFECTIVE = "affective"
-BEHAVIORAL = "behavioral"
-COGNITIVE = "cognitive"
+# Fixed affective constants: surprise lowers gamma at SURPRISE_GAIN and raises
+# zeta from ZETA_BASE at ZETA_GAIN, never below ZETA_MIN. A hesitation pause is
+# injected when the policy posterior is flatter than THETA_HESITATION bits or
+# gamma sags below THETA_GAMMA.
+SURPRISE_GAIN = 1.0
+ZETA_BASE = 1.0
+ZETA_GAIN = 0.15
+ZETA_MIN = 0.5
+THETA_HESITATION = 2.5
+THETA_GAMMA = 1.0
 
-# Nested-layer routing: affect talks to cognition, cognition to behavior, and
-# affect additionally broadcasts precision straight to behavior. There is no
-# behavioral back-channel to affect; prediction errors reach it through the
-# cognitive layer.
-_ALLOWED_ROUTES = {
-    (AFFECTIVE, COGNITIVE),
-    (COGNITIVE, AFFECTIVE),
-    (COGNITIVE, BEHAVIORAL),
-    (BEHAVIORAL, COGNITIVE),
-    (AFFECTIVE, BEHAVIORAL),
-}
-
-
-class MessageRouteError(ValueError):
-    """Message between non-adjacent layers."""
-
-
-@dataclass(frozen=True)
-class Message:
-    source: str
-    target: str
-    payload: tuple[tuple[str, object], ...]
-
-    def __post_init__(self):
-        if (self.source, self.target) not in _ALLOWED_ROUTES:
-            raise MessageRouteError(f"no route {self.source} -> {self.target}")
-
-    @classmethod
-    def of(cls, source: str, target: str, **payload) -> "Message":
-        return cls(source, target, tuple(sorted(payload.items())))
-
-    def get(self, key: str):
-        for k, v in self.payload:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-
-@dataclass(frozen=True)
-class MotorTiming:
-    """Per-action durations used to timestamp trace events (milliseconds)."""
-
-    fixation_ms: float = 200.0
-    keystroke_ms_per_char: float = 120.0
-    pause_ms: float = 800.0
-    delete_ms_per_char: float = 100.0
-    consult_ms: float = 500.0
+# Motor durations used to timestamp trace events (milliseconds).
+FIXATION_MS = 200.0
+KEYSTROKE_MS_PER_CHAR = 120.0
+PAUSE_MS = 800.0
+DELETE_MS_PER_CHAR = 100.0
 
 
 @dataclass(frozen=True)
@@ -141,17 +106,9 @@ class AgentConfig:
     gamma_max: float = 8.0
     gamma_min: float = 0.05
     beta: float = 0.2
-    surprise_gain: float = 1.0
-    zeta_base: float = 1.0
-    zeta_gain: float = 0.15
-    zeta_min: float = 0.5
     zeta_max: float = 2.0
-    theta_hesitation: float = 2.5  # bits of policy-posterior entropy
-    theta_gamma: float = 1.0
-    revision_enabled: bool = True
     sample_policies: bool = False
     max_policies: int = 4096
-    timing: MotorTiming = MotorTiming()
     prefs: PreferenceVector = PreferenceVector()
 
     def __post_init__(self):
@@ -221,7 +178,7 @@ class AgentState:
 
 def initial_agent_state(space: CandidateSpace, cfg: AgentConfig) -> AgentState:
     belief = space.prior
-    affective = AffectiveState(gamma=cfg.gamma_max, zeta=cfg.zeta_base, surprise_ema=0.0)
+    affective = AffectiveState(gamma=cfg.gamma_max, zeta=ZETA_BASE, surprise_ema=0.0)
     cognitive = CognitiveState(belief=belief, evidence_belief=belief)
     return AgentState(affective=affective, cognitive=cognitive, behavioral=BehavioralState())
 
@@ -235,10 +192,8 @@ def update_affect(state: AffectiveState, observation_surprisal: float, cfg: Agen
     if observation_surprisal < 0.0:
         raise ValueError("surprisal cannot be negative")
     ema = (1.0 - cfg.beta) * state.surprise_ema + cfg.beta * observation_surprisal
-    gamma = min(
-        cfg.gamma_max, max(cfg.gamma_min, cfg.gamma_max * math.exp(-cfg.surprise_gain * ema))
-    )
-    zeta = min(cfg.zeta_max, max(cfg.zeta_min, cfg.zeta_base * (1.0 + cfg.zeta_gain * ema)))
+    gamma = min(cfg.gamma_max, max(cfg.gamma_min, cfg.gamma_max * math.exp(-SURPRISE_GAIN * ema)))
+    zeta = min(cfg.zeta_max, max(ZETA_MIN, ZETA_BASE * (1.0 + ZETA_GAIN * ema)))
     return AffectiveState(gamma=gamma, zeta=zeta, surprise_ema=ema)
 
 
@@ -248,7 +203,6 @@ def _next_actions(
     buffer: dict[int, int],
     live: tuple[int, ...],
     last_was_pause: bool,
-    cfg: AgentConfig,
 ) -> list[tuple[env.Action, tuple[int, ...]]]:
     """The admissibility rule: every possible next action, with the live orderings it leaves.
 
@@ -275,7 +229,7 @@ def _next_actions(
     )
     acts.extend((env.type_chunk(chunk, cursor), tuple(idxs)) for chunk, idxs in ranked)
     if not last_was_pause:
-        acts.append((env.pause(cfg.timing.pause_ms), live))
+        acts.append((env.pause(PAUSE_MS), live))
     return acts
 
 
@@ -304,7 +258,7 @@ def enumerate_policies(
     def expand(prefix, read, buffer, live, paused):
         if len(out) >= cfg.max_policies:
             return
-        acts = _next_actions(space, read, buffer, live, paused, cfg)
+        acts = _next_actions(space, read, buffer, live, paused)
         # Within a consecutive run of reads, chunks are taken in source
         # order: read permutations are outcome-equivalent, so one
         # representative per read set suffices.
@@ -344,7 +298,6 @@ class SelectionResult:
     efes: tuple[EFEDecomposition, ...]
     posterior: Categorical
     choice_index: int
-    messages: tuple[Message, ...]
 
     @property
     def policy(self) -> tuple[env.Action, ...]:
@@ -426,43 +379,24 @@ def select_policy(
         choice = int(rng.choice(len(policies), p=posterior.as_array()))
     else:
         choice = posterior.map_index
-    map_idx = cognitive.belief.map_index
-    messages = (
-        Message.of(AFFECTIVE, BEHAVIORAL, gamma=affective.gamma),
-        Message.of(AFFECTIVE, COGNITIVE, zeta=affective.zeta),
-        Message.of(
-            COGNITIVE,
-            BEHAVIORAL,
-            map_ordering=space.labels[map_idx],
-            belief_entropy=shannon_entropy(cognitive.belief),
-        ),
-        Message.of(
-            BEHAVIORAL,
-            COGNITIVE,
-            selected_policy=tuple(a.describe() for a in policies[choice]),
-            posterior_entropy=shannon_entropy(posterior),
-        ),
-    )
-    return SelectionResult(
-        policies=policies,
-        efes=efes,
-        posterior=posterior,
-        choice_index=choice,
-        messages=messages,
-    )
+    return SelectionResult(policies=policies, efes=efes, posterior=posterior, choice_index=choice)
 
 
-def _action_duration(action: env.Action, space: CandidateSpace, timing: MotorTiming) -> float:
+def _action_duration(action: env.Action, state: env.ExternalState) -> float:
+    """Duration of an action about to run against state (milliseconds).
+
+    Typing and deletion scale with the target text of the chunk typed or
+    still in the buffer at the deleted slot.
+    """
+    table = state.space.table
     if action.kind == env.FIXATE_SOURCE or action.kind == env.FIXATE_TARGET:
-        return timing.fixation_ms
+        return FIXATION_MS
     if action.kind == env.TYPE:
-        return timing.keystroke_ms_per_char * len(space.table.chunk(action.chunk_id).target_text)
+        return KEYSTROKE_MS_PER_CHAR * len(table.chunk(action.chunk_id).target_text)
     if action.kind == env.DELETE:
-        return timing.delete_ms_per_char
+        return DELETE_MS_PER_CHAR * len(table.chunk(state.buffer[action.slot - 1]).target_text)
     if action.kind == env.PAUSE:
-        return action.duration_ms if action.duration_ms is not None else timing.pause_ms
-    if action.kind == env.CONSULT:
-        return timing.consult_ms
+        return action.duration_ms if action.duration_ms is not None else PAUSE_MS
     raise ValueError(f"unknown action kind {action.kind!r}")
 
 
@@ -519,7 +453,6 @@ def step(
     if env.is_complete(state):
         raise ValueError("episode already terminal")
     space = models.space
-    timing = cfg.timing
     events: list[ProcessEvent] = []
     clock = agent.clock_ms
     affective = agent.affective
@@ -540,7 +473,6 @@ def step(
             cognitive.placed_map(),
             _live(cognitive.belief),
             last_was_pause,
-            cfg,
         )
     ):
         action, remaining = policy[0], policy[1:]
@@ -556,20 +488,21 @@ def step(
         )
         chosen = selection.policy
         action, remaining = chosen[0], chosen[1:]
-        hesitate = selection.posterior_entropy > cfg.theta_hesitation
+        hesitate = selection.posterior_entropy > THETA_HESITATION
         annotations = ("policy_switch",)
-    if affective.gamma < cfg.theta_gamma:
+    if affective.gamma < THETA_GAMMA:
         hesitate = True
 
-    last_kind = behavioral.last_action_kind
-    if hesitate and action.kind != env.PAUSE and last_kind != env.PAUSE:
-        duration = timing.pause_ms
-        state, _ = env.apply_action(state, env.pause(duration), models, rng)
+    # Every event is timed by _action_duration against the state it acts on.
+    if hesitate and action.kind != env.PAUSE and not last_was_pause:
+        hesitation = env.pause(PAUSE_MS)
+        t_end = clock + _action_duration(hesitation, state)
+        state, _ = env.apply_action(state, hesitation, models, rng)
         affective = update_affect(affective, 0.0, cfg)
         events.append(
             ProcessEvent(
                 t_start=clock,
-                t_end=clock + duration,
+                t_end=t_end,
                 kind=env.PAUSE,
                 belief_entropy=shannon_entropy(cognitive.belief),
                 gamma=affective.gamma,
@@ -577,10 +510,10 @@ def step(
                 annotations=("hesitation",),
             )
         )
-        clock += duration
-        last_kind = env.PAUSE
+        clock = t_end
 
     # Execute the committed action.
+    t_end = clock + _action_duration(action, state)
     state, obs = env.apply_action(state, action, models, rng)
     evidence = cognitive.evidence_belief
     placed = cognitive.placed
@@ -613,7 +546,7 @@ def step(
     events.append(
         ProcessEvent(
             t_start=clock,
-            t_end=clock + _action_duration(action, space, timing),
+            t_end=t_end,
             kind=action.kind,
             chunk_id=action.chunk_id,
             slot=action.slot,
@@ -624,14 +557,14 @@ def step(
             annotations=annotations,
         )
     )
-    clock = events[-1].t_end
+    clock = t_end
 
     # Revision rule: placed slots the evidence-MAP ordering contradicts are
     # refixated and deleted; retyping follows naturally at the freed slots.
     # Reorganization is all-or-nothing: the MAP explanation must outweigh the
     # evidence consistent with every placement it contradicts, otherwise a
     # hedged buffer would be torn apart piecemeal and retyped in a loop.
-    if placed and (cfg.revision_enabled or forced_revision):
+    if placed:
         map_idx = _evidence_map_index(evidence, placed, space)
         map_mass = evidence.probs[map_idx]
         offending = [(s, c) for s, c in placed if not placement_row(space, c, s)[map_idx]]
@@ -646,11 +579,13 @@ def step(
             remaining = ()
             keep = dict(placed)
             for slot, chunk in offending:
-                state, _ = env.apply_action(state, env.fixate_target(slot), models, rng)
+                refixation, deletion = env.fixate_target(slot), env.delete(slot)
+                t_end = clock + _action_duration(refixation, state)
+                state, _ = env.apply_action(state, refixation, models, rng)
                 events.append(
                     ProcessEvent(
                         t_start=clock,
-                        t_end=clock + timing.fixation_ms,
+                        t_end=t_end,
                         kind=env.FIXATE_TARGET,
                         slot=slot,
                         belief_entropy=shannon_entropy(working),
@@ -659,9 +594,9 @@ def step(
                         annotations=("revision",),
                     )
                 )
-                clock = events[-1].t_end
-                n_chars = len(space.table.chunk(chunk).target_text)
-                state, _ = env.apply_action(state, env.delete(slot), models, rng)
+                clock = t_end
+                t_end = clock + _action_duration(deletion, state)
+                state, _ = env.apply_action(state, deletion, models, rng)
                 del keep[slot]
                 try:
                     working = _recompute_working(evidence, tuple(sorted(keep.items())), space)
@@ -670,7 +605,7 @@ def step(
                 events.append(
                     ProcessEvent(
                         t_start=clock,
-                        t_end=clock + timing.delete_ms_per_char * n_chars,
+                        t_end=t_end,
                         kind=env.DELETE,
                         chunk_id=chunk,
                         slot=slot,
@@ -680,7 +615,7 @@ def step(
                         annotations=("revision", "forced") if forced_revision else ("revision",),
                     )
                 )
-                clock = events[-1].t_end
+                clock = t_end
             placed = tuple(sorted(keep.items()))
 
     cognitive = CognitiveState(

@@ -113,19 +113,9 @@ class ExternalState:
             cue_script=script,
         )
 
-    def slot_of(self, chunk_id: int) -> int | None:
-        for i, c in enumerate(self.buffer):
-            if c == chunk_id:
-                return i + 1
-        return None
-
     @property
     def placed_chunks(self) -> frozenset[int]:
         return frozenset(c for c in self.buffer if c is not None)
-
-    @property
-    def empty_slots(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, c in enumerate(self.buffer) if c is None)
 
 
 def apply_action(

@@ -78,7 +78,7 @@ def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categori
     lks = np.asarray(likelihoods, dtype=float)
     if lks.shape != (len(prior),):
         raise ValueError("one likelihood per option required")
-    if np.any(lks < 0.0):
+    if not np.all(lks >= 0.0):  # NaN fails too
         raise ValueError("likelihoods must be non-negative")
     weighted = prior.as_array() * np.power(np.maximum(lks, 0.0), zeta)
     total = float(weighted.sum())

@@ -68,17 +68,13 @@ class ChunkTable:
         ids = [c.id for c in self.chunks]
         if len(set(ids)) != len(ids):
             raise TaskError("chunk ids must be unique within a table")
-        content_ids = {c.id for c in self.chunks if c.kind == CONTENT}
-        if set(self.source_order) != content_ids or len(self.source_order) != len(content_ids):
+        content = {c.id for c in self.chunks if c.kind == CONTENT}
+        if set(self.source_order) != content or len(self.source_order) != len(content):
             raise TaskError("source_order must be a permutation of the content chunk ids")
 
     @property
     def chunk_ids(self) -> frozenset[int]:
         return frozenset(c.id for c in self.chunks)
-
-    @property
-    def content_ids(self) -> tuple[int, ...]:
-        return self.source_order
 
     def chunk(self, chunk_id: int) -> Chunk:
         for c in self.chunks:
@@ -118,9 +114,10 @@ class Categorical:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if any(p < 0.0 for p in self.probs):
+        # Written as "not valid" so that NaN fails both checks.
+        if not all(p >= 0.0 for p in self.probs):
             raise ValueError("probabilities must be non-negative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
+        if not abs(sum(self.probs) - 1.0) <= 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)!r}")
 
     @classmethod
@@ -137,7 +134,7 @@ class Categorical:
     def from_weights(cls, weights) -> "Categorical":
         w = [float(x) for x in weights]
         z = sum(w)
-        if z <= 0.0:
+        if not z > 0.0:
             raise ValueError("weights must have positive total mass")
         return cls(tuple(x / z for x in w))
 
@@ -188,6 +185,12 @@ class CandidateSpace:
             self,
             "_placement",
             {cid: _read_only((layouts == cid).T.astype(float)) for cid in self.table.chunk_ids},
+        )
+        # Positional entropy of each chunk under the prior, also built once.
+        object.__setattr__(
+            self,
+            "_positional",
+            {cid: _positional_entropy(self, cid) for cid in self.table.chunk_ids},
         )
 
     @property
@@ -264,14 +267,20 @@ def _histogram_entropy(masses) -> float:
     return entropy_bits(m / total for m in masses)
 
 
-def positional_entropy(space: CandidateSpace, chunk_id: int) -> float:
-    """Entropy (bits) of a chunk's target position under the space's prior."""
-    space.require_chunk(chunk_id)
+def _positional_entropy(space: CandidateSpace, chunk_id: int) -> float:
     by_position: dict[int, float] = {}
     for o, p in zip(space.orderings, space.prior.probs):
         pos = o.position_of(chunk_id)
         by_position[pos] = by_position.get(pos, 0.0) + p
     return _histogram_entropy(by_position.values())
+
+
+def positional_entropy(space: CandidateSpace, chunk_id: int) -> float:
+    """Entropy (bits) of a chunk's target position under the space's prior."""
+    entropy = space._positional.get(chunk_id)
+    if entropy is None:
+        raise UnknownChunkError(f"chunk {chunk_id} not in this space")
+    return entropy
 
 
 def lexical_entropy(space: CandidateSpace, chunk_id: int) -> float:

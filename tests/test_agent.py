@@ -3,11 +3,10 @@ import pytest
 
 from abctrans import environment as env
 from abctrans.agent import (
+    PAUSE_MS,
     AgentConfig,
     AffectiveState,
     CognitiveState,
-    Message,
-    MessageRouteError,
     _next_actions,
     enumerate_policies,
     head_starter_config,
@@ -31,6 +30,29 @@ def agent_after_cue(space, models, cfg, cue: str, chunk: int = 1):
     )
     base = initial_agent_state(space, cfg)
     return base, cognitive
+
+
+def revising_episode(space):
+    # first cue wrongly suggests a source-like order; later reliable cues
+    # flip the evidence MAP to the fronted order and force deletions
+    models95 = ReadingEvidenceModel.with_defaults(space, content=0.95)
+    cfg = head_starter_config(
+        prefs=PreferenceVector(
+            progress_bonus=1.0,
+            inconsistency_penalty=-1.5,
+            unread_cost=2.0,
+            read_cost=0.0,
+            pause_cost=0.1,
+        )
+    )
+    return run_episode(
+        cfg,
+        models95,
+        latent="TT5",
+        seed=3,
+        cue_script=("TT0", "TT5", "TT5", "TT5"),
+        max_steps=40,
+    )
 
 
 class TestUpdateAffect:
@@ -77,19 +99,6 @@ class TestUpdateAffect:
             AffectiveState(1.0, -2.0)
 
 
-class TestMessages:
-    def test_affective_broadcasts_allowed(self):
-        Message.of("affective", "behavioral", gamma=4.0)
-        Message.of("affective", "cognitive", zeta=1.0)
-        Message.of("cognitive", "behavioral", map_ordering="TT0")
-        Message.of("cognitive", "affective", surprisal=1.0)
-        Message.of("behavioral", "cognitive", selected_policy=())
-
-    def test_behavior_cannot_reach_affect_directly(self):
-        with pytest.raises(MessageRouteError):
-            Message.of("behavioral", "affective", err=1.0)
-
-
 class TestPresets:
     def test_head_starter_invariants(self):
         cfg = head_starter_config()
@@ -126,7 +135,7 @@ class TestEnumeratePolicies:
         flat = {p[0] for p in policies}
         assert env.fixate_source(1) in flat
         assert env.type_chunk(1, 1) in flat
-        assert env.pause(cfg.timing.pause_ms) in flat
+        assert env.pause(PAUSE_MS) in flat
 
     def test_point_mass_belief_filters_typing(self, space, models):
         cfg = head_starter_config()
@@ -209,16 +218,6 @@ class TestSelectPolicy:
         )
         assert sel.efes == direct
 
-    def test_messages_cover_the_three_layers(self, space, models):
-        cfg = large_context_planner_config()
-        state = env.ExternalState.initial(space, "TT3")
-        agent = initial_agent_state(space, cfg)
-        sel = select_policy(agent.cognitive, agent.affective, state, models, cfg)
-        routes = {(m.source, m.target) for m in sel.messages}
-        assert ("affective", "behavioral") in routes
-        assert ("affective", "cognitive") in routes
-        assert ("cognitive", "behavioral") in routes
-
 
 class TestStep:
     def test_repertoire_tracks_reads_and_cursor(self, space, models):
@@ -233,13 +232,19 @@ class TestStep:
         rep = [
             a
             for a, _ in _next_actions(
-                space, cognitive.read_set, cognitive.placed_map(), live, last_was_pause, cfg
+                space, cognitive.read_set, cognitive.placed_map(), live, last_was_pause
             )
         ]
         assert rep, "an unfinished episode always offers actions"
         assert env.fixate_source(1) not in rep  # already read
         assert env.fixate_source(2) in rep
         assert all(a.slot == 1 for a in rep if a.kind == env.TYPE)
+
+    def test_typing_candidates_rank_by_positional_entropy(self, space):
+        # chunks 2 and 4 (1.79 bits) precede chunk 1 (0.92 bits); ties by id
+        acts = _next_actions(space, frozenset(), {}, tuple(range(len(space.orderings))), False)
+        typed = [a.chunk_id for a, _ in acts if a.kind == env.TYPE]
+        assert typed == [2, 4, 1]
 
     def test_planner_first_step_reads(self, space, models):
         cfg = large_context_planner_config()
@@ -296,32 +301,37 @@ class TestStep:
                     assert agent.cognitive.belief.probs[i] == 0.0
 
     def test_revision_scenario_deletes_and_retypes(self, space):
-        # first cue wrongly suggests a source-like order; later reliable cues
-        # flip the evidence MAP to the fronted order and force deletions
-        models95 = ReadingEvidenceModel.with_defaults(space, content=0.95)
-        cfg = head_starter_config(
-            prefs=PreferenceVector(
-                progress_bonus=1.0,
-                inconsistency_penalty=-1.5,
-                unread_cost=2.0,
-                read_cost=0.0,
-                pause_cost=0.1,
-            )
-        )
-        trace = run_episode(
-            cfg,
-            models95,
-            latent="TT5",
-            seed=3,
-            cue_script=("TT0", "TT5", "TT5", "TT5"),
-            max_steps=40,
-        )
+        trace = revising_episode(space)
         deletes = [e for e in trace.events if e.kind == env.DELETE]
         assert any(e.slot == 1 and e.chunk_id == 1 for e in deletes)
         retyped = [e for e in trace.events if e.kind == env.TYPE and e.slot == 1]
         assert retyped[-1].chunk_id == 4
         assert trace.complete
         assert trace.final_target == render_of(space, "TT5")
+
+    def test_every_event_lasts_its_action_duration(self, space, models):
+        # the revising episode refixates, deletes and retypes; a head starter
+        # with gamma_max below the hesitation threshold pauses before each act
+        traces = [
+            revising_episode(space),
+            run_episode(head_starter_config(gamma_max=0.5), models, latent="TT3", seed=0),
+        ]
+        n_chars = {c.id: len(c.target_text) for c in space.table.chunks}
+        expected = {
+            env.FIXATE_SOURCE: lambda e: 200.0,
+            env.FIXATE_TARGET: lambda e: 200.0,
+            env.TYPE: lambda e: 120.0 * n_chars[e.chunk_id],
+            env.DELETE: lambda e: 100.0 * n_chars[e.chunk_id],
+            env.PAUSE: lambda e: 800.0,
+        }
+        events = [e for trace in traces for e in trace.events]
+        assert {e.kind for e in events} == set(expected)
+        for e in events:
+            assert e.t_end - e.t_start == expected[e.kind](e), e
+        for trace in traces:
+            assert trace.events[0].t_start == 0.0
+            for before, after in zip(trace.events, trace.events[1:]):
+                assert after.t_start == before.t_end
 
     def test_contradictory_noiseless_cues_never_crash(self, space):
         exact = ReadingEvidenceModel.with_defaults(space, content=1.0)

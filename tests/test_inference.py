@@ -114,6 +114,10 @@ class TestBayesUpdate:
         with pytest.raises(ContradictionError):
             bayes_update(prior, row)
 
+    def test_nan_likelihood_rejected(self, space):
+        with pytest.raises(ValueError):
+            bayes_update(space.prior, [math.nan, 1.0, 1.0, 1.0, 1.0, 1.0])
+
     def test_zeta_tempers_the_likelihood(self, space, models):
         row = models.likelihood_row(1, "TT3")
         sharp = bayes_update(space.prior, row, zeta=2.0)

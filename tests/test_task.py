@@ -58,6 +58,12 @@ class TestCategorical:
         with pytest.raises(ValueError):
             Categorical((1.5, -0.5))
 
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ValueError):
+            Categorical((math.nan, 0.5, 0.5))
+        with pytest.raises(ValueError):
+            Categorical.from_weights([math.nan, 1.0])
+
     def test_uniform_and_point(self):
         u = Categorical.uniform(4)
         assert u.probs == (0.25,) * 4
