@@ -11,6 +11,7 @@ mismatch between the two drives revision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -229,7 +230,7 @@ def _next_actions(
     )
     acts.extend((env.type_chunk(chunk, cursor), tuple(idxs)) for chunk, idxs in ranked)
     if not last_was_pause:
-        acts.append((env.pause(PAUSE_MS), live))
+        acts.append((env.pause(), live))
     return acts
 
 
@@ -239,7 +240,7 @@ def _live(belief: Categorical) -> tuple[int, ...]:
 
 def enumerate_policies(
     cognitive: CognitiveState,
-    state: env.ExternalState,
+    space: CandidateSpace,
     horizon: int,
     cfg: AgentConfig,
     last_was_pause: bool = False,
@@ -251,7 +252,6 @@ def enumerate_policies(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    space = state.space
     out: list[tuple[env.Action, ...]] = []
     order_pos = {c: i for i, c in enumerate(space.table.source_order)}
 
@@ -308,22 +308,49 @@ class SelectionResult:
         return shannon_entropy(self.posterior)
 
 
-_SELECTION_CACHE: dict = {}
-
-
-def clear_selection_cache() -> None:
-    _SELECTION_CACHE.clear()
-
-
 def _dynamic_horizon(cognitive: CognitiveState, space: CandidateSpace) -> int:
     unread = [c for c in space.table.source_order if c not in cognitive.read_set]
     return max(1, len(unread))
 
 
+@functools.lru_cache(maxsize=65536)
+def _scored_policies(
+    models: ReadingEvidenceModel,
+    cfg: AgentConfig,
+    belief: Categorical,
+    placed: tuple[tuple[int, int], ...],
+    read_set: frozenset[int],
+    horizon: int,
+    last_was_pause: bool,
+    zeta: float,
+) -> tuple[tuple[tuple[env.Action, ...], ...], tuple[EFEDecomposition, ...], np.ndarray]:
+    """Every admissible policy with its EFE and the read-only array of EFE totals.
+
+    A pure function of exactly what enumeration and scoring read, memoised
+    on those arguments: a repeated decision costs one lookup and can never
+    see another decision's result.
+    """
+    # Enumeration reads the working belief, never the evidence belief.
+    cognitive = CognitiveState(belief, belief, placed, read_set)
+    policies = tuple(enumerate_policies(cognitive, models.space, horizon, cfg, last_was_pause))
+    efes = tuple(
+        expected_free_energy(
+            belief, policy, models, cfg.prefs,
+            w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read_set, zeta=zeta,
+        )
+        for policy in policies
+    )
+    totals = np.array([e.total for e in efes], dtype=float)
+    totals.flags.writeable = False
+    return policies, efes, totals
+
+
+clear_selection_cache = _scored_policies.cache_clear
+
+
 def select_policy(
     cognitive: CognitiveState,
     affective: AffectiveState,
-    state: env.ExternalState,
     models: ReadingEvidenceModel,
     cfg: AgentConfig,
     rng: np.random.Generator | None = None,
@@ -333,48 +360,18 @@ def select_policy(
 
     Selection is argmax of the precision-weighted posterior by default
     (deterministic, ties to the enumeration order); with sample_policies the
-    posterior is sampled through the episode generator.
+    posterior is sampled through the episode generator. Only the agent's own
+    states enter: the external state, latent ordering included, never does.
     """
-    space = models.space
-    horizon = cfg.horizon if cfg.horizon is not None else _dynamic_horizon(cognitive, space)
-    cache_key = (
-        models,
-        cfg,
-        cognitive.belief.probs,
-        cognitive.placed,
-        tuple(sorted(cognitive.read_set)),
-        horizon,
-        last_was_pause,
-        affective.zeta,
+    horizon = cfg.horizon if cfg.horizon is not None else _dynamic_horizon(cognitive, models.space)
+    policies, efes, totals = _scored_policies(
+        models, cfg, cognitive.belief, cognitive.placed, cognitive.read_set,
+        horizon, last_was_pause, affective.zeta,
     )
-    cached = _SELECTION_CACHE.get(cache_key)
-    if cached is None:
-        policies = enumerate_policies(cognitive, state, horizon, cfg, last_was_pause)
-        if not policies:
-            cached = (tuple(), tuple())
-        else:
-            efes = tuple(
-                expected_free_energy(
-                    cognitive.belief,
-                    policy,
-                    models,
-                    cfg.prefs,
-                    w_e=cfg.w_e,
-                    w_p=cfg.w_p,
-                    read_chunks=cognitive.read_set,
-                    zeta=affective.zeta,
-                )
-                for policy in policies
-            )
-            cached = (tuple(policies), efes)
-        if len(_SELECTION_CACHE) > 65536:
-            _SELECTION_CACHE.clear()
-        _SELECTION_CACHE[cache_key] = cached
-    policies, efes = cached
     if not policies:
         raise ValueError("no admissible policy: translation already complete")
 
-    posterior = policy_posterior(efes, gamma=affective.gamma)
+    posterior = policy_posterior(totals, gamma=affective.gamma)
     if cfg.sample_policies and rng is not None:
         choice = int(rng.choice(len(policies), p=posterior.as_array()))
     else:
@@ -396,7 +393,7 @@ def _action_duration(action: env.Action, state: env.ExternalState) -> float:
     if action.kind == env.DELETE:
         return DELETE_MS_PER_CHAR * len(table.chunk(state.buffer[action.slot - 1]).target_text)
     if action.kind == env.PAUSE:
-        return action.duration_ms if action.duration_ms is not None else PAUSE_MS
+        return PAUSE_MS
     raise ValueError(f"unknown action kind {action.kind!r}")
 
 
@@ -409,11 +406,7 @@ def _recompute_working(
     mask = np.ones(len(evidence), dtype=float)
     for slot, chunk in placed:
         mask *= placement_row(space, chunk, slot)
-    weighted = evidence.as_array() * mask
-    total = float(weighted.sum())
-    if total <= 0.0:
-        raise ContradictionError("every live ordering contradicts the typed buffer")
-    return Categorical(tuple(weighted / total))
+    return bayes_update(evidence, mask)
 
 
 def _evidence_map_index(
@@ -478,13 +471,7 @@ def step(
         action, remaining = policy[0], policy[1:]
     else:
         selection = select_policy(
-            cognitive,
-            affective,
-            state,
-            models,
-            cfg,
-            rng=rng,
-            last_was_pause=last_was_pause,
+            cognitive, affective, models, cfg, rng=rng, last_was_pause=last_was_pause
         )
         chosen = selection.policy
         action, remaining = chosen[0], chosen[1:]
@@ -495,7 +482,7 @@ def step(
 
     # Every event is timed by _action_duration against the state it acts on.
     if hesitate and action.kind != env.PAUSE and not last_was_pause:
-        hesitation = env.pause(PAUSE_MS)
+        hesitation = env.pause()
         t_end = clock + _action_duration(hesitation, state)
         state, _ = env.apply_action(state, hesitation, models, rng)
         affective = update_affect(affective, 0.0, cfg)

@@ -38,21 +38,6 @@ class Action:
     kind: str
     chunk_id: int | None = None
     slot: int | None = None
-    duration_ms: float | None = None
-    resource: str | None = None
-
-    def describe(self) -> str:
-        if self.kind == FIXATE_SOURCE:
-            return f"fixate_source({self.chunk_id})"
-        if self.kind == FIXATE_TARGET:
-            return f"fixate_target(@{self.slot})"
-        if self.kind == TYPE:
-            return f"type({self.chunk_id}@{self.slot})"
-        if self.kind == DELETE:
-            return f"delete(@{self.slot})"
-        if self.kind == CONSULT:
-            return f"consult({self.resource})"
-        return self.kind
 
 
 def fixate_source(chunk_id: int) -> Action:
@@ -71,12 +56,12 @@ def delete(slot: int) -> Action:
     return Action(DELETE, slot=slot)
 
 
-def pause(duration_ms: float = 800.0) -> Action:
-    return Action(PAUSE, duration_ms=duration_ms)
+def pause() -> Action:
+    return Action(PAUSE)
 
 
-def consult(resource: str = "dictionary") -> Action:
-    return Action(CONSULT, resource=resource)
+def consult() -> Action:
+    return Action(CONSULT)
 
 
 @dataclass(frozen=True)

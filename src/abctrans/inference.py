@@ -113,6 +113,11 @@ def _observation_channel(
     return [(1.0, belief)]
 
 
+def _information_gain(belief: Categorical, branches) -> float:
+    h_after = sum(w * shannon_entropy(post) for w, post in branches)
+    return max(shannon_entropy(belief) - h_after, 0.0)
+
+
 def expected_information_gain(
     belief: Categorical,
     action: env.Action,
@@ -125,30 +130,7 @@ def expected_information_gain(
     non-negative, and zero whenever the channel is uninformative about the
     latent ordering or the belief is already a point mass.
     """
-    branches = _observation_channel(belief, action, models, zeta)
-    h_before = shannon_entropy(belief)
-    h_after = sum(w * shannon_entropy(post) for w, post in branches)
-    gain = h_before - h_after
-    return max(gain, 0.0)
-
-
-def _typing_scores(
-    belief: Categorical,
-    space: CandidateSpace,
-    chunk_id: int,
-    slot: int,
-    prefs: PreferenceVector,
-) -> float:
-    row = placement_row(space, chunk_id, slot)
-    value = 0.0
-    for i, p in enumerate(belief.probs):
-        if p == 0.0:
-            continue
-        if row[i] > 0.0:
-            value += p * (prefs.progress_bonus + prefs.ordering_pref(i))
-        else:
-            value += p * prefs.inconsistency_penalty
-    return value
+    return _information_gain(belief, _observation_channel(belief, action, models, zeta))
 
 
 def pragmatic_value(
@@ -167,7 +149,15 @@ def pragmatic_value(
     if action.kind == env.TYPE:
         if space is None:
             raise ValueError("typing actions need the candidate space")
-        value = _typing_scores(belief, space, action.chunk_id, action.slot, prefs)
+        row = placement_row(space, action.chunk_id, action.slot)
+        value = 0.0
+        for i, p in enumerate(belief.probs):
+            if p == 0.0:
+                continue
+            if row[i] > 0.0:
+                value += p * (prefs.progress_bonus + prefs.ordering_pref(i))
+            else:
+                value += p * prefs.inconsistency_penalty
         if not chunk_read:
             value -= prefs.unread_cost
         return value
@@ -180,17 +170,6 @@ def pragmatic_value(
     raise ValueError(f"unknown action kind {action.kind!r}")
 
 
-def _restrict(belief: Categorical, space: CandidateSpace, chunk_id: int, slot: int) -> Categorical:
-    row = placement_row(space, chunk_id, slot)
-    weighted = belief.as_array() * row
-    total = float(weighted.sum())
-    if total <= 0.0:
-        # The plan contradicts every live ordering; the penalty already scored
-        # it, so prediction keeps the belief rather than dividing by zero.
-        return belief
-    return Categorical(tuple(weighted / total))
-
-
 def _rollout(
     belief: Categorical,
     actions: tuple[env.Action, ...],
@@ -199,31 +178,40 @@ def _rollout(
     read: frozenset[int],
     zeta: float,
 ) -> tuple[float, float]:
-    if not actions:
-        return 0.0, 0.0
+    """Epistemic and pragmatic value of a non-empty action sequence from one belief node.
+
+    The node's observation channel is built once: it gives the epistemic
+    term and, for a read, the branches the rest of the sequence continues
+    from.
+    """
     action, rest = actions[0], actions[1:]
     space = models.space
     chunk_read = True
     if action.kind == env.TYPE:
         chunk = space.table.chunk(action.chunk_id)
         chunk_read = chunk.kind != "content" or action.chunk_id in read
-    epistemic = expected_information_gain(belief, action, models, zeta=zeta)
+    branches = _observation_channel(belief, action, models, zeta)
+    epistemic = _information_gain(belief, branches)
     pragmatic = pragmatic_value(belief, action, prefs, space, chunk_read=chunk_read)
     if not rest:
         return epistemic, pragmatic
 
     if action.kind == env.FIXATE_SOURCE:
         read = read | {action.chunk_id}
-        for weight, post in _observation_channel(belief, action, models, zeta):
-            e_next, p_next = _rollout(post, rest, models, prefs, read, zeta)
-            epistemic += weight * e_next
-            pragmatic += weight * p_next
-        return epistemic, pragmatic
-
-    if action.kind == env.TYPE:
-        belief = _restrict(belief, space, action.chunk_id, action.slot)
-    e_next, p_next = _rollout(belief, rest, models, prefs, read, zeta)
-    return epistemic + e_next, pragmatic + p_next
+    elif action.kind == env.TYPE:
+        # A typed placement restricts the belief to the orderings it fits. A
+        # plan that contradicts every live ordering keeps the belief: the
+        # penalty already scored it.
+        row = placement_row(space, action.chunk_id, action.slot)
+        try:
+            branches = [(1.0, bayes_update(belief, row))]
+        except ContradictionError:
+            pass
+    for weight, post in branches:
+        e_next, p_next = _rollout(post, rest, models, prefs, read, zeta)
+        epistemic += weight * e_next
+        pragmatic += weight * p_next
+    return epistemic, pragmatic
 
 
 def expected_free_energy(
@@ -253,13 +241,11 @@ def expected_free_energy(
     return EFEDecomposition(epistemic=epistemic, pragmatic=pragmatic, total=total, w_e=w_e, w_p=w_p)
 
 
-def policy_posterior(efes, gamma: float) -> Categorical:
-    """Softmax over -gamma * total, shifted by the max for numerical stability."""
+def policy_posterior(totals, gamma: float) -> Categorical:
+    """Softmax over -gamma * EFE totals, shifted by the max for numerical stability."""
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
-    totals = np.array(
-        [e.total if isinstance(e, EFEDecomposition) else float(e) for e in efes], dtype=float
-    )
+    totals = np.asarray(totals, dtype=float)
     if totals.size == 0:
         raise ValueError("need at least one policy")
     scores = -gamma * totals

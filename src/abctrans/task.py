@@ -150,7 +150,7 @@ class Categorical:
 
     @property
     def map_index(self) -> int:
-        return max(range(len(self.probs)), key=lambda i: self.probs[i])
+        return self.probs.index(max(self.probs))
 
 
 @dataclass(frozen=True)

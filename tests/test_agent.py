@@ -3,11 +3,11 @@ import pytest
 
 from abctrans import environment as env
 from abctrans.agent import (
-    PAUSE_MS,
     AgentConfig,
     AffectiveState,
     CognitiveState,
     _next_actions,
+    _scored_policies,
     enumerate_policies,
     head_starter_config,
     initial_agent_state,
@@ -115,7 +115,6 @@ class TestPresets:
 
 class TestEnumeratePolicies:
     def test_terminal_state_yields_nothing(self, space, models):
-        state = env.ExternalState.initial(space, "TT0")
         placed = tuple(
             sorted((s, c) for s, c in enumerate(space.ordering("TT0").slots, start=1))
         )
@@ -125,72 +124,64 @@ class TestEnumeratePolicies:
             placed=placed,
             read_set=frozenset({1, 2, 3, 4}),
         )
-        assert enumerate_policies(cognitive, state, 1, head_starter_config()) == []
+        assert enumerate_policies(cognitive, space, 1, head_starter_config()) == []
 
     def test_start_state_contains_read_and_type(self, space, models):
         cfg = head_starter_config()
-        state = env.ExternalState.initial(space, "TT0")
         agent = initial_agent_state(space, cfg)
-        policies = enumerate_policies(agent.cognitive, state, 1, cfg)
+        policies = enumerate_policies(agent.cognitive, space, 1, cfg)
         flat = {p[0] for p in policies}
         assert env.fixate_source(1) in flat
         assert env.type_chunk(1, 1) in flat
-        assert env.pause(PAUSE_MS) in flat
+        assert env.pause() in flat
 
     def test_point_mass_belief_filters_typing(self, space, models):
         cfg = head_starter_config()
-        state = env.ExternalState.initial(space, "TT3")
         b = Categorical.point_mass(6, space.index_of("TT3"))
         cognitive = CognitiveState(belief=b, evidence_belief=b, read_set=frozenset({1, 2, 3, 4}))
-        policies = enumerate_policies(cognitive, state, 1, cfg)
+        policies = enumerate_policies(cognitive, space, 1, cfg)
         typing = [p[0] for p in policies if p[0].kind == env.TYPE]
         assert typing == [env.type_chunk(1, 1)]  # TT3 puts chunk 1 first
 
     def test_no_consecutive_pauses(self, space, models):
         cfg = large_context_planner_config()
-        state = env.ExternalState.initial(space, "TT0")
         agent = initial_agent_state(space, cfg)
-        for policy in enumerate_policies(agent.cognitive, state, 4, cfg):
+        for policy in enumerate_policies(agent.cognitive, space, 4, cfg):
             for a, b in zip(policy, policy[1:]):
                 assert not (a.kind == env.PAUSE and b.kind == env.PAUSE)
 
     def test_policy_cap_respected(self, space, models):
         cfg = large_context_planner_config(max_policies=16)
-        state = env.ExternalState.initial(space, "TT0")
         agent = initial_agent_state(space, cfg)
-        assert len(enumerate_policies(agent.cognitive, state, 4, cfg)) <= 16
+        assert len(enumerate_policies(agent.cognitive, space, 4, cfg)) <= 16
 
 
 class TestSelectPolicy:
     def test_planner_opens_with_a_reading_policy(self, space, models):
         cfg = large_context_planner_config()
-        state = env.ExternalState.initial(space, "TT3")
         agent = initial_agent_state(space, cfg)
-        sel = select_policy(agent.cognitive, agent.affective, state, models, cfg)
+        sel = select_policy(agent.cognitive, agent.affective, models, cfg)
         assert sel.policy[0].kind == env.FIXATE_SOURCE
         assert all(a.kind == env.FIXATE_SOURCE for a in sel.policy)
 
     def test_head_starter_types_once_first_chunk_read(self, space, models):
         cfg = head_starter_config()
-        state = env.ExternalState.initial(space, "TT0")
         base, cognitive = agent_after_cue(space, models, cfg, "TT0")
-        sel = select_policy(cognitive, base.affective, state, models, cfg)
+        sel = select_policy(cognitive, base.affective, models, cfg)
         assert sel.policy[0] == env.type_chunk(1, 1)
 
     def test_high_gamma_concentrates_on_argmax(self, space, models):
         cfg = head_starter_config()
-        state = env.ExternalState.initial(space, "TT0")
         base, cognitive = agent_after_cue(space, models, cfg, "TT0")
         sharp = AffectiveState(gamma=200.0, zeta=1.0)
-        sel = select_policy(cognitive, sharp, state, models, cfg)
+        sel = select_policy(cognitive, sharp, models, cfg)
         assert sel.posterior.probs[sel.choice_index] > 0.99
 
     def test_zero_ish_gamma_spreads_the_posterior(self, space, models):
         cfg = head_starter_config()
-        state = env.ExternalState.initial(space, "TT0")
         base, cognitive = agent_after_cue(space, models, cfg, "TT0")
         flat = AffectiveState(gamma=1e-9, zeta=1.0)
-        sel = select_policy(cognitive, flat, state, models, cfg)
+        sel = select_policy(cognitive, flat, models, cfg)
         n = len(sel.policies)
         assert np.allclose(sel.posterior.probs, 1.0 / n, atol=1e-6)
 
@@ -198,11 +189,10 @@ class TestSelectPolicy:
         # zeta tempers every predicted cue, so the same state scored under
         # another zeta must not reuse the earlier scores
         cfg = head_starter_config()
-        state = env.ExternalState.initial(space, "TT0")
         agent = initial_agent_state(space, cfg)
         cognitive = agent.cognitive
-        select_policy(cognitive, AffectiveState(gamma=8.0, zeta=1.0), state, models, cfg)
-        sel = select_policy(cognitive, AffectiveState(gamma=8.0, zeta=2.0), state, models, cfg)
+        select_policy(cognitive, AffectiveState(gamma=8.0, zeta=1.0), models, cfg)
+        sel = select_policy(cognitive, AffectiveState(gamma=8.0, zeta=2.0), models, cfg)
         direct = tuple(
             expected_free_energy(
                 cognitive.belief,
@@ -217,6 +207,35 @@ class TestSelectPolicy:
             for policy in sel.policies
         )
         assert sel.efes == direct
+
+    def test_results_do_not_depend_on_memo_state(self, space, monkeypatch):
+        # The same episodes, once in order on a warm memo and once in reverse
+        # order with every decision scored afresh, give the same traces. The
+        # second run bypasses the memo rather than clearing it, which is the
+        # same for each decision and keeps the memo warm for later tests.
+        # Content 0.99 moves zeta away from 1. The planner's enumeration is
+        # capped so that scoring every decision afresh stays cheap.
+        episodes = [
+            (preset(sample_policies=sample, **extra), content, latent, seed)
+            for preset, extra in (
+                (head_starter_config, {}),
+                (large_context_planner_config, {"max_policies": 8}),
+            )
+            for content in (0.8, 0.99)
+            for sample in (False, True)
+            for latent in ("TT0", "TT5")
+            for seed in (0, 1)
+        ]
+
+        def run(cfg, content, latent, seed):
+            models = ReadingEvidenceModel.with_defaults(space, content=content)
+            return repr(run_episode(cfg, models, latent=latent, seed=seed))
+
+        warm = [run(*e) for e in episodes]
+
+        monkeypatch.setattr("abctrans.agent._scored_policies", _scored_policies.__wrapped__)
+        cold = [run(*e) for e in reversed(episodes)]
+        assert cold[::-1] == warm
 
 
 class TestStep:

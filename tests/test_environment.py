@@ -53,7 +53,7 @@ class TestApplyAction:
         assert obs == env.Observation(env.PLACEMENT_FEEDBACK, chunk_id=None, slot=1)
 
     def test_pause_and_consult_are_null(self, state, models, rng):
-        _, obs = env.apply_action(state, env.pause(500), models, rng)
+        _, obs = env.apply_action(state, env.pause(), models, rng)
         assert obs.kind == env.NULL
         _, obs = env.apply_action(state, env.consult(), models, rng)
         assert obs.kind == env.NULL

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abctrans import environment as env
+from abctrans.agent import enumerate_policies, initial_agent_state, large_context_planner_config
 from abctrans.inference import (
     ContradictionError,
     PreferenceVector,
@@ -239,6 +240,24 @@ class TestExpectedFreeEnergy:
             assert abs(dec.epistemic - oe) <= 1e-9
             assert abs(dec.pragmatic - op) <= 1e-9
             assert abs(dec.total - (-(oe + op) + 0.0)) <= 1e-9
+
+    @pytest.mark.parametrize("horizon, stride", [(3, 1), (4, 10)])
+    def test_planner_opening_policies_match_oracle(self, space, models, horizon, stride):
+        # the horizons the planner scores at: every opening policy at 3, every
+        # 10th at 4, under the planner's own preferences and weights
+        cfg = large_context_planner_config()
+        start = initial_agent_state(space, cfg).cognitive
+        policies = enumerate_policies(start, space, horizon, cfg)[::stride]
+        assert policies
+        for policy in policies:
+            dec = expected_free_energy(
+                space.prior, policy, models, cfg.prefs, w_e=cfg.w_e, w_p=cfg.w_p,
+                read_chunks=frozenset(),
+            )
+            oe, op = oracle_efe(space.prior, policy, models, cfg.prefs, frozenset())
+            assert abs(dec.epistemic - oe) <= 1e-9
+            assert abs(dec.pragmatic - op) <= 1e-9
+            assert abs(dec.total - (-(cfg.w_e * oe) - (cfg.w_p * op))) <= 1e-9
 
     def test_zero_epistemic_weight_leaves_pragmatic_only(self, space, models):
         policy = (env.fixate_source(1), env.type_chunk(1, 1))
