@@ -24,6 +24,7 @@ from .inference import (
     expected_information_gain,
     policy_posterior,
     pragmatic_value,
+    score_policies,
     shannon_entropy,
 )
 from .agent import (

@@ -23,8 +23,9 @@ from .inference import (
     EFEDecomposition,
     PreferenceVector,
     bayes_update,
-    expected_free_energy,
+    expected_free_energy,  # unused here; perfbench/run.py wraps agent.expected_free_energy
     policy_posterior,
+    score_policies,
     shannon_entropy,
     surprisal as surprisal_bits,
 )
@@ -333,12 +334,9 @@ def _scored_policies(
     # Enumeration reads the working belief, never the evidence belief.
     cognitive = CognitiveState(belief, belief, placed, read_set)
     policies = tuple(enumerate_policies(cognitive, models.space, horizon, cfg, last_was_pause))
-    efes = tuple(
-        expected_free_energy(
-            belief, policy, models, cfg.prefs,
-            w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read_set, zeta=zeta,
-        )
-        for policy in policies
+    efes = score_policies(
+        belief, policies, models, cfg.prefs,
+        w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read_set, zeta=zeta,
     )
     totals = np.array([e.total for e in efes], dtype=float)
     totals.flags.writeable = False

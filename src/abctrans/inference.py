@@ -5,6 +5,12 @@ only observations that carry information about the environment's latent
 preferred ordering; typing yields placement feedback that is fully determined
 by the action itself, so it contributes commitment (belief restriction during
 rollout) but no expected information gain.
+
+score_policies scores all policies of a decision over one table of belief
+nodes: a node many policies reach has its observation channel, gain and
+pragmatic value computed once. Each policy's terms are summed as
+expected_free_energy sums them for that policy alone, so totals are bitwise
+equal either way.
 """
 
 from __future__ import annotations
@@ -103,8 +109,7 @@ def _observation_channel(
     if action.kind == env.FIXATE_SOURCE:
         b = belief.as_array()
         branches = []
-        for cue in models.space.labels:
-            row = models.likelihood_row(action.chunk_id, cue)
+        for row in models.likelihood_table(action.chunk_id):
             weight = float(b @ row)
             if weight <= 0.0:
                 continue
@@ -177,12 +182,13 @@ def _rollout(
     prefs: PreferenceVector,
     read: frozenset[int],
     zeta: float,
+    nodes: dict,
 ) -> tuple[float, float]:
     """Epistemic and pragmatic value of a non-empty action sequence from one belief node.
 
-    The node's observation channel is built once: it gives the epistemic
-    term and, for a read, the branches the rest of the sequence continues
-    from.
+    nodes maps (belief, action, chunk_read) to [epistemic, pragmatic, the
+    branches the rest continues from], filled on a node's first visit; a
+    typed placement's restriction only once some sequence continues past it.
     """
     action, rest = actions[0], actions[1:]
     space = models.space
@@ -190,15 +196,24 @@ def _rollout(
     if action.kind == env.TYPE:
         chunk = space.table.chunk(action.chunk_id)
         chunk_read = chunk.kind != "content" or action.chunk_id in read
-    branches = _observation_channel(belief, action, models, zeta)
-    epistemic = _information_gain(belief, branches)
-    pragmatic = pragmatic_value(belief, action, prefs, space, chunk_read=chunk_read)
+    # The action's fields, not the Action: its generated __hash__ and __eq__
+    # would run in Python on every visit.
+    key = (belief.probs, action.kind, action.chunk_id, action.slot, chunk_read)
+    node = nodes.get(key)
+    if node is None:
+        branches = _observation_channel(belief, action, models, zeta)
+        node = nodes[key] = [
+            _information_gain(belief, branches),
+            pragmatic_value(belief, action, prefs, space, chunk_read=chunk_read),
+            None if action.kind == env.TYPE else branches,
+        ]
+    epistemic, pragmatic, branches = node
     if not rest:
         return epistemic, pragmatic
 
     if action.kind == env.FIXATE_SOURCE:
         read = read | {action.chunk_id}
-    elif action.kind == env.TYPE:
+    elif branches is None:
         # A typed placement restricts the belief to the orderings it fits. A
         # plan that contradicts every live ordering keeps the belief: the
         # penalty already scored it.
@@ -206,12 +221,48 @@ def _rollout(
         try:
             branches = [(1.0, bayes_update(belief, row))]
         except ContradictionError:
-            pass
+            branches = [(1.0, belief)]
+        node[2] = branches
     for weight, post in branches:
-        e_next, p_next = _rollout(post, rest, models, prefs, read, zeta)
+        e_next, p_next = _rollout(post, rest, models, prefs, read, zeta, nodes)
         epistemic += weight * e_next
         pragmatic += weight * p_next
     return epistemic, pragmatic
+
+
+def score_policies(
+    belief: Categorical,
+    policies,
+    models: ReadingEvidenceModel,
+    prefs: PreferenceVector,
+    w_e: float = 1.0,
+    w_p: float = 1.0,
+    read_chunks: frozenset[int] | None = None,
+    zeta: float = 1.0,
+) -> tuple[EFEDecomposition, ...]:
+    """Expected free energy of each policy of one decision, in order.
+
+    Each policy's belief is rolled forward through every predicted
+    observation branch: reads branch over cues, typed placements restrict the
+    belief to consistent orderings. All policies share one table of belief
+    nodes, so a node reached by many policies is expanded once; the table is
+    dropped on return. read_chunks marks source chunks already fixated before
+    the policies start (defaults to all, so unread costs never apply).
+    """
+    if read_chunks is None:
+        read_chunks = frozenset(models.space.table.chunk_ids)
+    nodes: dict = {}
+    efes = []
+    for policy in policies:
+        actions = tuple(policy)
+        if not actions:
+            raise ValueError("policy must contain at least one action")
+        epistemic, pragmatic = _rollout(belief, actions, models, prefs, read_chunks, zeta, nodes)
+        total = -(w_e * epistemic) - (w_p * pragmatic)
+        efes.append(
+            EFEDecomposition(epistemic=epistemic, pragmatic=pragmatic, total=total, w_e=w_e, w_p=w_p)
+        )
+    return tuple(efes)
 
 
 def expected_free_energy(
@@ -224,21 +275,9 @@ def expected_free_energy(
     read_chunks: frozenset[int] | None = None,
     zeta: float = 1.0,
 ) -> EFEDecomposition:
-    """Accumulate epistemic and pragmatic value over a policy's predicted trajectory.
-
-    The belief is rolled forward through every predicted observation branch:
-    reads branch over cues, typed placements restrict the belief to consistent
-    orderings. read_chunks marks source chunks already fixated before the
-    policy starts (defaults to all, so unread costs never apply).
-    """
-    actions = tuple(policy)
-    if not actions:
-        raise ValueError("policy must contain at least one action")
-    if read_chunks is None:
-        read_chunks = frozenset(models.space.table.chunk_ids)
-    epistemic, pragmatic = _rollout(belief, actions, models, prefs, read_chunks, zeta)
-    total = -(w_e * epistemic) - (w_p * pragmatic)
-    return EFEDecomposition(epistemic=epistemic, pragmatic=pragmatic, total=total, w_e=w_e, w_p=w_p)
+    """Expected free energy of one policy: score_policies over that policy alone."""
+    (efe,) = score_policies(belief, (policy,), models, prefs, w_e, w_p, read_chunks, zeta)
+    return efe
 
 
 def policy_posterior(totals, gamma: float) -> Categorical:

@@ -368,7 +368,8 @@ class ReadingEvidenceModel:
                 return r
         raise UnknownChunkError(f"chunk {chunk_id} not in evidence model")
 
-    def _table(self, chunk_id: int) -> np.ndarray:
+    def likelihood_table(self, chunk_id: int) -> np.ndarray:
+        """P(cue | ordering) for reading one chunk, one row per cue label (read-only)."""
         table = self._likelihood.get(chunk_id)
         if table is None:
             raise UnknownChunkError(f"chunk {chunk_id} not in evidence model")
@@ -376,11 +377,11 @@ class ReadingEvidenceModel:
 
     def cue_distribution(self, chunk_id: int, true_label: str) -> np.ndarray:
         """P(cue | true ordering) over cue labels, for reading one chunk (read-only)."""
-        return self._table(chunk_id)[:, self.space.index_of(true_label)]
+        return self.likelihood_table(chunk_id)[:, self.space.index_of(true_label)]
 
     def likelihood_row(self, chunk_id: int, cue_label: str) -> np.ndarray:
         """P(cue | ordering) for a fixed observed cue, one entry per candidate (read-only)."""
-        return self._table(chunk_id)[self.space.index_of(cue_label)]
+        return self.likelihood_table(chunk_id)[self.space.index_of(cue_label)]
 
 
 def reading_likelihood(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abctrans import environment as env
+from abctrans import environment as env, inference
 from abctrans.agent import (
     AgentConfig,
     AffectiveState,
@@ -213,18 +213,14 @@ class TestSelectPolicy:
         # order with every decision scored afresh, give the same traces. The
         # second run bypasses the memo rather than clearing it, which is the
         # same for each decision and keeps the memo warm for later tests.
-        # Content 0.99 moves zeta away from 1. The planner's enumeration is
-        # capped so that scoring every decision afresh stays cheap.
+        # Content 0.99 moves zeta away from 1. Each latent runs under one
+        # seed, which keeps the grid at 16 episodes.
         episodes = [
-            (preset(sample_policies=sample, **extra), content, latent, seed)
-            for preset, extra in (
-                (head_starter_config, {}),
-                (large_context_planner_config, {"max_policies": 8}),
-            )
+            (preset(sample_policies=sample), content, latent, seed)
+            for preset in (head_starter_config, large_context_planner_config)
             for content in (0.8, 0.99)
             for sample in (False, True)
-            for latent in ("TT0", "TT5")
-            for seed in (0, 1)
+            for latent, seed in (("TT0", 0), ("TT5", 1))
         ]
 
         def run(cfg, content, latent, seed):
@@ -236,6 +232,31 @@ class TestSelectPolicy:
         monkeypatch.setattr("abctrans.agent._scored_policies", _scored_policies.__wrapped__)
         cold = [run(*e) for e in reversed(episodes)]
         assert cold[::-1] == warm
+
+    def test_cold_planner_opening_expands_each_belief_node_once(self, space, models, monkeypatch):
+        # One observation channel per distinct (belief, action, chunk read)
+        # node of the 1,206 opening policies; scoring each policy from the
+        # root would build 36,679 and run 70,843 Bayes updates.
+        counts = {"channels": 0, "bayes_updates": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            inference, "_observation_channel", counted("channels", inference._observation_channel)
+        )
+        monkeypatch.setattr(
+            inference, "bayes_update", counted("bayes_updates", inference.bayes_update)
+        )
+        monkeypatch.setattr("abctrans.agent._scored_policies", _scored_policies.__wrapped__)
+        cfg = large_context_planner_config()
+        agent = initial_agent_state(space, cfg)
+        sel = select_policy(agent.cognitive, agent.affective, models, cfg)
+        assert len(sel.policies) == 1206
+        assert counts == {"channels": 2260, "bayes_updates": 3378}
 
 
 class TestStep:
@@ -398,6 +419,17 @@ class TestRunEpisode:
                 kinds = [e.kind for e in trace.events]
                 for a, b in zip(kinds, kinds[1:]):
                     assert not (a == env.PAUSE and b == env.PAUSE)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="livelock (ROADMAP item 3): the planner deletes and retypes a "
+        "placement until max_steps and ends incomplete after 117 events",
+    )
+    @pytest.mark.parametrize("latent", ["TT1", "TT5"])
+    def test_planner_completes_at_high_content_reliability(self, space, latent):
+        models99 = ReadingEvidenceModel.with_defaults(space, content=0.99)
+        trace = run_episode(large_context_planner_config(), models99, latent=latent, seed=0)
+        assert trace.complete
 
     def test_frozen_affect_changes_behavior_under_surprises(self, models):
         script = ("TT1", "TT5")

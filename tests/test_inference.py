@@ -15,9 +15,10 @@ from abctrans.inference import (
     expected_information_gain,
     policy_posterior,
     pragmatic_value,
+    score_policies,
     shannon_entropy,
 )
-from abctrans.task import Categorical, placement_row
+from abctrans.task import Categorical, ReadingEvidenceModel, placement_row
 
 PREFS = PreferenceVector(progress_bonus=0.5, inconsistency_penalty=-2.0, pause_cost=0.1)
 
@@ -258,6 +259,24 @@ class TestExpectedFreeEnergy:
             assert abs(dec.epistemic - oe) <= 1e-9
             assert abs(dec.pragmatic - op) <= 1e-9
             assert abs(dec.total - (-(cfg.w_e * oe) - (cfg.w_p * op))) <= 1e-9
+
+    @pytest.mark.parametrize("content", [0.8, 0.99])
+    @pytest.mark.parametrize("zeta", [1.0, 1.15])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+    def test_shared_node_table_equals_scoring_each_policy_alone(self, space, horizon, zeta, content):
+        # bitwise: sharing belief nodes across a decision's policies moves no
+        # total, at each horizon the planner scores at, from the opening state
+        models = ReadingEvidenceModel.with_defaults(space, content=content)
+        cfg = large_context_planner_config()
+        start = initial_agent_state(space, cfg).cognitive
+        policies = enumerate_policies(start, space, horizon, cfg)
+        kwargs = dict(w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta)
+        shared = score_policies(space.prior, policies, models, cfg.prefs, **kwargs)
+        alone = tuple(
+            expected_free_energy(space.prior, policy, models, cfg.prefs, **kwargs)
+            for policy in policies
+        )
+        assert shared == alone
 
     def test_zero_epistemic_weight_leaves_pragmatic_only(self, space, models):
         policy = (env.fixate_source(1), env.type_chunk(1, 1))
