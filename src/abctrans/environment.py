@@ -115,7 +115,7 @@ def apply_action(
     the target buffer and the cue script cursor move.
     """
     if action.kind == FIXATE_SOURCE:
-        state.space.require_chunk(action.chunk_id)
+        state.space.table.chunk(action.chunk_id)
         if state.cue_script is not None and state.cue_cursor < len(state.cue_script):
             cue = state.cue_script[state.cue_cursor]
             state.space.index_of(cue)
@@ -128,7 +128,7 @@ def apply_action(
         return new, Observation(ORDERING_CUE, chunk_id=action.chunk_id, cue=cue)
 
     if action.kind == TYPE:
-        state.space.require_chunk(action.chunk_id)
+        state.space.table.chunk(action.chunk_id)
         slot = action.slot
         if not 1 <= slot <= len(state.buffer):
             raise TaskError(f"slot {slot} out of range")

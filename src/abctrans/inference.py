@@ -6,11 +6,14 @@ preferred ordering; typing yields placement feedback that is fully determined
 by the action itself, so it contributes commitment (belief restriction during
 rollout) but no expected information gain.
 
-score_policies scores all policies of a decision over one table of belief
-nodes: a node many policies reach has its observation channel, gain and
-pragmatic value computed once. Each policy's terms are summed as
-expected_free_energy sums them for that policy alone, so totals are bitwise
-equal either way.
+score_policies scores all policies of a decision over memoised tables keyed
+by small integers (interned beliefs, policy suffixes, read bitmasks): a read
+channel is built once per belief and chunk, with all its cue branches in one
+array op, and the value of a suffix once per belief and read set. Each
+policy's terms are summed as expected_free_energy sums them for that policy
+alone, so totals are bitwise equal either way. posteriors is the one
+conditioning rule, over a 2-D likelihood with one row per observation;
+bayes_update is its one-row case.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import environment as env
-from .task import Categorical, CandidateSpace, ReadingEvidenceModel, entropy_bits, placement_row
+from .task import (
+    CONTENT,
+    Categorical,
+    CandidateSpace,
+    ReadingEvidenceModel,
+    entropy_bits,
+    placement_row,
+)
 
 PROB_FLOOR = 1e-300
 
@@ -75,52 +85,49 @@ def shannon_entropy(dist) -> float:
     return entropy_bits(dist)
 
 
-def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categorical:
-    """Posterior proportional to prior * likelihood**zeta; zeta = 1 is exact Bayes.
+def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) -> np.ndarray:
+    """One posterior per likelihood row: prior * row**zeta, each row normalised.
 
-    Raises ContradictionError when no option retains mass, rather than
-    silently renormalizing an impossible observation.
+    The one conditioning rule, for non-negative 2-D likelihoods; zeta = 1 is
+    exact Bayes. Raises ContradictionError when some row leaves no mass,
+    rather than silently renormalizing an impossible observation.
     """
+    weighted = prior * np.power(likelihoods, zeta)
+    totals = weighted.sum(axis=1, keepdims=True)
+    if not totals.min() > PROB_FLOOR:
+        raise ContradictionError("observation impossible under the current belief")
+    return weighted / totals
+
+
+def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categorical:
+    """Posterior proportional to prior * likelihood**zeta: posteriors for one row."""
     lks = np.asarray(likelihoods, dtype=float)
     if lks.shape != (len(prior),):
         raise ValueError("one likelihood per option required")
     if not np.all(lks >= 0.0):  # NaN fails too
         raise ValueError("likelihoods must be non-negative")
-    weighted = prior.as_array() * np.power(np.maximum(lks, 0.0), zeta)
-    total = float(weighted.sum())
-    if total <= PROB_FLOOR:
-        raise ContradictionError("observation impossible under the current belief")
-    return Categorical(tuple(weighted / total))
+    (post,) = posteriors(prior.as_array(), lks[None, :], zeta).tolist()
+    return Categorical(tuple(post))
 
 
-def _observation_channel(
-    belief: Categorical,
-    action: env.Action,
-    models: ReadingEvidenceModel,
-    zeta: float,
-):
-    """Predicted observation branches for one action.
+def _read_branches(b: np.ndarray, likelihoods: np.ndarray, zeta: float) -> list:
+    """Predicted cue branches of one read: (weight, posterior probs) per cue with mass.
 
-    Returns a list of (weight, posterior) pairs. Only source fixations have a
-    channel that depends on the latent ordering; every other action yields one
-    observation with probability one and leaves the belief unchanged, which is
-    exactly what makes it uninformative.
+    Each weight is b @ row, a 1-D dot per row (a matrix product would round
+    differently); the posteriors of all rows come from one posteriors call.
     """
-    if action.kind == env.FIXATE_SOURCE:
-        b = belief.as_array()
-        branches = []
-        for row in models.likelihood_table(action.chunk_id):
-            weight = float(b @ row)
-            if weight <= 0.0:
-                continue
-            branches.append((weight, bayes_update(belief, row, zeta=zeta)))
-        return branches
-    return [(1.0, belief)]
+    weights = [float(b @ row) for row in likelihoods]
+    keep = [k for k, w in enumerate(weights) if w > 0.0]
+    if len(keep) < len(weights):
+        weights = [weights[k] for k in keep]
+        likelihoods = likelihoods[keep]
+    return list(zip(weights, posteriors(b, likelihoods, zeta).tolist()))
 
 
-def _information_gain(belief: Categorical, branches) -> float:
-    h_after = sum(w * shannon_entropy(post) for w, post in branches)
-    return max(shannon_entropy(belief) - h_after, 0.0)
+def _information_gain(h_before: float, branches) -> float:
+    """H(belief) less the weighted entropies of (weight, entropy) branches, floored at 0."""
+    h_after = sum(w * h for w, h in branches)
+    return max(h_before - h_after, 0.0)
 
 
 def expected_information_gain(
@@ -133,9 +140,27 @@ def expected_information_gain(
 
     H(belief) minus the predicted-observation average of posterior entropies;
     non-negative, and zero whenever the channel is uninformative about the
-    latent ordering or the belief is already a point mass.
+    latent ordering or the belief is already a point mass. Only source
+    fixations have a channel that depends on the latent ordering; every other
+    action yields one observation with probability one.
     """
-    return _information_gain(belief, _observation_channel(belief, action, models, zeta))
+    if action.kind != env.FIXATE_SOURCE:
+        return 0.0
+    branches = _read_branches(belief.as_array(), models.likelihood_table(action.chunk_id), zeta)
+    return _information_gain(belief.entropy, [(w, entropy_bits(post)) for w, post in branches])
+
+
+def _typed_value(probs, fits, prefs: PreferenceVector) -> float:
+    """Belief-weighted progress bonus or inconsistency penalty of one placement."""
+    value = 0.0
+    for i, p in enumerate(probs):
+        if p == 0.0:
+            continue
+        if fits[i] > 0.0:
+            value += p * (prefs.progress_bonus + prefs.ordering_pref(i))
+        else:
+            value += p * prefs.inconsistency_penalty
+    return value
 
 
 def pragmatic_value(
@@ -154,80 +179,128 @@ def pragmatic_value(
     if action.kind == env.TYPE:
         if space is None:
             raise ValueError("typing actions need the candidate space")
-        row = placement_row(space, action.chunk_id, action.slot)
-        value = 0.0
-        for i, p in enumerate(belief.probs):
-            if p == 0.0:
-                continue
-            if row[i] > 0.0:
-                value += p * (prefs.progress_bonus + prefs.ordering_pref(i))
-            else:
-                value += p * prefs.inconsistency_penalty
+        value = _typed_value(belief.probs, placement_row(space, action.chunk_id, action.slot), prefs)
         if not chunk_read:
             value -= prefs.unread_cost
         return value
-    if action.kind in (env.FIXATE_SOURCE, env.FIXATE_TARGET, env.CONSULT):
+    if action.kind == env.FIXATE_SOURCE:
         return -prefs.read_cost
     if action.kind == env.PAUSE:
-        return -prefs.pause_cost
-    if action.kind == env.DELETE:
         return -prefs.pause_cost
     raise ValueError(f"unknown action kind {action.kind!r}")
 
 
-def _rollout(
-    belief: Categorical,
-    actions: tuple[env.Action, ...],
-    models: ReadingEvidenceModel,
-    prefs: PreferenceVector,
-    read: frozenset[int],
-    zeta: float,
-    nodes: dict,
-) -> tuple[float, float]:
-    """Epistemic and pragmatic value of a non-empty action sequence from one belief node.
+class _Rollout:
+    """The tables of one score_policies call, keyed by small integers.
 
-    nodes maps (belief, action, chunk_read) to [epistemic, pragmatic, the
-    branches the rest continues from], filled on a node's first visit; a
-    typed placement's restriction only once some sequence continues past it.
+    Beliefs are interned by probability tuple (with their entropy), policy
+    suffixes by (first action, rest) in a trie, read sets become bitmasks. A
+    node, one action from one belief, is built once; so is the value of a
+    suffix of two or more actions per (belief, suffix, the read bits it
+    depends on). Each value is the float the plain recursion computes, so
+    totals do not depend on what the tables hold. Nothing refers back to the
+    instance, so the tables are freed when score_policies returns.
     """
-    action, rest = actions[0], actions[1:]
-    space = models.space
-    chunk_read = True
-    if action.kind == env.TYPE:
-        chunk = space.table.chunk(action.chunk_id)
-        chunk_read = chunk.kind != "content" or action.chunk_id in read
-    # The action's fields, not the Action: its generated __hash__ and __eq__
-    # would run in Python on every visit.
-    key = (belief.probs, action.kind, action.chunk_id, action.slot, chunk_read)
-    node = nodes.get(key)
-    if node is None:
-        branches = _observation_channel(belief, action, models, zeta)
-        node = nodes[key] = [
-            _information_gain(belief, branches),
-            pragmatic_value(belief, action, prefs, space, chunk_read=chunk_read),
-            None if action.kind == env.TYPE else branches,
-        ]
-    epistemic, pragmatic, branches = node
-    if not rest:
-        return epistemic, pragmatic
 
-    if action.kind == env.FIXATE_SOURCE:
-        read = read | {action.chunk_id}
-    elif branches is None:
-        # A typed placement restricts the belief to the orderings it fits. A
-        # plan that contradicts every live ordering keeps the belief: the
-        # penalty already scored it.
-        row = placement_row(space, action.chunk_id, action.slot)
+    def __init__(self, models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float, policies):
+        self.models, self.prefs, self.zeta, self.space = models, prefs, zeta, models.space
+        table = models.space.table
+        self.bits = {cid: 1 << i for i, cid in enumerate(sorted(table.chunk_ids))}
+        self.belief_ids: dict = {}
+        self.beliefs: list = []  # belief id -> (probability tuple, entropy)
+        action_ids: dict = {}
+        self.actions: list = []  # action id -> (kind, chunk, slot, bit of its chunk if content)
+        suffix_ids: dict = {}
+        self.suffixes: list = []  # suffix id -> (action id, rest id or -1, read bits it depends on)
+        self.policies = []  # suffix id of each policy
+        for policy in policies:
+            if not policy:
+                raise ValueError("policy must contain at least one action")
+            sid = -1
+            for action in reversed(policy):
+                # The action's fields, not the Action: its generated __hash__
+                # and __eq__ would run in Python.
+                fields = (action.kind, action.chunk_id, action.slot)
+                aid = action_ids.setdefault(fields, len(self.actions))
+                if aid == len(self.actions):
+                    if action.kind not in (env.FIXATE_SOURCE, env.TYPE, env.PAUSE):
+                        raise ValueError(f"unknown action kind {action.kind!r}")
+                    typed = action.kind == env.TYPE and table.chunk(action.chunk_id).kind == CONTENT
+                    self.actions.append(fields + (self.bits[action.chunk_id] if typed else 0,))
+                rest, sid = sid, suffix_ids.setdefault((aid, sid), len(self.suffixes))
+                if sid == len(self.suffixes):
+                    depends = self.suffixes[rest][2] if rest >= 0 else 0
+                    self.suffixes.append((aid, rest, depends | self.actions[aid][3]))
+            self.policies.append(sid)
+        self.n_actions, self.n_suffixes, self.n_bits = len(self.actions), len(self.suffixes), len(self.bits)
+        self.nodes: dict = {}  # belief id * n_actions + action id -> node
+        self.values: dict = {}  # packed (belief id, suffix id, read bits) -> (epistemic, pragmatic)
+
+    def belief(self, probs: tuple) -> int:
+        bid = self.belief_ids.setdefault(probs, len(self.beliefs))
+        if bid == len(self.beliefs):
+            self.beliefs.append((probs, entropy_bits(probs)))
+        return bid
+
+    def node(self, bid: int, aid: int) -> list:
+        """[epistemic, pragmatic, unread bit, read bit, branches] of one action from one belief.
+
+        A read's cue branches come from one array op; a typed placement's
+        branches stay None until some policy continues past it.
+        """
+        kind, chunk, slot, unread = self.actions[aid]
+        probs, entropy = self.beliefs[bid]
+        if kind == env.FIXATE_SOURCE:
+            table = self.models.likelihood_table(chunk)
+            cues = _read_branches(np.array(probs), table, self.zeta)
+            branches = [(w, self.belief(tuple(post))) for w, post in cues]
+            gain = _information_gain(entropy, [(w, self.beliefs[b][1]) for w, b in branches])
+            node = [gain, -self.prefs.read_cost, 0, self.bits[chunk], branches]
+        elif kind == env.TYPE:
+            fits = placement_row(self.space, chunk, slot).tolist()
+            node = [0.0, _typed_value(probs, fits, self.prefs), unread, 0, None]
+        else:
+            node = [0.0, -self.prefs.pause_cost, 0, 0, ((1.0, bid),)]
+        self.nodes[bid * self.n_actions + aid] = node
+        return node
+
+    def restricted(self, bid: int, aid: int) -> tuple:
+        """Branches after a typed placement: the belief restricted to the orderings it fits.
+
+        A plan that contradicts every live ordering keeps the belief: the
+        penalty already scored it.
+        """
+        _, chunk, slot, _ = self.actions[aid]
+        row = placement_row(self.space, chunk, slot)[None, :]
         try:
-            branches = [(1.0, bayes_update(belief, row))]
+            (post,) = posteriors(np.array(self.beliefs[bid][0]), row).tolist()
         except ContradictionError:
-            branches = [(1.0, belief)]
-        node[2] = branches
-    for weight, post in branches:
-        e_next, p_next = _rollout(post, rest, models, prefs, read, zeta, nodes)
-        epistemic += weight * e_next
-        pragmatic += weight * p_next
-    return epistemic, pragmatic
+            return ((1.0, bid),)
+        return ((1.0, self.belief(tuple(post))),)
+
+    def value(self, bid: int, sid: int, mask: int) -> tuple[float, float]:
+        """Epistemic and pragmatic value of suffix sid from belief bid, given read mask."""
+        aid, rest, depends = self.suffixes[sid]
+        if rest >= 0:
+            key = (bid * self.n_suffixes + sid) << self.n_bits | mask & depends
+            hit = self.values.get(key)
+            if hit is not None:
+                return hit
+        node = self.nodes.get(bid * self.n_actions + aid) or self.node(bid, aid)
+        epistemic, pragmatic, unread, read_bit, branches = node
+        if unread & ~mask:
+            pragmatic -= self.prefs.unread_cost
+        if rest < 0:
+            return epistemic, pragmatic
+        if branches is None:
+            branches = node[4] = self.restricted(bid, aid)
+        mask |= read_bit
+        for weight, post in branches:
+            e_next, p_next = self.value(post, rest, mask)
+            epistemic += weight * e_next
+            pragmatic += weight * p_next
+        self.values[key] = epistemic, pragmatic
+        return epistemic, pragmatic
 
 
 def score_policies(
@@ -244,20 +317,18 @@ def score_policies(
 
     Each policy's belief is rolled forward through every predicted
     observation branch: reads branch over cues, typed placements restrict the
-    belief to consistent orderings. All policies share one table of belief
-    nodes, so a node reached by many policies is expanded once; the table is
-    dropped on return. read_chunks marks source chunks already fixated before
-    the policies start (defaults to all, so unread costs never apply).
+    belief to consistent orderings. All policies share one set of tables
+    (see _Rollout), dropped on return. read_chunks marks source chunks
+    already fixated before the policies start (defaults to all, so unread
+    costs never apply).
     """
-    if read_chunks is None:
-        read_chunks = frozenset(models.space.table.chunk_ids)
-    nodes: dict = {}
+    rollout = _Rollout(models, prefs, zeta, policies)
+    bits = rollout.bits
+    mask = sum(bits.values() if read_chunks is None else (bits.get(c, 0) for c in read_chunks))
+    root = rollout.belief(belief.probs)
     efes = []
-    for policy in policies:
-        actions = tuple(policy)
-        if not actions:
-            raise ValueError("policy must contain at least one action")
-        epistemic, pragmatic = _rollout(belief, actions, models, prefs, read_chunks, zeta, nodes)
+    for sid in rollout.policies:
+        epistemic, pragmatic = rollout.value(root, sid, mask)
         total = -(w_e * epistemic) - (w_p * pragmatic)
         efes.append(
             EFEDecomposition(epistemic=epistemic, pragmatic=pragmatic, total=total, w_e=w_e, w_p=w_p)

@@ -71,16 +71,19 @@ class ChunkTable:
         content = {c.id for c in self.chunks if c.kind == CONTENT}
         if set(self.source_order) != content or len(self.source_order) != len(content):
             raise TaskError("source_order must be a permutation of the content chunk ids")
+        # Id -> chunk, built once; not a field, so equality and hashing still
+        # see only the chunks and their order.
+        object.__setattr__(self, "_by_id", {c.id: c for c in self.chunks})
 
     @property
     def chunk_ids(self) -> frozenset[int]:
         return frozenset(c.id for c in self.chunks)
 
     def chunk(self, chunk_id: int) -> Chunk:
-        for c in self.chunks:
-            if c.id == chunk_id:
-                return c
-        raise UnknownChunkError(f"no chunk with id {chunk_id}")
+        chunk = self._by_id.get(chunk_id)
+        if chunk is None:
+            raise UnknownChunkError(f"no chunk with id {chunk_id}")
+        return chunk
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,9 @@ class CandidateSpace:
             raise TaskError("all orderings must share one slot count")
         for o in self.orderings:
             _check_permutation(o, self.table.chunk_ids)
+        labels = [o.id for o in self.orderings]
+        if len(set(labels)) != len(labels):
+            raise TaskError(f"ordering labels must be unique, got {labels}")
         seen = {}
         for o in self.orderings:
             if o.slots in seen:
@@ -209,11 +215,6 @@ class CandidateSpace:
 
     def ordering(self, label: str) -> CandidateOrdering:
         return self.orderings[self.index_of(label)]
-
-    def require_chunk(self, chunk_id: int) -> Chunk:
-        if chunk_id not in self.table.chunk_ids:
-            raise UnknownChunkError(f"chunk {chunk_id} not in this space")
-        return self.table.chunk(chunk_id)
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -289,7 +290,7 @@ def lexical_entropy(space: CandidateSpace, chunk_id: int) -> float:
     All candidates here share one chunk table, so with the vocabulary held
     constant this is identically zero; the computation is kept general.
     """
-    chunk = space.require_chunk(chunk_id)
+    chunk = space.table.chunk(chunk_id)
     by_text: dict[str, float] = {}
     for _, p in zip(space.orderings, space.prior.probs):
         by_text[chunk.target_text] = by_text.get(chunk.target_text, 0.0) + p

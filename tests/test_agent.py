@@ -234,10 +234,25 @@ class TestSelectPolicy:
         assert cold[::-1] == warm
 
     def test_cold_planner_opening_expands_each_belief_node_once(self, space, models, monkeypatch):
-        # One observation channel per distinct (belief, action, chunk read)
-        # node of the 1,206 opening policies; scoring each policy from the
-        # root would build 36,679 and run 70,843 Bayes updates.
-        counts = {"channels": 0, "bayes_updates": 0}
+        # Scoring the 1,206 opening policies builds each table entry once: a
+        # read channel per (belief, chunk), a typed value per (belief, chunk,
+        # slot), a restriction per typed node some policy continues past,
+        # and a value per (belief, suffix of 2+ actions, read bits). Walking
+        # every policy from the root would enter 36,679 nodes.
+        tables = []
+
+        class Once(dict):
+            def __setitem__(self, key, value):
+                assert key not in self
+                super().__setitem__(key, value)
+
+        class Counted(inference._Rollout):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.nodes, self.values = Once(), Once()
+                tables.append(self)
+
+        counts = {"channels": 0, "restrictions": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -245,18 +260,19 @@ class TestSelectPolicy:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            inference, "_observation_channel", counted("channels", inference._observation_channel)
-        )
-        monkeypatch.setattr(
-            inference, "bayes_update", counted("bayes_updates", inference.bayes_update)
-        )
+        monkeypatch.setattr(inference, "_Rollout", Counted)
+        monkeypatch.setattr(inference, "_read_branches", counted("channels", inference._read_branches))
+        monkeypatch.setattr(Counted, "restricted", counted("restrictions", Counted.restricted))
         monkeypatch.setattr("abctrans.agent._scored_policies", _scored_policies.__wrapped__)
         cfg = large_context_planner_config()
         agent = initial_agent_state(space, cfg)
         sel = select_policy(agent.cognitive, agent.affective, models, cfg)
         assert len(sel.policies) == 1206
-        assert counts == {"channels": 2260, "bayes_updates": 3378}
+        (rollout,) = tables
+        kinds = [rollout.actions[key % rollout.n_actions][0] for key in rollout.nodes]
+        assert counts == {"channels": kinds.count(env.FIXATE_SOURCE), "restrictions": 149}
+        assert (kinds.count(env.FIXATE_SOURCE), kinds.count(env.TYPE)) == (516, 769)
+        assert len(rollout.values) == 7483
 
 
 class TestStep:

@@ -1,0 +1,58 @@
+"""Golden digest of EFE scores: scoring refactors keep every float bitwise.
+
+The digest covers ``repr`` of the (epistemic, pragmatic, total) split of
+every planner opening policy at horizon 4, for each content reliability and
+zeta below, and of every decision one seeded planner episode scores, each
+scored afresh. ``repr`` of a float is exact, so any change in a summation
+order shows. A change that moves any score updates EFE_SHA256 and says in
+CHANGES.md which scores moved and why.
+"""
+
+import hashlib
+
+from abctrans import agent
+from abctrans.agent import (
+    _scored_policies,
+    enumerate_policies,
+    initial_agent_state,
+    large_context_planner_config,
+    run_episode,
+)
+from abctrans.inference import score_policies
+from abctrans.task import ReadingEvidenceModel
+
+EFE_SHA256 = "7d53bbb4be660c8291de3bb37dc0017e5684f8d6808aa476615ebb89cae86666"
+
+
+def split(efes):
+    return repr(tuple((e.epistemic, e.pragmatic, e.total) for e in efes)).encode("utf-8")
+
+
+def test_efe_scores_match_the_golden_digest(space, monkeypatch):
+    digest = hashlib.sha256()
+    cfg = large_context_planner_config()
+    start = initial_agent_state(space, cfg).cognitive
+    policies = enumerate_policies(start, space, 4, cfg)
+    assert len(policies) == 1206
+    for content in (0.3, 0.8, 0.99):
+        models = ReadingEvidenceModel.with_defaults(space, content=content)
+        for zeta in (1.0, 1.15):
+            digest.update(split(score_policies(
+                space.prior, policies, models, cfg.prefs,
+                w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta,
+            )))
+
+    decisions = []
+
+    def scored_afresh(*args):
+        result = _scored_policies.__wrapped__(*args)
+        decisions.append(result[1])
+        return result
+
+    monkeypatch.setattr(agent, "_scored_policies", scored_afresh)
+    models = ReadingEvidenceModel.with_defaults(space, content=0.8)
+    run_episode(cfg, models, latent="TT2", seed=0)
+    assert [len(efes) for efes in decisions] == [1206, 4, 3, 4, 3, 2, 2, 2]
+    for efes in decisions:
+        digest.update(split(efes))
+    assert digest.hexdigest() == EFE_SHA256

@@ -1,11 +1,13 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from abctrans import environment as env
+from abctrans import environment as env, inference
 from abctrans.agent import enumerate_policies, initial_agent_state, large_context_planner_config
 from abctrans.inference import (
     ContradictionError,
@@ -14,6 +16,7 @@ from abctrans.inference import (
     expected_free_energy,
     expected_information_gain,
     policy_posterior,
+    posteriors,
     pragmatic_value,
     score_policies,
     shannon_entropy,
@@ -120,6 +123,24 @@ class TestBayesUpdate:
         with pytest.raises(ValueError):
             bayes_update(space.prior, [math.nan, 1.0, 1.0, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("zeta", [1.0, 1.15])
+    @pytest.mark.parametrize("content", [0.3, 0.8, 0.99])
+    def test_array_update_equals_conditioning_row_by_row(self, space, content, zeta):
+        # bitwise: each row of the one-op update is the 1-D update of that row
+        models = ReadingEvidenceModel.with_defaults(space, content=content)
+        beliefs = [space.prior, Categorical.from_weights([1, 2, 3, 4, 5, 6])]
+        beliefs.append(bayes_update(beliefs[1], placement_row(space, 1, 1)))
+        for belief in beliefs:
+            b = belief.as_array()
+            for cid in space.table.chunk_ids:
+                table = models.likelihood_table(cid)
+                rows = []
+                for row in table:
+                    weighted = b * np.power(row, zeta)
+                    rows.append((weighted / weighted.sum()).tolist())
+                assert posteriors(b, table, zeta).tolist() == rows
+                assert [list(bayes_update(belief, row, zeta).probs) for row in table] == rows
+
     def test_zeta_tempers_the_likelihood(self, space, models):
         row = models.likelihood_row(1, "TT3")
         sharp = bayes_update(space.prior, row, zeta=2.0)
@@ -187,6 +208,14 @@ class TestPragmaticValue:
 
     def test_pause_costs(self, space):
         assert pragmatic_value(space.prior, env.pause(), PREFS, space) == -PREFS.pause_cost
+
+    @pytest.mark.parametrize("action", [env.fixate_target(1), env.consult(), env.delete(1)])
+    def test_unenumerated_action_kinds_are_rejected(self, space, models, action):
+        # enumeration emits only reads, typing and pauses
+        with pytest.raises(ValueError, match="unknown action kind"):
+            pragmatic_value(space.prior, action, PREFS, space)
+        with pytest.raises(ValueError, match="unknown action kind"):
+            expected_free_energy(space.prior, (env.pause(), action), models, PREFS)
 
     def test_hedged_typing_mixes_bonus_and_penalty(self, space):
         probs = [0.0] * 6
@@ -277,6 +306,26 @@ class TestExpectedFreeEnergy:
             for policy in policies
         )
         assert shared == alone
+
+    def test_tables_are_freed_on_return_without_the_cycle_collector(self, space, models, monkeypatch):
+        # reference counting alone frees a decision's tables: nothing in them
+        # refers back to the instance
+        refs = []
+
+        class Watched(inference._Rollout):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(inference, "_Rollout", Watched)
+        cfg = large_context_planner_config()
+        policies = enumerate_policies(initial_agent_state(space, cfg).cognitive, space, 3, cfg)
+        gc.disable()
+        try:
+            score_policies(space.prior, policies, models, cfg.prefs, read_chunks=frozenset())
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
 
     def test_zero_epistemic_weight_leaves_pragmatic_only(self, space, models):
         policy = (env.fixate_source(1), env.type_chunk(1, 1))

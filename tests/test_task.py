@@ -48,6 +48,18 @@ class TestChunkTable:
         with pytest.raises(TaskError):
             ChunkTable(chunks=(Chunk(1, "a", "b"), Chunk(2, "c", "d")), source_order=(1,))
 
+    def test_chunk_lookup_by_id(self, table):
+        for c in table.chunks:
+            assert table.chunk(c.id) is c
+        with pytest.raises(UnknownChunkError):
+            table.chunk(7)
+
+    def test_lookup_table_is_not_part_of_equality(self, table):
+        # the id -> chunk dict is built per instance and is not a field
+        twin = make_table()
+        assert twin == table and hash(twin) == hash(table)
+        assert "_by_id" not in repr(table)
+
 
 class TestCategorical:
     def test_must_sum_to_one(self):
@@ -100,6 +112,12 @@ class TestBuildCandidateSpace:
     def test_duplicate_ordering_rejected(self, table):
         with pytest.raises(DuplicateOrderingError):
             build_candidate_space(table, [[1, 0, 2, 4, 3], [1, 0, 2, 4, 3]])
+
+    def test_duplicate_label_rejected(self, table):
+        # index_of resolves a label to its first ordering, so a repeated
+        # label would make cues and likelihood rows ambiguous
+        with pytest.raises(TaskError, match="labels must be unique"):
+            build_candidate_space(table, [[1, 0, 2, 4, 3], [2, 1, 0, 4, 3]], labels=("A", "A"))
 
 
 class TestPositionalEntropy:
