@@ -42,14 +42,17 @@ HEAD_STARTER = "head_starter"
 LARGE_CONTEXT_PLANNER = "large_context_planner"
 CUSTOM = "custom"
 
-# Fixed affective constants: surprise lowers gamma at SURPRISE_GAIN and raises
-# zeta from ZETA_BASE at ZETA_GAIN, never below ZETA_MIN. A hesitation pause is
-# injected when the policy posterior is flatter than THETA_HESITATION bits or
-# gamma sags below THETA_GAMMA.
+# Fixed affective constants: surprise lowers gamma at SURPRISE_GAIN, never
+# below GAMMA_MIN, and raises zeta from ZETA_BASE at ZETA_GAIN, within
+# [ZETA_MIN, ZETA_MAX]. A hesitation pause is injected when the policy
+# posterior is flatter than THETA_HESITATION bits or gamma sags below
+# THETA_GAMMA.
 SURPRISE_GAIN = 1.0
+GAMMA_MIN = 0.05
 ZETA_BASE = 1.0
 ZETA_GAIN = 0.15
 ZETA_MIN = 0.5
+ZETA_MAX = 2.0
 THETA_HESITATION = 2.5
 THETA_GAMMA = 1.0
 
@@ -106,9 +109,7 @@ class AgentConfig:
     w_p: float = 1.0
     horizon: int | None = 1  # None: number of unread content chunks, floored at 1
     gamma_max: float = 8.0
-    gamma_min: float = 0.05
     beta: float = 0.2
-    zeta_max: float = 2.0
     sample_policies: bool = False
     max_policies: int = 4096
     prefs: PreferenceVector = PreferenceVector()
@@ -194,8 +195,8 @@ def update_affect(state: AffectiveState, observation_surprisal: float, cfg: Agen
     if observation_surprisal < 0.0:
         raise ValueError("surprisal cannot be negative")
     ema = (1.0 - cfg.beta) * state.surprise_ema + cfg.beta * observation_surprisal
-    gamma = min(cfg.gamma_max, max(cfg.gamma_min, cfg.gamma_max * math.exp(-SURPRISE_GAIN * ema)))
-    zeta = min(cfg.zeta_max, max(ZETA_MIN, ZETA_BASE * (1.0 + ZETA_GAIN * ema)))
+    gamma = min(cfg.gamma_max, max(GAMMA_MIN, cfg.gamma_max * math.exp(-SURPRISE_GAIN * ema)))
+    zeta = min(ZETA_MAX, max(ZETA_MIN, ZETA_BASE * (1.0 + ZETA_GAIN * ema)))
     return AffectiveState(gamma=gamma, zeta=zeta, surprise_ema=ema)
 
 

@@ -60,11 +60,6 @@ class PolicyCycle:
     implicit_orientation: bool = False
 
 
-@dataclass(frozen=True)
-class SegmentThresholds:
-    theta_pause_ms: float = 1000.0
-
-
 def _base_label(event: ProcessEvent, deleted_slots: set[int]) -> str | None:
     if event.kind in (env.FIXATE_SOURCE, env.CONSULT):
         return O
@@ -107,16 +102,20 @@ def _resolve_target_fixations(
 
 def segment_ohrf(
     trace: Trace | tuple[ProcessEvent, ...],
-    thresholds: SegmentThresholds | None = None,
+    *,
+    theta_pause_ms: float = 1000.0,
 ) -> list[Segment]:
-    """Partition the trace's events into maximal same-state OHRF runs."""
+    """Partition the trace's events into maximal same-state OHRF runs.
+
+    A target fixation with no revision or hesitation beside it is hesitation
+    when the silent gap it sits in is longer than theta_pause_ms, else flow.
+    """
     events = trace.events if isinstance(trace, Trace) else tuple(trace)
     if not events:
         return []
-    thresholds = thresholds or SegmentThresholds()
     deleted: set[int] = set()
     labels: list[str | None] = [_base_label(e, deleted) for e in events]
-    _resolve_target_fixations(events, labels, thresholds.theta_pause_ms)
+    _resolve_target_fixations(events, labels, theta_pause_ms)
 
     # A typing run broken by a long silent gap resumes as hesitation-adjacent
     # flow; the gap itself carries no events, so only flanking target

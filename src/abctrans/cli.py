@@ -69,9 +69,8 @@ def cmd_entropy(args) -> int:
     return EXIT_OK
 
 
-def _analyze(trace: Trace, theta_pause: float | None = None):
-    thresholds = analysis.SegmentThresholds(theta_pause_ms=theta_pause) if theta_pause else None
-    segments = analysis.segment_ohrf(trace, thresholds)
+def _analyze(trace: Trace):
+    segments = analysis.segment_ohrf(trace)
     cycles = analysis.group_policies(segments)
     summary = analysis.summarize(trace, segments, cycles)
     return segments, cycles, summary
@@ -120,7 +119,20 @@ def _paired_stats(name: str, a: list[float], b: list[float], label_a: str, label
     )
 
 
+def _spearman_rho(x, y) -> float:
+    """Spearman's rho: Pearson's r of the ranks, tied values sharing their average rank."""
+
+    def ranks(values):
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        last = np.cumsum(counts)  # rank, from 1, of the last member of each distinct value
+        return (last - (counts - 1) / 2.0)[inverse]
+
+    return float(np.corrcoef(ranks(x), ranks(y))[0, 1])
+
+
 def cmd_compare(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     bundle = _load(args)
     latent = args.latent or bundle.latent
     seeds = list(range(args.seeds))
@@ -140,10 +152,7 @@ def cmd_compare(args) -> int:
                 tot.append(reads + pauses)
             means.append(float(np.mean(tot)))
             print(f"  gamma_max {g:>6.2f}: mean epistemic actions {means[-1]:.3f}")
-        from scipy.stats import spearmanr
-
-        rho = float(spearmanr(gammas, means).statistic)
-        print(f"spearman(gamma, epistemic actions) = {rho:.4f}")
+        print(f"spearman(gamma, epistemic actions) = {_spearman_rho(gammas, means):.4f}")
         return EXIT_OK
 
     cfg_a = _agent_config(args, args.preset_a)
@@ -183,8 +192,7 @@ def cmd_segment(args) -> int:
     data = Path(args.trace).read_bytes()
     column_map = {"time": args.time_col, "kind": args.kind_col, "target": args.target_col}
     trace = analysis.ingest_tsv(data, column_map)
-    thresholds = analysis.SegmentThresholds(theta_pause_ms=args.theta_pause)
-    segments = analysis.segment_ohrf(trace, thresholds)
+    segments = analysis.segment_ohrf(trace, theta_pause_ms=args.theta_pause)
     cycles = analysis.group_policies(segments)
     print(f"{len(trace.events)} events, {len(segments)} segments, {len(cycles)} cycles")
     for seg in segments:

@@ -60,10 +60,6 @@ def pause() -> Action:
     return Action(PAUSE)
 
 
-def consult() -> Action:
-    return Action(CONSULT)
-
-
 @dataclass(frozen=True)
 class Observation:
     kind: str
@@ -166,12 +162,12 @@ def is_complete(state: ExternalState) -> bool:
     return all(c is not None for c in state.buffer)
 
 
-def render_target(state: ExternalState, gap: str = GAP_MARK) -> str:
+def render_target(state: ExternalState) -> str:
     """Concatenate placed chunks' target text in slot order; empty slots show a gap mark."""
     parts = []
     for c in state.buffer:
         if c is None:
-            parts.append(gap)
+            parts.append(GAP_MARK)
         else:
             parts.append(state.space.table.chunk(c).target_text)
     return "".join(parts)

@@ -50,39 +50,29 @@ class PreferenceVector:
     been fixated yet. Reading and pausing score zero minus their costs.
     """
 
-    log_pref: tuple[float, ...] | None = None
     progress_bonus: float = 1.0
     inconsistency_penalty: float = -1.0
     unread_cost: float = 0.0
     read_cost: float = 0.0
     pause_cost: float = 0.1
 
-    def ordering_pref(self, index: int) -> float:
-        if self.log_pref is None:
-            return 0.0
-        return self.log_pref[index]
-
 
 @dataclass(frozen=True)
 class EFEDecomposition:
     """Expected free energy of a policy, split into its two drives.
 
-    total = -(w_e * epistemic) - (w_p * pragmatic) for the weights recorded
-    alongside; lower totals mark better policies.
+    total = -(w_e * epistemic) - (w_p * pragmatic) for the weights it was
+    scored with; lower totals mark better policies.
     """
 
     epistemic: float
     pragmatic: float
     total: float
-    w_e: float
-    w_p: float
 
 
-def shannon_entropy(dist) -> float:
-    """Entropy in bits of a Categorical or probability sequence, 0*log(0) = 0."""
-    if isinstance(dist, Categorical):
-        return entropy_bits(dist.probs)
-    return entropy_bits(dist)
+def shannon_entropy(dist: Categorical) -> float:
+    """Entropy in bits of a Categorical, 0*log(0) = 0."""
+    return entropy_bits(dist.probs)
 
 
 def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) -> np.ndarray:
@@ -157,7 +147,7 @@ def _typed_value(probs, fits, prefs: PreferenceVector) -> float:
         if p == 0.0:
             continue
         if fits[i] > 0.0:
-            value += p * (prefs.progress_bonus + prefs.ordering_pref(i))
+            value += p * prefs.progress_bonus
         else:
             value += p * prefs.inconsistency_penalty
     return value
@@ -167,7 +157,7 @@ def pragmatic_value(
     belief: Categorical,
     action: env.Action,
     prefs: PreferenceVector,
-    space: CandidateSpace | None = None,
+    space: CandidateSpace,
     chunk_read: bool = True,
 ) -> float:
     """Expected log-preference of the observation the action should produce.
@@ -177,8 +167,6 @@ def pragmatic_value(
     reading and pausing score zero minus their configured costs.
     """
     if action.kind == env.TYPE:
-        if space is None:
-            raise ValueError("typing actions need the candidate space")
         value = _typed_value(belief.probs, placement_row(space, action.chunk_id, action.slot), prefs)
         if not chunk_read:
             value -= prefs.unread_cost
@@ -330,9 +318,7 @@ def score_policies(
     for sid in rollout.policies:
         epistemic, pragmatic = rollout.value(root, sid, mask)
         total = -(w_e * epistemic) - (w_p * pragmatic)
-        efes.append(
-            EFEDecomposition(epistemic=epistemic, pragmatic=pragmatic, total=total, w_e=w_e, w_p=w_p)
-        )
+        efes.append(EFEDecomposition(epistemic=epistemic, pragmatic=pragmatic, total=total))
     return tuple(efes)
 
 

@@ -363,12 +363,6 @@ class ReadingEvidenceModel:
             rel.update(overrides)
         return cls(space=space, reliabilities=tuple(sorted(rel.items())))
 
-    def reliability(self, chunk_id: int) -> float:
-        for cid, r in self.reliabilities:
-            if cid == chunk_id:
-                return r
-        raise UnknownChunkError(f"chunk {chunk_id} not in evidence model")
-
     def likelihood_table(self, chunk_id: int) -> np.ndarray:
         """P(cue | ordering) for reading one chunk, one row per cue label (read-only)."""
         table = self._likelihood.get(chunk_id)

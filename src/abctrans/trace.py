@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class ProcessEvent:
     def __post_init__(self):
         if self.t_end < self.t_start:
             raise ValueError("event must end at or after its start")
-
-    @property
-    def duration_ms(self) -> float:
-        return self.t_end - self.t_start
 
 
 @dataclass(frozen=True)

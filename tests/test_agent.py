@@ -6,6 +6,8 @@ from abctrans.agent import (
     AgentConfig,
     AffectiveState,
     CognitiveState,
+    GAMMA_MIN,
+    ZETA_MAX,
     _next_actions,
     _scored_policies,
     enumerate_policies,
@@ -81,12 +83,12 @@ class TestUpdateAffect:
         assert shaken.zeta > calm.zeta
 
     def test_precisions_stay_clamped(self):
-        cfg = AgentConfig(gamma_min=0.5, gamma_max=8.0, zeta_max=1.5)
+        cfg = AgentConfig(gamma_max=8.0)
         state = AffectiveState(8.0, 1.0)
         for _ in range(50):
             state = update_affect(state, 30.0, cfg)
-        assert state.gamma >= cfg.gamma_min
-        assert state.zeta <= cfg.zeta_max
+        assert state.gamma == GAMMA_MIN
+        assert state.zeta == ZETA_MAX
 
     def test_negative_surprisal_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from abctrans.analysis import (
     AnalysisError,
     IngestError,
     Segment,
-    SegmentThresholds,
     TSV_COLUMNS,
     entropy_trajectory,
     export_progression,
@@ -129,8 +128,7 @@ class TestSegmentOhrf:
             ProcessEvent(400.0, 520.0, env.TYPE, chunk_id=2, slot=2),
         )
         tr = Trace(events=events)
-        tight = SegmentThresholds(theta_pause_ms=200.0)
-        assert [s.state for s in segment_ohrf(tr, tight)] == ["F", "H", "F"]
+        assert [s.state for s in segment_ohrf(tr, theta_pause_ms=200.0)] == ["F", "H", "F"]
 
     def test_segments_partition_events(self, models):
         cfg = large_context_planner_config()

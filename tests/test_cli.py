@@ -1,10 +1,23 @@
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from scipy.stats import spearmanr
 
 from abctrans import environment as env
 from abctrans.analysis import TSV_COLUMNS
-from abctrans.cli import EXIT_INCOMPLETE, EXIT_INGEST, EXIT_OK, EXIT_VALIDATION, main
+from abctrans.cli import (
+    EXIT_INCOMPLETE,
+    EXIT_INGEST,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _spearman_rho,
+    main,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -150,6 +163,41 @@ class TestCompareCommand:
         rho = float(re.search(r"spearman.* = (-?[0-9.]+)", out).group(1))
         assert rho <= -0.9
 
+    @pytest.mark.parametrize("sweep", [[], ["--gamma-sweep", "1,2"]], ids=["paired", "sweep"])
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seed_count_below_one_is_validation_error(self, sweep, seeds, capsys):
+        code, out, err = run_cli(["compare", "--seeds", seeds, "--latent", "TT3"] + sweep, capsys)
+        assert code == EXIT_VALIDATION
+        assert "--seeds must be at least 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([1.0, 2.0, 4.0, 8.0, 16.0], [6.0, 4.5, 4.5, 3.25, 3.25]),  # ties in y
+            ([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], [0.5, 0.2, 0.9, 0.1, 0.4, 0.4]),  # ties in both
+            ([1.0, 2.0, 4.0, 8.0], [0.3, 0.1, 0.4, 0.2]),  # untied
+            ([16.0, 8.0, 4.0, 2.0, 1.0], [1.5, 2.5, 2.0, 4.0, 3.0]),  # reversed
+            ([1.0, 2.0, 4.0], [9.0, 5.0, 1.0]),  # reversed, rho = -1
+        ],
+    )
+    def test_rank_correlation_matches_spearmanr(self, x, y):
+        assert f"{_spearman_rho(x, y):.4f}" == f"{spearmanr(x, y).statistic:.4f}"
+
+    def test_gamma_sweep_does_not_import_scipy(self):
+        # python -c puts its working directory, here src/, first on the path.
+        code = (
+            "import sys\n"
+            "from abctrans.cli import main\n"
+            "code = main(['compare', '--gamma-sweep', '1,2', '--seeds', '1', '--latent', 'TT3'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
 
 class TestSegmentCommand:
     def craft(self, tmp_path, rows):
@@ -206,6 +254,18 @@ class TestSegmentCommand:
         code, out2, _ = run_cli(["segment", str(trace_file)], capsys)
         assert code == EXIT_OK
         assert f"cycles: {cycles_inline}" in out2
+
+    def test_theta_pause_option_sets_the_hesitation_gap(self, tmp_path, capsys):
+        # A 500 ms target fixation between two typed chunks.
+        rows = [("0", env.TYPE, "1@1"), ("100", env.FIXATE_TARGET, "@1"), ("600", env.TYPE, "2@2")]
+        path = str(self.craft(tmp_path, rows))
+        states = {}
+        for extra in ([], ["--theta-pause", "200"]):
+            code, out, _ = run_cli(["segment", path] + extra, capsys)
+            assert code == EXIT_OK
+            states[tuple(extra)] = re.findall(r"^  ([OHRF])  ", out, re.M)
+        assert states[()] == ["F"]
+        assert states[("--theta-pause", "200")] == ["F", "H", "F"]
 
     def test_missing_column_is_ingest_error(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"

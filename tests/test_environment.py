@@ -55,7 +55,7 @@ class TestApplyAction:
     def test_pause_and_consult_are_null(self, state, models, rng):
         _, obs = env.apply_action(state, env.pause(), models, rng)
         assert obs.kind == env.NULL
-        _, obs = env.apply_action(state, env.consult(), models, rng)
+        _, obs = env.apply_action(state, env.Action(env.CONSULT), models, rng)
         assert obs.kind == env.NULL
 
     def test_target_glimpse_reflects_buffer(self, state, models, rng):

@@ -209,7 +209,7 @@ class TestPragmaticValue:
     def test_pause_costs(self, space):
         assert pragmatic_value(space.prior, env.pause(), PREFS, space) == -PREFS.pause_cost
 
-    @pytest.mark.parametrize("action", [env.fixate_target(1), env.consult(), env.delete(1)])
+    @pytest.mark.parametrize("action", [env.fixate_target(1), env.Action(env.CONSULT), env.delete(1)])
     def test_unenumerated_action_kinds_are_rejected(self, space, models, action):
         # enumeration emits only reads, typing and pauses
         with pytest.raises(ValueError, match="unknown action kind"):
@@ -232,14 +232,6 @@ class TestPragmaticValue:
         read = pragmatic_value(b, env.type_chunk(4, 3), prefs, space, chunk_read=True)
         unread = pragmatic_value(b, env.type_chunk(4, 3), prefs, space, chunk_read=False)
         assert abs((read - unread) - 0.7) <= 1e-12
-
-    def test_ordering_preferences_add_in(self, space):
-        log_pref = [0.0] * 6
-        log_pref[space.index_of("TT3")] = 0.9
-        prefs = PreferenceVector(log_pref=tuple(log_pref), progress_bonus=0.5)
-        b = Categorical.point_mass(6, space.index_of("TT3"))
-        val = pragmatic_value(b, env.type_chunk(4, 3), prefs, space)
-        assert abs(val - 1.4) <= 1e-12
 
 
 class TestExpectedFreeEnergy:

@@ -186,7 +186,7 @@ class TestLikelihoodTables:
         m = ReadingEvidenceModel.with_defaults(space, content=content)
         n = len(space.orderings)
         for chunk in space.table.chunks:
-            r = m.reliability(chunk.id)
+            r = dict(m.reliabilities)[chunk.id]
             for cue in space.labels:
                 row = m.likelihood_row(chunk.id, cue)
                 for i, label in enumerate(space.labels):

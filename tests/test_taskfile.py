@@ -27,8 +27,8 @@ class TestBundledTask:
         assert len(bundle.space.orderings) == 6
         assert bundle.space.labels == ("TT0", "TT1", "TT2", "TT3", "TT4", "TT5")
         assert bundle.latent == "TT0"
-        assert bundle.evidence.reliability(1) == 0.8
-        assert bundle.evidence.reliability(0) == 0.5
+        assert dict(bundle.evidence.reliabilities)[1] == 0.8
+        assert dict(bundle.evidence.reliabilities)[0] == 0.5
 
     def test_comma_is_punctuation_chunk(self):
         bundle = load_task(bundled_task_path())
@@ -78,8 +78,8 @@ class TestValidation:
     def test_reliability_overrides_apply(self, tmp_path):
         extra = "reliability: {default: 0.9, overrides: {2: 0.6}}"
         bundle = load_task(write(tmp_path, MINIMAL.format(extra=extra)))
-        assert bundle.evidence.reliability(1) == 0.9
-        assert bundle.evidence.reliability(2) == 0.6
+        assert dict(bundle.evidence.reliabilities)[1] == 0.9
+        assert dict(bundle.evidence.reliabilities)[2] == 0.6
 
     def test_unknown_reliability_field_rejected(self, tmp_path):
         extra = "reliability: {default: 0.9, fuzz: 1}"
