@@ -13,7 +13,6 @@ from .task import (
     lexical_entropy,
     placement_likelihood,
     positional_entropy,
-    reading_likelihood,
 )
 from .inference import (
     ContradictionError,

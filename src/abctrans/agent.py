@@ -211,22 +211,22 @@ def _next_actions(
 
     Reads take unread source chunks. Typing is append-like: only the leftmost
     empty target slot accepts text, so revision means deleting back to a slot
-    and retyping. A chunk is typable there under at least one live ordering
-    consistent with everything placed so far, and only typing narrows the
-    live orderings. Typing candidates are ordered most-informative first
-    (descending positional entropy of the chunk, then chunk id) to fix the
-    pruning order deterministically. Pauses never repeat back to back. A
-    complete translation admits nothing.
+    and retyping. A chunk is typable there under at least one live ordering,
+    and only typing narrows the live orderings. Live orderings are already
+    consistent with the buffer: at a decision they are the working belief's
+    support, and inside enumeration each typed slot has narrowed them.
+    Typing candidates are ordered most-informative first (descending
+    positional entropy of the chunk, then chunk id) to fix the pruning order
+    deterministically. Pauses never repeat back to back. A complete
+    translation admits nothing.
     """
     cursor = next((s for s in range(1, space.n_slots + 1) if s not in buffer), None)
     if cursor is None:
         return []
     acts = [(env.fixate_source(c), live) for c in space.table.source_order if c not in read]
-    rows = [placement_row(space, c, s) for s, c in buffer.items()]
     options: dict[int, list[int]] = {}
     for idx in live:
-        if all(row[idx] for row in rows):
-            options.setdefault(space.orderings[idx].chunk_at(cursor), []).append(idx)
+        options.setdefault(space.orderings[idx].chunk_at(cursor), []).append(idx)
     ranked = sorted(
         options.items(), key=lambda kv: (-positional_entropy(space, kv[0]), kv[0])
     )
@@ -396,16 +396,21 @@ def _action_duration(action: env.Action, state: env.ExternalState) -> float:
     raise ValueError(f"unknown action kind {action.kind!r}")
 
 
+def _consistent(placed: tuple[tuple[int, int], ...], space: CandidateSpace) -> np.ndarray:
+    """Per-ordering indicator: 1.0 where the ordering agrees with every placed slot."""
+    mask = np.ones(len(space.orderings), dtype=float)
+    for slot, chunk in placed:
+        mask *= placement_row(space, chunk, slot)
+    return mask
+
+
 def _recompute_working(
     evidence: Categorical, placed: tuple[tuple[int, int], ...], space: CandidateSpace
 ) -> Categorical:
     """Evidence belief with orderings contradicting any placed slot zeroed out."""
     if not placed:
         return evidence
-    mask = np.ones(len(evidence), dtype=float)
-    for slot, chunk in placed:
-        mask *= placement_row(space, chunk, slot)
-    return bayes_update(evidence, mask)
+    return bayes_update(evidence, _consistent(placed, space))
 
 
 def _evidence_map_index(
@@ -420,10 +425,8 @@ def _evidence_map_index(
     probs = evidence.probs
     top = max(probs)
     candidates = [i for i, p in enumerate(probs) if p >= top - 1e-12]
-    for i in candidates:
-        if all(placement_row(space, c, s)[i] for s, c in placed):
-            return i
-    return candidates[0]
+    consistent = _consistent(placed, space)
+    return next((i for i in candidates if consistent[i]), candidates[0])
 
 
 def step(
@@ -479,28 +482,40 @@ def step(
     if affective.gamma < THETA_GAMMA:
         hesitate = True
 
-    # Every event is timed by _action_duration against the state it acts on.
-    if hesitate and action.kind != env.PAUSE and not last_was_pause:
-        hesitation = env.pause()
-        t_end = clock + _action_duration(hesitation, state)
-        state, _ = env.apply_action(state, hesitation, models, rng)
-        affective = update_affect(affective, 0.0, cfg)
+    # One path runs every event: perform times it by _action_duration
+    # against the state it acts on, applies it and advances the clock;
+    # record snapshots the belief and precisions after the event's updates.
+    def perform(act: env.Action) -> tuple[float, env.Observation]:
+        nonlocal state, clock
+        t_start = clock
+        clock = t_start + _action_duration(act, state)
+        state, obs = env.apply_action(state, act, models, rng)
+        return t_start, obs
+
+    def record(act, t_start, obs, belief, notes, chunk_id=None) -> None:
         events.append(
             ProcessEvent(
-                t_start=clock,
-                t_end=t_end,
-                kind=env.PAUSE,
-                belief_entropy=shannon_entropy(cognitive.belief),
+                t_start=t_start,
+                t_end=clock,
+                kind=act.kind,
+                chunk_id=act.chunk_id if chunk_id is None else chunk_id,
+                slot=act.slot,
+                cue=obs.cue,
+                belief_entropy=shannon_entropy(belief),
                 gamma=affective.gamma,
                 zeta=affective.zeta,
-                annotations=("hesitation",),
+                annotations=notes,
             )
         )
-        clock = t_end
+
+    if hesitate and action.kind != env.PAUSE and not last_was_pause:
+        hesitation = env.pause()
+        t_start, obs = perform(hesitation)
+        affective = update_affect(affective, 0.0, cfg)
+        record(hesitation, t_start, obs, cognitive.belief, ("hesitation",))
 
     # Execute the committed action.
-    t_end = clock + _action_duration(action, state)
-    state, obs = env.apply_action(state, action, models, rng)
+    t_start, obs = perform(action)
     evidence = cognitive.evidence_belief
     placed = cognitive.placed
     read_set = cognitive.read_set
@@ -529,21 +544,7 @@ def step(
         working = cognitive.belief
 
     affective = update_affect(affective, obs_surprisal, cfg)
-    events.append(
-        ProcessEvent(
-            t_start=clock,
-            t_end=t_end,
-            kind=action.kind,
-            chunk_id=action.chunk_id,
-            slot=action.slot,
-            cue=obs.cue,
-            belief_entropy=shannon_entropy(working),
-            gamma=affective.gamma,
-            zeta=affective.zeta,
-            annotations=annotations,
-        )
-    )
-    clock = t_end
+    record(action, t_start, obs, working, annotations)
 
     # Revision rule: placed slots the evidence-MAP ordering contradicts are
     # refixated and deleted; retyping follows naturally at the freed slots.
@@ -564,44 +565,18 @@ def step(
         if offending:
             remaining = ()
             keep = dict(placed)
+            notes = ("revision", "forced") if forced_revision else ("revision",)
             for slot, chunk in offending:
                 refixation, deletion = env.fixate_target(slot), env.delete(slot)
-                t_end = clock + _action_duration(refixation, state)
-                state, _ = env.apply_action(state, refixation, models, rng)
-                events.append(
-                    ProcessEvent(
-                        t_start=clock,
-                        t_end=t_end,
-                        kind=env.FIXATE_TARGET,
-                        slot=slot,
-                        belief_entropy=shannon_entropy(working),
-                        gamma=affective.gamma,
-                        zeta=affective.zeta,
-                        annotations=("revision",),
-                    )
-                )
-                clock = t_end
-                t_end = clock + _action_duration(deletion, state)
-                state, _ = env.apply_action(state, deletion, models, rng)
+                t_start, obs = perform(refixation)
+                record(refixation, t_start, obs, working, ("revision",))
+                t_start, obs = perform(deletion)
                 del keep[slot]
                 try:
                     working = _recompute_working(evidence, tuple(sorted(keep.items())), space)
                 except ContradictionError:
                     pass  # later deletions in this pass restore consistency
-                events.append(
-                    ProcessEvent(
-                        t_start=clock,
-                        t_end=t_end,
-                        kind=env.DELETE,
-                        chunk_id=chunk,
-                        slot=slot,
-                        belief_entropy=shannon_entropy(working),
-                        gamma=affective.gamma,
-                        zeta=affective.zeta,
-                        annotations=("revision", "forced") if forced_revision else ("revision",),
-                    )
-                )
-                clock = t_end
+                record(deletion, t_start, obs, working, notes, chunk_id=chunk)
             placed = tuple(sorted(keep.items()))
 
     cognitive = CognitiveState(
@@ -639,18 +614,14 @@ def run_episode(
     agent = initial_agent_state(space, cfg)
     prior_entropy = shannon_entropy(agent.cognitive.belief)
     events: list[ProcessEvent] = []
-    complete = False
     for _ in range(max_steps):
         if env.is_complete(state):
-            complete = True
             break
         agent, state, new_events = step(agent, state, models, cfg, rng)
         events.extend(new_events)
-    if env.is_complete(state):
-        complete = True
     return Trace(
         events=tuple(events),
-        complete=complete,
+        complete=env.is_complete(state),
         final_target=env.render_target(state),
         seed=seed,
         strategy=cfg.strategy,

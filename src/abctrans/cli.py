@@ -18,6 +18,7 @@ from .agent import (
     AgentConfig,
     run_episode,
 )
+from .inference import shannon_entropy
 from .task import TaskError, lexical_entropy, positional_entropy
 from .taskfile import TaskBundle, bundled_task_path, load_task
 from .trace import Trace
@@ -55,7 +56,7 @@ def cmd_entropy(args) -> int:
         lex = lexical_entropy(space, chunk.id)
         label = chunk.source_text if chunk.kind == "content" else "(punctuation)"
         lines.append((chunk.id, label, pos, lex))
-    prior_h = space.prior.entropy
+    prior_h = shannon_entropy(space.prior)
     print(f"task: {bundle.name} ({len(space.orderings)} candidate orderings)")
     print(f"{'chunk':>5}  {'positional_bits':>15}  {'lexical_bits':>12}  source")
     for cid, label, pos, lex in lines:
@@ -133,11 +134,13 @@ def _spearman_rho(x, y) -> float:
 def cmd_compare(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    gammas = [float(g) for g in args.gamma_sweep.split(",")] if args.gamma_sweep else []
+    if gammas and len(set(gammas)) < 2:
+        raise ValueError(f"--gamma-sweep needs two distinct values, got {args.gamma_sweep}")
     bundle = _load(args)
     latent = args.latent or bundle.latent
     seeds = list(range(args.seeds))
-    if args.gamma_sweep:
-        gammas = [float(g) for g in args.gamma_sweep.split(",")]
+    if gammas:
         means = []
         print(f"gamma sweep on preset {args.preset_a} (latent {latent}, {len(seeds)} seeds)")
         for g in gammas:
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--latent")
     p.add_argument("--max-steps", type=int, default=40)
-    p.add_argument("--gamma-sweep", help="comma list of gamma_max values, e.g. 1,2,4,8,16")
+    p.add_argument("--gamma-sweep", help="comma list of 2+ distinct gamma_max values, e.g. 1,2,4,8")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("segment", help="segment an exported or external trace TSV")

@@ -137,7 +137,9 @@ def expected_information_gain(
     if action.kind != env.FIXATE_SOURCE:
         return 0.0
     branches = _read_branches(belief.as_array(), models.likelihood_table(action.chunk_id), zeta)
-    return _information_gain(belief.entropy, [(w, entropy_bits(post)) for w, post in branches])
+    return _information_gain(
+        shannon_entropy(belief), [(w, entropy_bits(post)) for w, post in branches]
+    )
 
 
 def _typed_value(probs, fits, prefs: PreferenceVector) -> float:

@@ -148,10 +148,6 @@ class Categorical:
         return np.asarray(self.probs, dtype=float)
 
     @property
-    def entropy(self) -> float:
-        return entropy_bits(self.probs)
-
-    @property
     def map_index(self) -> int:
         return self.probs.index(max(self.probs))
 
@@ -378,9 +374,3 @@ class ReadingEvidenceModel:
         """P(cue | ordering) for a fixed observed cue, one entry per candidate (read-only)."""
         return self.likelihood_table(chunk_id)[self.space.index_of(cue_label)]
 
-
-def reading_likelihood(
-    model: ReadingEvidenceModel, chunk_id: int, cue_label: str, ordering_label: str
-) -> float:
-    """Probability of observing a cue after reading a chunk, given the true ordering."""
-    return float(model.likelihood_row(chunk_id, cue_label)[model.space.index_of(ordering_label)])

@@ -9,6 +9,7 @@ from abctrans.agent import (
     GAMMA_MIN,
     ZETA_MAX,
     _next_actions,
+    _recompute_working,
     _scored_policies,
     enumerate_policies,
     head_starter_config,
@@ -344,19 +345,75 @@ class TestStep:
             assert agent.affective.gamma >= gamma - 1e-12
             gamma = agent.affective.gamma
 
-    def test_belief_never_contradicts_the_buffer(self, space, models):
-        cfg = head_starter_config()
-        state = env.ExternalState.initial(space, "TT3")
-        agent = initial_agent_state(space, cfg)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            if env.is_complete(state):
-                break
-            agent, state, _ = step(agent, state, models, cfg, rng)
-            placed = agent.cognitive.placed_map()
-            for i, ordering in enumerate(space.orderings):
-                if any(ordering.chunk_at(s) != c for s, c in placed.items()):
-                    assert agent.cognitive.belief.probs[i] == 0.0
+    def test_belief_never_contradicts_the_buffer(self, space):
+        # After every step the working belief is the evidence belief
+        # restricted to the buffer, so it has zero mass on every ordering a
+        # placement contradicts; _next_actions relies on this and does not
+        # re-check the buffer.
+        configs = {
+            "head_starter": head_starter_config(),
+            "planner": large_context_planner_config(),
+            "custom_h1": AgentConfig(w_e=0.1, w_p=1.0, horizon=1,
+                                     prefs=PreferenceVector(1.0, -1.0, 0.0, 0.0, 0.1)),
+        }
+        scripts = [None, ("TT5", "TT1", "TT0", "TT4", "TT5", "TT4"), ("TT0", "TT3", "TT3", "TT2")]
+        n_steps = 0
+        for name, cfg in configs.items():
+            for content in (0.0, 0.5, 0.8, 1.0):
+                models = ReadingEvidenceModel.with_defaults(space, content=content)
+                for latent in ("TT0", "TT3", "TT5"):
+                    for script in scripts:
+                        case = (name, content, latent, script)
+                        state = env.ExternalState.initial(space, latent, cue_script=script)
+                        agent = initial_agent_state(space, cfg)
+                        rng = np.random.default_rng(5)
+                        for _ in range(30):
+                            if env.is_complete(state):
+                                break
+                            agent, state, _ = step(agent, state, models, cfg, rng)
+                            n_steps += 1
+                            cognitive = agent.cognitive
+                            assert cognitive.belief == _recompute_working(
+                                cognitive.evidence_belief, cognitive.placed, space
+                            ), case
+                            for i, ordering in enumerate(space.orderings):
+                                if any(ordering.chunk_at(s) != c for s, c in cognitive.placed):
+                                    assert cognitive.belief.probs[i] == 0.0, case
+        assert n_steps >= 108 * 5  # 108 episodes, each at least one step per slot
+
+    def test_forced_revision_after_an_impossible_cue(self, space):
+        # chunk 1 is read through a noiseless channel after it was typed at
+        # slot 1; its cue TT5 rules out every ordering consistent with that
+        # placement, so the contradiction fallback deletes it unconditionally
+        models = ReadingEvidenceModel.with_defaults(
+            space, overrides={1: 1.0, 2: 0.5, 3: 0.9, 4: 0.0}
+        )
+        cfg = AgentConfig(w_e=0.1, w_p=1.0, horizon=1,
+                          prefs=PreferenceVector(1.0, -1.0, 0.0, 0.0, 0.1))
+        trace = run_episode(
+            cfg, models, latent="TT4", seed=10,
+            cue_script=("TT5", "TT1", "TT0", "TT4", "TT5", "TT4"), max_steps=30,
+        )
+        switch, hesitation = ("policy_switch",), ("hesitation",)
+        want = [
+            (env.TYPE, 1, 1, None, 2.0, switch),
+            # the impossible cue leaves the pre-read working belief in place
+            (env.FIXATE_SOURCE, 1, None, "TT5", 2.0, switch),
+            (env.FIXATE_TARGET, None, 1, None, 2.0, ("revision",)),
+            (env.DELETE, 1, 1, None, 0.0, ("revision", "forced")),
+        ]
+        for chunk, slot in ((4, 1), (1, 2), (0, 3), (2, 4), (3, 5)):
+            want += [
+                (env.PAUSE, None, None, None, 0.0, hesitation),
+                (env.TYPE, chunk, slot, None, 0.0, switch),
+            ]
+        got = [
+            (e.kind, e.chunk_id, e.slot, e.cue, e.belief_entropy, e.annotations)
+            for e in trace.events
+        ]
+        assert got == want
+        assert trace.complete
+        assert trace.final_target == render_of(space, "TT5")
 
     def test_revision_scenario_deletes_and_retypes(self, space):
         trace = revising_episode(space)

@@ -18,7 +18,7 @@ from abctrans.analysis import (
     summarize,
     typing_drops,
 )
-from abctrans.inference import PreferenceVector
+from abctrans.inference import PreferenceVector, shannon_entropy
 from abctrans.task import ReadingEvidenceModel
 from abctrans.trace import ProcessEvent, Trace
 
@@ -208,9 +208,9 @@ class TestEntropyTrajectory:
         tr = Trace(
             events=(
                 ProcessEvent(0, 200, env.FIXATE_SOURCE, chunk_id=0,
-                             belief_entropy=space.prior.entropy, gamma=4.0, zeta=1.0),
+                             belief_entropy=shannon_entropy(space.prior), gamma=4.0, zeta=1.0),
             ),
-            prior_entropy=space.prior.entropy,
+            prior_entropy=shannon_entropy(space.prior),
         )
         series = entropy_trajectory(tr)
         assert series[0][1] == series[1][1]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from scipy.stats import spearmanr
 
-from abctrans import environment as env
+from abctrans import cli, environment as env
 from abctrans.analysis import TSV_COLUMNS
 from abctrans.cli import (
     EXIT_INCOMPLETE,
@@ -169,6 +169,17 @@ class TestCompareCommand:
         code, out, err = run_cli(["compare", "--seeds", seeds, "--latent", "TT3"] + sweep, capsys)
         assert code == EXIT_VALIDATION
         assert "--seeds must be at least 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("sweep", ["4", "4,4"])
+    def test_gamma_sweep_needs_two_distinct_values(self, sweep, capsys, monkeypatch):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the sweep was validated")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        code, out, err = run_cli(["compare", "--latent", "TT3", "--gamma-sweep", sweep], capsys)
+        assert code == EXIT_VALIDATION
+        assert err == f"validation error: --gamma-sweep needs two distinct values, got {sweep}\n"
         assert out == ""
 
     @pytest.mark.parametrize(

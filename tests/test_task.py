@@ -17,7 +17,6 @@ from abctrans.task import (
     placement_likelihood,
     placement_row,
     positional_entropy,
-    reading_likelihood,
 )
 from abctrans.taskfile import bundled_task_path, load_task
 
@@ -196,7 +195,6 @@ class TestLikelihoodTables:
                         want = r if cue == label else (1.0 - r) / (n - 1)
                     assert row[i] == want
                     assert m.cue_distribution(chunk.id, label)[space.index_of(cue)] == want
-                    assert reading_likelihood(m, chunk.id, cue, label) == want
 
     def test_placement_table_matches_each_ordering(self, space):
         for cid in space.table.chunk_ids:
@@ -224,18 +222,18 @@ class TestLikelihoodTables:
 class TestReadingLikelihood:
     def test_noiseless_channel(self, space):
         m = ReadingEvidenceModel.with_defaults(space, content=1.0)
-        assert reading_likelihood(m, 3, "TT3", "TT3") == 1.0
-        assert reading_likelihood(m, 3, "TT0", "TT3") == 0.0
+        assert m.likelihood_row(3, "TT3")[space.index_of("TT3")] == 1.0
+        assert m.likelihood_row(3, "TT0")[space.index_of("TT3")] == 0.0
 
     def test_uninformative_configuration(self, space, models):
         m = ReadingEvidenceModel.with_defaults(space, content=0.5)
         for cue in space.labels:
-            assert abs(reading_likelihood(m, 1, cue, "TT3") - 1 / 6) <= 1e-15
+            assert abs(m.likelihood_row(1, cue)[space.index_of("TT3")] - 1 / 6) <= 1e-15
         # the comma keeps the uninformative default
-        assert abs(reading_likelihood(models, 0, "TT2", "TT5") - 1 / 6) <= 1e-15
+        assert abs(models.likelihood_row(0, "TT2")[space.index_of("TT5")] - 1 / 6) <= 1e-15
 
     def test_mismatch_probability(self, models):
-        assert abs(reading_likelihood(models, 1, "TT0", "TT3") - 0.04) <= 1e-12
+        assert abs(models.likelihood_row(1, "TT0")[models.space.index_of("TT3")] - 0.04) <= 1e-12
 
     def test_rows_sum_to_one_over_cues(self, space, models):
         for cid in (0, 1, 2, 3, 4):
