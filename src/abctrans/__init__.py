@@ -22,7 +22,6 @@ from .inference import (
     expected_free_energy,
     expected_information_gain,
     policy_posterior,
-    pragmatic_value,
     score_policies,
     shannon_entropy,
 )

@@ -137,8 +137,6 @@ def head_starter_config(**overrides) -> AgentConfig:
             progress_bonus=1.0,
             inconsistency_penalty=-1.5,
             unread_cost=0.3,
-            read_cost=0.0,
-            pause_cost=0.1,
         ),
     )
     base.update(overrides)
@@ -157,8 +155,6 @@ def large_context_planner_config(**overrides) -> AgentConfig:
             progress_bonus=0.025,
             inconsistency_penalty=-20.0,
             unread_cost=1.0,
-            read_cost=0.0,
-            pause_cost=0.1,
         ),
     )
     base.update(overrides)
@@ -529,10 +525,9 @@ def step(
             evidence = bayes_update(evidence, row, zeta=affective.zeta)
         except ContradictionError:
             # The cue is impossible under everything believed so far; the
-            # belief restarts from the cue's own likelihood and any typed
-            # slot it contradicts is forcibly revised below.
+            # belief restarts from its row, uniform on its support, so the
+            # restriction below raises exactly when no tied MAP fits the buffer.
             evidence = Categorical.from_weights(row)
-            forced_revision = True
         read_set = read_set | {obs.chunk_id}
     elif obs.kind == env.PLACEMENT_FEEDBACK and obs.chunk_id is not None:
         placed = tuple(sorted((dict(placed) | {obs.slot: obs.chunk_id}).items()))

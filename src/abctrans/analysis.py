@@ -1,4 +1,4 @@
-"""Trace analytics: OHRF segmentation, policy cycles, entropy series, exports.
+"""Trace analytics: OHRF segmentation, policy cycles, typing entropy drops, exports.
 
 Segmentation is rule based. Source fixations mark orientation, pauses mark
 hesitation, deletions and retypes mark revision, and uninterrupted typing is
@@ -169,39 +169,15 @@ def group_policies(segments: list[Segment]) -> list[PolicyCycle]:
     return cycles
 
 
-def entropy_trajectory(trace: Trace) -> list[tuple[float, float]]:
-    """Belief entropy sampled at event boundaries, starting from the prior."""
-    if not trace.has_belief_fields:
-        raise AnalysisError("trace carries no belief entropies (ingested log?)")
-    series: list[tuple[float, float]] = []
-    if trace.prior_entropy is not None:
-        t0 = trace.events[0].t_start if trace.events else 0.0
-        series.append((t0, trace.prior_entropy))
-    for e in trace.events:
-        series.append((e.t_end, e.belief_entropy))
-    return series
-
-
-def largest_drop(trace: Trace) -> tuple[ProcessEvent, float] | None:
-    """The event with the single largest belief-entropy decrease."""
-    if not trace.has_belief_fields or not trace.events:
-        return None
-    prev = trace.prior_entropy if trace.prior_entropy is not None else trace.events[0].belief_entropy
-    best: tuple[ProcessEvent, float] | None = None
-    for e in trace.events:
-        drop = prev - e.belief_entropy
-        if best is None or drop > best[1]:
-            best = (e, drop)
-        prev = e.belief_entropy
-    return best
-
-
 def typing_drops(trace: Trace) -> list[tuple[int, float]]:
-    """(chunk id, entropy drop) for every typed placement, in order."""
+    """(chunk id, entropy drop) for every typed placement, in order.
+
+    Drops count from the prior entropy, or, without one, from the first event's.
+    """
     if not trace.has_belief_fields:
         raise AnalysisError("trace carries no belief entropies (ingested log?)")
     out: list[tuple[int, float]] = []
-    prev = trace.prior_entropy if trace.prior_entropy is not None else 0.0
+    prev = trace.prior_entropy if trace.prior_entropy is not None else trace.events[0].belief_entropy
     for e in trace.events:
         if e.kind == env.TYPE:
             out.append((e.chunk_id, prev - e.belief_entropy))

@@ -35,8 +35,6 @@ def _load(args) -> TaskBundle:
 
 
 def _agent_config(args, preset_name: str) -> AgentConfig:
-    if preset_name not in PRESETS:
-        raise TaskError(f"unknown preset {preset_name!r}; choose from {sorted(PRESETS)}")
     overrides = {}
     if getattr(args, "gamma_max", None) is not None:
         overrides["gamma_max"] = args.gamma_max

@@ -2,8 +2,8 @@
 
 The environment owns the ground truth the agent cannot see directly: a latent
 preferred ordering that drives reading cues. Actions cross the boundary in one
-direction (fixate, type, delete, pause, consult) and observations cross back
-(ordering cues, placement feedback, target glimpses).
+direction (fixate, type, delete, pause) and observations cross back (ordering
+cues, placement feedback, target glimpses). CONSULT is a kind of logs only.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def apply_action(
             raise TaskError(f"slot {slot} out of range")
         return state, Observation(TARGET_GLIMPSE, chunk_id=state.buffer[slot - 1], slot=slot)
 
-    if action.kind in (PAUSE, CONSULT):
+    if action.kind == PAUSE:
         return state, Observation(NULL)
 
     raise TaskError(f"unknown action kind {action.kind!r}")

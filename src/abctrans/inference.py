@@ -4,7 +4,9 @@ Beliefs live over the finite candidate-ordering space. Reading cues are the
 only observations that carry information about the environment's latent
 preferred ordering; typing yields placement feedback that is fully determined
 by the action itself, so it contributes commitment (belief restriction during
-rollout) but no expected information gain.
+rollout) but no expected information gain. The pragmatic term scores a typed
+placement by the PreferenceVector, a read by -READ_COST and a pause by
+-PAUSE_COST; the rollout's node is the one place that computes it.
 
 score_policies scores all policies of a decision over memoised tables keyed
 by small integers (interned beliefs, policy suffixes, read bitmasks): a read
@@ -27,13 +29,16 @@ from . import environment as env
 from .task import (
     CONTENT,
     Categorical,
-    CandidateSpace,
     ReadingEvidenceModel,
     entropy_bits,
     placement_row,
 )
 
 PROB_FLOOR = 1e-300
+
+# Fixed action costs of the pragmatic term.
+READ_COST = 0.0
+PAUSE_COST = 0.1
 
 
 class ContradictionError(RuntimeError):
@@ -42,19 +47,17 @@ class ContradictionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PreferenceVector:
-    """Log-preferences over outcomes plus the configured action costs.
+    """The translator's log-preferences over typed outcomes: the values presets set apart.
 
     progress_bonus rewards placements consistent with believed orderings,
     inconsistency_penalty scores placements the belief rules out, and
     unread_cost discourages committing a content chunk whose source has not
-    been fixated yet. Reading and pausing score zero minus their costs.
+    been fixated yet. Reads and pauses cost the fixed READ_COST and PAUSE_COST.
     """
 
     progress_bonus: float = 1.0
     inconsistency_penalty: float = -1.0
     unread_cost: float = 0.0
-    read_cost: float = 0.0
-    pause_cost: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -155,31 +158,6 @@ def _typed_value(probs, fits, prefs: PreferenceVector) -> float:
     return value
 
 
-def pragmatic_value(
-    belief: Categorical,
-    action: env.Action,
-    prefs: PreferenceVector,
-    space: CandidateSpace,
-    chunk_read: bool = True,
-) -> float:
-    """Expected log-preference of the observation the action should produce.
-
-    Typing scores the belief-weighted mix of progress bonus and inconsistency
-    penalty (minus the unread cost when the chunk's source is unfixated);
-    reading and pausing score zero minus their configured costs.
-    """
-    if action.kind == env.TYPE:
-        value = _typed_value(belief.probs, placement_row(space, action.chunk_id, action.slot), prefs)
-        if not chunk_read:
-            value -= prefs.unread_cost
-        return value
-    if action.kind == env.FIXATE_SOURCE:
-        return -prefs.read_cost
-    if action.kind == env.PAUSE:
-        return -prefs.pause_cost
-    raise ValueError(f"unknown action kind {action.kind!r}")
-
-
 class _Rollout:
     """The tables of one score_policies call, keyed by small integers.
 
@@ -245,12 +223,12 @@ class _Rollout:
             cues = _read_branches(np.array(probs), table, self.zeta)
             branches = [(w, self.belief(tuple(post))) for w, post in cues]
             gain = _information_gain(entropy, [(w, self.beliefs[b][1]) for w, b in branches])
-            node = [gain, -self.prefs.read_cost, 0, self.bits[chunk], branches]
+            node = [gain, -READ_COST, 0, self.bits[chunk], branches]
         elif kind == env.TYPE:
             fits = placement_row(self.space, chunk, slot).tolist()
             node = [0.0, _typed_value(probs, fits, self.prefs), unread, 0, None]
         else:
-            node = [0.0, -self.prefs.pause_cost, 0, 0, ((1.0, bid),)]
+            node = [0.0, -PAUSE_COST, 0, 0, ((1.0, bid),)]
         self.nodes[bid * self.n_actions + aid] = node
         return node
 

@@ -93,8 +93,6 @@ def load_task(path: str | Path) -> TaskBundle:
         space = build_candidate_space(
             table, [list(v) for v in orderings.values()], labels=labels
         )
-    except TaskFileError:
-        raise
     except TaskError as exc:
         raise TaskFileError(f"field 'orderings': {exc}")
 

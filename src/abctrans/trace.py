@@ -49,9 +49,6 @@ class Trace:
                 raise ValueError("events must be ordered and non-overlapping")
             last_end = ev.t_end
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     @property
     def total_time_ms(self) -> float:
         if not self.events:

@@ -44,8 +44,6 @@ def revising_episode(space):
             progress_bonus=1.0,
             inconsistency_penalty=-1.5,
             unread_cost=2.0,
-            read_cost=0.0,
-            pause_cost=0.1,
         )
     )
     return run_episode(
@@ -354,7 +352,7 @@ class TestStep:
             "head_starter": head_starter_config(),
             "planner": large_context_planner_config(),
             "custom_h1": AgentConfig(w_e=0.1, w_p=1.0, horizon=1,
-                                     prefs=PreferenceVector(1.0, -1.0, 0.0, 0.0, 0.1)),
+                                     prefs=PreferenceVector(1.0, -1.0, 0.0)),
         }
         scripts = [None, ("TT5", "TT1", "TT0", "TT4", "TT5", "TT4"), ("TT0", "TT3", "TT3", "TT2")]
         n_steps = 0
@@ -389,7 +387,7 @@ class TestStep:
             space, overrides={1: 1.0, 2: 0.5, 3: 0.9, 4: 0.0}
         )
         cfg = AgentConfig(w_e=0.1, w_p=1.0, horizon=1,
-                          prefs=PreferenceVector(1.0, -1.0, 0.0, 0.0, 0.1))
+                          prefs=PreferenceVector(1.0, -1.0, 0.0))
         trace = run_episode(
             cfg, models, latent="TT4", seed=10,
             cue_script=("TT5", "TT1", "TT0", "TT4", "TT5", "TT4"), max_steps=30,

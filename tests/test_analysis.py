@@ -9,11 +9,9 @@ from abctrans.analysis import (
     IngestError,
     Segment,
     TSV_COLUMNS,
-    entropy_trajectory,
     export_progression,
     group_policies,
     ingest_tsv,
-    largest_drop,
     segment_ohrf,
     summarize,
     typing_drops,
@@ -143,7 +141,6 @@ class TestSegmentOhrf:
         cfg = head_starter_config(
             prefs=PreferenceVector(
                 progress_bonus=1.0, inconsistency_penalty=-1.5, unread_cost=2.0,
-                read_cost=0.0, pause_cost=0.1,
             )
         )
         tr = run_episode(
@@ -194,45 +191,59 @@ class TestGroupPolicies:
         assert [c.label for c in a] == [c.label for c in b]
 
 
+def entropies(trace):
+    """The prior entropy, then the belief entropy after each event."""
+    return [trace.prior_entropy] + [e.belief_entropy for e in trace.events]
+
+
 class TestEntropyTrajectory:
     def test_noiseless_planner_is_non_increasing_to_zero(self, space):
         exact = ReadingEvidenceModel.with_defaults(space, content=1.0)
         tr = run_episode(large_context_planner_config(), exact, latent="TT3", seed=0)
-        series = entropy_trajectory(tr)
-        values = [h for _, h in series]
+        values = entropies(tr)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert abs(values[-1]) <= 1e-12
 
-    def test_uninformative_read_keeps_it_flat(self, space):
-        # a single fixation through the flat channel leaves entropy unchanged
-        tr = Trace(
-            events=(
-                ProcessEvent(0, 200, env.FIXATE_SOURCE, chunk_id=0,
-                             belief_entropy=shannon_entropy(space.prior), gamma=4.0, zeta=1.0),
-            ),
-            prior_entropy=shannon_entropy(space.prior),
-        )
-        series = entropy_trajectory(tr)
-        assert series[0][1] == series[1][1]
+    def test_uninformative_reads_keep_it_flat(self, space):
+        # every read through a flat channel leaves entropy where it was
+        flat = ReadingEvidenceModel.with_defaults(space, content=0.5)
+        for cfg in (large_context_planner_config(), head_starter_config()):
+            tr = run_episode(cfg, flat, latent="TT3", seed=0)
+            values = entropies(tr)
+            reads = [i for i, e in enumerate(tr.events) if e.kind == env.FIXATE_SOURCE]
+            assert len(reads) == 4
+            for i in reads:
+                assert abs(values[i + 1] - values[i]) <= 1e-12
 
     def test_head_starter_largest_drop_lands_on_high_information_chunk(self, space):
         models70 = ReadingEvidenceModel.with_defaults(space, content=0.7)
         cfg = head_starter_config(
             prefs=PreferenceVector(
                 progress_bonus=1.2, inconsistency_penalty=-1.0, unread_cost=0.3,
-                read_cost=0.0, pause_cost=0.1,
             )
         )
         tr = run_episode(cfg, models70, latent="TT5", seed=5, cue_script=("TT5",))
-        event, drop = largest_drop(tr)
+        values = entropies(tr)
+        drops = [a - b for a, b in zip(values, values[1:])]
+        drop = max(drops)
+        event = tr.events[drops.index(drop)]
         assert event.kind == env.TYPE
         assert event.chunk_id in (2, 4)
         assert drop > 1.0
+        assert (event.chunk_id, drop) in typing_drops(tr)
 
-    def test_ingested_trace_rejected(self):
-        tr = make_events([(env.TYPE, 1, 1)])
-        with pytest.raises(AnalysisError):
-            entropy_trajectory(tr)
+    def test_first_typing_drop_without_prior_starts_from_its_own_entropy(self):
+        # a hand-built trace without a prior entropy: the first placement
+        # has no earlier entropy to drop from, so its drop is zero
+        tr = Trace(
+            events=(
+                ProcessEvent(0, 100, env.TYPE, chunk_id=1, slot=1,
+                             belief_entropy=1.0, gamma=1.0, zeta=1.0),
+                ProcessEvent(100, 200, env.TYPE, chunk_id=2, slot=2,
+                             belief_entropy=0.25, gamma=1.0, zeta=1.0),
+            ),
+        )
+        assert typing_drops(tr) == [(1, 0.0), (2, 0.75)]
 
 
 class TestSummarize:
@@ -298,7 +309,6 @@ class TestExportAndIngest:
         cfg = head_starter_config(
             prefs=PreferenceVector(
                 progress_bonus=1.0, inconsistency_penalty=-1.5, unread_cost=2.0,
-                read_cost=0.0, pause_cost=0.1,
             )
         )
         tr = run_episode(
@@ -357,6 +367,26 @@ class TestExportAndIngest:
         data = "t\tk\twhat\n0\tfixate_source\t1\n100\ttype\t1@1\n".encode()
         tr = ingest_tsv(data, {"time": "t", "kind": "k", "target": "what"})
         assert [e.kind for e in tr.events] == [env.FIXATE_SOURCE, env.TYPE]
+
+    def test_ingested_consult_segments_as_orientation(self):
+        rows = [
+            ("0", env.CONSULT, ""),
+            ("900", env.TYPE, "1@1"),
+            ("1000", env.FIXATE_SOURCE, "2"),
+            ("1200", env.CONSULT, ""),
+            ("2500", env.TYPE, "2@2"),
+        ]
+        data = (
+            "\t".join(TSV_COLUMNS)
+            + "\n"
+            + "\n".join("\t".join([t, k, tgt, "", "0", "", ""]) for t, k, tgt in rows)
+            + "\n"
+        ).encode()
+        segs = segment_ohrf(ingest_tsv(data))
+        assert [(s.state, s.events) for s in segs] == [
+            ("O", (0,)), ("F", (1,)), ("O", (2, 3)), ("F", (4,)),
+        ]
+        assert [c.label for c in group_policies(segs)] == ["OF", "OF"]
 
     def test_hand_written_log_with_deletion_yields_revision(self):
         rows = [

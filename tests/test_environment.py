@@ -3,7 +3,7 @@ import pytest
 
 from abctrans import environment as env
 from abctrans.agent import large_context_planner_config, run_episode
-from abctrans.task import ReadingEvidenceModel
+from abctrans.task import ReadingEvidenceModel, TaskError
 
 from conftest import render_of
 
@@ -52,11 +52,12 @@ class TestApplyAction:
         assert cleared.buffer[0] is None
         assert obs == env.Observation(env.PLACEMENT_FEEDBACK, chunk_id=None, slot=1)
 
-    def test_pause_and_consult_are_null(self, state, models, rng):
+    def test_pause_is_null_and_consult_is_rejected(self, state, models, rng):
         _, obs = env.apply_action(state, env.pause(), models, rng)
         assert obs.kind == env.NULL
-        _, obs = env.apply_action(state, env.Action(env.CONSULT), models, rng)
-        assert obs.kind == env.NULL
+        # consult is a kind ingested from logs; the agent never performs it
+        with pytest.raises(TaskError, match="unknown action kind"):
+            env.apply_action(state, env.Action(env.CONSULT), models, rng)
 
     def test_target_glimpse_reflects_buffer(self, state, models, rng):
         filled, _ = env.apply_action(state, env.type_chunk(4, 2), models, rng)

@@ -17,13 +17,12 @@ from abctrans.inference import (
     expected_information_gain,
     policy_posterior,
     posteriors,
-    pragmatic_value,
     score_policies,
     shannon_entropy,
 )
 from abctrans.task import Categorical, ReadingEvidenceModel, placement_row
 
-PREFS = PreferenceVector(progress_bonus=0.5, inconsistency_penalty=-2.0, pause_cost=0.1)
+PREFS = PreferenceVector(progress_bonus=0.5, inconsistency_penalty=-2.0)
 
 
 def oracle_efe(belief, policy, models, prefs, read):
@@ -46,7 +45,7 @@ def oracle_efe(belief, policy, models, prefs, read):
                     exp_h += pw * shannon_entropy(post)
                     new_paths.append((w * pw, post, r | {action.chunk_id}))
                 total_e += w * (h_before - exp_h)
-                total_p += w * (-prefs.read_cost)
+                total_p += w * (-inference.READ_COST)
             elif action.kind == env.TYPE:
                 row = placement_row(space, action.chunk_id, action.slot)
                 val = 0.0
@@ -63,8 +62,7 @@ def oracle_efe(belief, policy, models, prefs, read):
                 post = bayes_update(b, row) if mass > 0 else b
                 new_paths.append((w, post, r))
             else:
-                cost = prefs.pause_cost if action.kind in (env.PAUSE, env.DELETE) else prefs.read_cost
-                total_p += w * (-cost)
+                total_p += w * (-inference.PAUSE_COST)
                 new_paths.append((w, b, r))
         paths = new_paths
     return total_e, total_p
@@ -200,37 +198,42 @@ class TestExpectedInformationGain:
             assert expected_information_gain(b, action, models) >= 0.0
 
 
+def pragmatic(belief, action, models, prefs=PREFS, read_chunks=None):
+    """Pragmatic term of the one-action policy (action,)."""
+    return expected_free_energy(belief, (action,), models, prefs, read_chunks=read_chunks).pragmatic
+
+
 class TestPragmaticValue:
-    def test_consistent_typing_earns_bonus(self, space):
+    def test_consistent_typing_earns_bonus(self, space, models):
         b = Categorical.point_mass(6, space.index_of("TT3"))
-        val = pragmatic_value(b, env.type_chunk(4, 3), PREFS, space)
+        val = pragmatic(b, env.type_chunk(4, 3), models)
         assert abs(val - PREFS.progress_bonus) <= 1e-12
 
-    def test_pause_costs(self, space):
-        assert pragmatic_value(space.prior, env.pause(), PREFS, space) == -PREFS.pause_cost
+    def test_pause_costs(self, space, models):
+        assert pragmatic(space.prior, env.pause(), models) == -inference.PAUSE_COST
 
     @pytest.mark.parametrize("action", [env.fixate_target(1), env.Action(env.CONSULT), env.delete(1)])
     def test_unenumerated_action_kinds_are_rejected(self, space, models, action):
         # enumeration emits only reads, typing and pauses
         with pytest.raises(ValueError, match="unknown action kind"):
-            pragmatic_value(space.prior, action, PREFS, space)
+            pragmatic(space.prior, action, models)
         with pytest.raises(ValueError, match="unknown action kind"):
             expected_free_energy(space.prior, (env.pause(), action), models, PREFS)
 
-    def test_hedged_typing_mixes_bonus_and_penalty(self, space):
+    def test_hedged_typing_mixes_bonus_and_penalty(self, space, models):
         probs = [0.0] * 6
         probs[space.index_of("TT0")] = 0.5
         probs[space.index_of("TT5")] = 0.5
         b = Categorical(tuple(probs))
-        val = pragmatic_value(b, env.type_chunk(1, 1), PREFS, space)
+        val = pragmatic(b, env.type_chunk(1, 1), models)
         expected = 0.5 * PREFS.progress_bonus + 0.5 * PREFS.inconsistency_penalty
         assert abs(val - expected) <= 1e-12
 
-    def test_unread_chunk_costs_extra(self, space):
+    def test_unread_chunk_costs_extra(self, space, models):
         prefs = PreferenceVector(progress_bonus=0.5, unread_cost=0.7)
         b = Categorical.point_mass(6, space.index_of("TT3"))
-        read = pragmatic_value(b, env.type_chunk(4, 3), prefs, space, chunk_read=True)
-        unread = pragmatic_value(b, env.type_chunk(4, 3), prefs, space, chunk_read=False)
+        read = pragmatic(b, env.type_chunk(4, 3), models, prefs, read_chunks=frozenset({4}))
+        unread = pragmatic(b, env.type_chunk(4, 3), models, prefs, read_chunks=frozenset())
         assert abs((read - unread) - 0.7) <= 1e-12
 
 
@@ -244,8 +247,7 @@ class TestExpectedFreeEnergy:
             dec = expected_free_energy(
                 space.prior, (action,), models, PREFS, w_e=1.3, w_p=0.7
             )
-            e = expected_information_gain(space.prior, action, models)
-            p = pragmatic_value(space.prior, action, PREFS, space)
+            e, p = oracle_efe(space.prior, (action,), models, PREFS, space.table.chunk_ids)
             assert abs(dec.epistemic - e) <= 1e-12
             assert abs(dec.pragmatic - p) <= 1e-12
             assert abs(dec.total - (-(1.3 * e) - (0.7 * p))) <= 1e-12

@@ -196,6 +196,23 @@ class TestLikelihoodTables:
                     assert row[i] == want
                     assert m.cue_distribution(chunk.id, label)[space.index_of(cue)] == want
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9, 1.0])
+    def test_a_cue_row_with_a_zero_is_uniform_on_its_support(self, r, n):
+        # agent.step's contradiction fallback restarts the evidence belief
+        # from such a row, so every ordering in its support ties as the MAP
+        space = build_candidate_space(make_table(), list(ORDERINGS.values())[:n])
+        m = ReadingEvidenceModel.with_defaults(space, content=r, punctuation=r)
+        zero_rows = 0
+        for cid in space.table.chunk_ids:
+            for row in m.likelihood_table(cid):
+                if (row == 0.0).any():
+                    zero_rows += 1
+                    support = row[row > 0.0]
+                    assert (support == support[0]).all(), (r, n, cid, row)
+        # zeros appear exactly at the deterministic reliabilities
+        assert (zero_rows > 0) == (r in (0.0, 1.0) and n > 1)
+
     def test_placement_table_matches_each_ordering(self, space):
         for cid in space.table.chunk_ids:
             for slot in range(1, space.n_slots + 1):

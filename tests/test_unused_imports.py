@@ -1,8 +1,11 @@
-"""Every name a module under src/abctrans/ imports is used in that module.
+"""Every name a module under src/abctrans/ imports or defines privately is used there.
 
-No linter ships with the test environment, so this stdlib-ast check stands in
-for the unused-import rule. ``__init__.py`` is exempt: its imports are the
-package's exports.
+No linter ships with the test environment, so these stdlib-ast checks stand
+in for the unused-import and unused-private-name rules. ``__init__.py`` is
+exempt from the import rule: its imports are the package's exports. A
+private (``_``-prefixed) module-level function, class or constant is
+module-internal by convention, so a use elsewhere does not count: it must be
+read in its own module, outside its own definition.
 """
 
 import ast
@@ -58,3 +61,41 @@ def test_every_listed_exception_is_still_imported():
     for module, name in KEPT:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         assert name in imported_names(tree)
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level _-prefixed (not dunder) functions, classes and assigned names."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defs[name] = node
+    return defs
+
+
+def names_read_outside(tree: ast.Module, skip: ast.AST) -> set[str]:
+    """Names loaded anywhere in the module except inside the node skip."""
+    inside = set(map(id, ast.walk(skip)))
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_reads_every_private_name_it_defines(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = sorted(
+        f"{name} (line {node.lineno})"
+        for name, node in private_definitions(tree).items()
+        if name not in names_read_outside(tree, node)
+    )
+    assert not unread, f"{path.name} defines private names it never reads: {', '.join(unread)}"
