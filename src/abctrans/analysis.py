@@ -9,6 +9,7 @@ inter-keystroke gap, or otherwise with flow. Adjacent same-state runs merge.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 from . import environment as env
@@ -401,10 +402,15 @@ def ingest_tsv(data: bytes, column_map: dict[str, str] | None = None) -> Trace:
             t = float(cells[idx["time"]])
         except ValueError:
             raise IngestError(row_no, f"unparseable time {cells[idx['time']]!r}")
+        if not math.isfinite(t):
+            raise IngestError(row_no, f"time must be finite, got {cells[idx['time']]!r}")
         kind = cells[idx["kind"]].strip()
         if kind not in _KNOWN_KINDS:
             raise IngestError(row_no, f"unknown event kind {kind!r}")
         chunk, slot = _parse_target(cells[idx["target"]], kind, row_no)
+        if kind == env.TYPE and (chunk is None or slot is None):
+            target = cells[idx["target"]].strip()
+            raise IngestError(row_no, f"type target must be <chunk>@<slot>, got {target!r}")
         if kind in (env.FIXATE_TARGET, env.DELETE) and chunk is not None and slot is None:
             chunk, slot = None, chunk  # bare number names a slot for these kinds
         raw.append((t, kind, chunk, slot))

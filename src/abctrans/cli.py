@@ -153,7 +153,10 @@ def cmd_compare(args) -> int:
                 tot.append(reads + pauses)
             means.append(float(np.mean(tot)))
             print(f"  gamma_max {g:>6.2f}: mean epistemic actions {means[-1]:.3f}")
-        print(f"spearman(gamma, epistemic actions) = {_spearman_rho(gammas, means):.4f}")
+        if len(set(means)) < 2:
+            print("spearman(gamma, epistemic actions) undefined: the means are constant")
+        else:
+            print(f"spearman(gamma, epistemic actions) = {_spearman_rho(gammas, means):.4f}")
         return EXIT_OK
 
     cfg_a = _agent_config(args, args.preset_a)

@@ -8,6 +8,7 @@ cues, placement feedback, target glimpses). CONSULT is a kind of logs only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +41,12 @@ class Action:
     slot: int | None = None
 
 
+# Enumeration asks for the same few actions thousands of times per decision:
+# one shared immutable Action per argument tuple (typed: 1 and a numpy 1 differ).
+_shared = functools.lru_cache(maxsize=None, typed=True)
+
+
+@_shared
 def fixate_source(chunk_id: int) -> Action:
     return Action(FIXATE_SOURCE, chunk_id=chunk_id)
 
@@ -48,6 +55,7 @@ def fixate_target(slot: int) -> Action:
     return Action(FIXATE_TARGET, slot=slot)
 
 
+@_shared
 def type_chunk(chunk_id: int, slot: int) -> Action:
     return Action(TYPE, chunk_id=chunk_id, slot=slot)
 
@@ -56,6 +64,7 @@ def delete(slot: int) -> Action:
     return Action(DELETE, slot=slot)
 
 
+@_shared
 def pause() -> Action:
     return Action(PAUSE)
 

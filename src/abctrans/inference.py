@@ -10,8 +10,8 @@ placement by the PreferenceVector, a read by -READ_COST and a pause by
 
 score_policies scores all policies of a decision over memoised tables keyed
 by small integers (interned beliefs, policy suffixes, read bitmasks): a read
-channel is built once per belief and chunk, with all its cue branches in one
-array op, and the value of a suffix once per belief and read set. Each
+channel is built once per belief and reliability, with all its cue branches
+in one array op, and the value of a suffix once per belief and read set. Each
 policy's terms are summed as expected_free_energy sums them for that policy
 alone, so totals are bitwise equal either way. posteriors is the one
 conditioning rule, over a 2-D likelihood with one row per observation;
@@ -165,19 +165,21 @@ class _Rollout:
     suffixes by (first action, rest) in a trie, read sets become bitmasks. A
     node, one action from one belief, is built once; so is the value of a
     suffix of two or more actions per (belief, suffix, the read bits it
-    depends on). Each value is the float the plain recursion computes, so
-    totals do not depend on what the tables hold. Nothing refers back to the
-    instance, so the tables are freed when score_policies returns.
+    depends on). A read's cue channel is built once per (belief, reliability):
+    the evidence model builds every chunk's table from its reliability alone,
+    so chunks of equal reliability have bitwise-equal channels. Each value is
+    the float the plain recursion computes, so totals do not depend on what
+    the tables hold. Nothing refers back to the instance, so the tables are
+    freed when score_policies returns.
     """
 
     def __init__(self, models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float, policies):
-        self.models, self.prefs, self.zeta, self.space = models, prefs, zeta, models.space
-        table = models.space.table
-        self.bits = {cid: 1 << i for i, cid in enumerate(sorted(table.chunk_ids))}
+        self.prefs, self.zeta = prefs, zeta
+        self.bits = {cid: 1 << i for i, cid in enumerate(sorted(models.space.table.chunk_ids))}
         self.belief_ids: dict = {}
         self.beliefs: list = []  # belief id -> (probability tuple, entropy)
         action_ids: dict = {}
-        self.actions: list = []  # action id -> (kind, chunk, slot, bit of its chunk if content)
+        self.actions: list = []  # action id -> (kind, unread bit, read bit, what its node reads)
         suffix_ids: dict = {}
         self.suffixes: list = []  # suffix id -> (action id, rest id or -1, read bits it depends on)
         self.policies = []  # suffix id of each policy
@@ -191,18 +193,33 @@ class _Rollout:
                 fields = (action.kind, action.chunk_id, action.slot)
                 aid = action_ids.setdefault(fields, len(self.actions))
                 if aid == len(self.actions):
-                    if action.kind not in (env.FIXATE_SOURCE, env.TYPE, env.PAUSE):
-                        raise ValueError(f"unknown action kind {action.kind!r}")
-                    typed = action.kind == env.TYPE and table.chunk(action.chunk_id).kind == CONTENT
-                    self.actions.append(fields + (self.bits[action.chunk_id] if typed else 0,))
+                    self.actions.append(self.action(models, *fields))
                 rest, sid = sid, suffix_ids.setdefault((aid, sid), len(self.suffixes))
                 if sid == len(self.suffixes):
                     depends = self.suffixes[rest][2] if rest >= 0 else 0
-                    self.suffixes.append((aid, rest, depends | self.actions[aid][3]))
+                    self.suffixes.append((aid, rest, depends | self.actions[aid][1]))
             self.policies.append(sid)
         self.n_actions, self.n_suffixes, self.n_bits = len(self.actions), len(self.suffixes), len(self.bits)
+        self.channels: dict = {}  # (belief id, reliability) -> (information gain, cue branches)
         self.nodes: dict = {}  # belief id * n_actions + action id -> node
         self.values: dict = {}  # packed (belief id, suffix id, read bits) -> (epistemic, pragmatic)
+
+    def action(self, models: ReadingEvidenceModel, kind: str, chunk, slot) -> tuple:
+        """(kind, unread bit, read bit, what its node reads) of one distinct action.
+
+        A read's node reads its (reliability, likelihood table); a placement's
+        reads its placement row, as a list and as a one-row likelihood.
+        """
+        if kind == env.FIXATE_SOURCE:
+            table = models.likelihood_table(chunk)
+            return kind, 0, self.bits[chunk], (dict(models.reliabilities)[chunk], table)
+        if kind == env.TYPE:
+            content = models.space.table.chunk(chunk).kind == CONTENT
+            row = placement_row(models.space, chunk, slot)
+            return kind, self.bits[chunk] if content else 0, 0, (row.tolist(), row[None, :])
+        if kind == env.PAUSE:
+            return kind, 0, 0, None
+        raise ValueError(f"unknown action kind {kind!r}")
 
     def belief(self, probs: tuple) -> int:
         bid = self.belief_ids.setdefault(probs, len(self.beliefs))
@@ -213,20 +230,23 @@ class _Rollout:
     def node(self, bid: int, aid: int) -> list:
         """[epistemic, pragmatic, unread bit, read bit, branches] of one action from one belief.
 
-        A read's cue branches come from one array op; a typed placement's
-        branches stay None until some policy continues past it.
+        A read's cue branches come from its (belief, reliability) channel; a
+        typed placement's branches stay None until some policy continues
+        past it.
         """
-        kind, chunk, slot, unread = self.actions[aid]
+        kind, unread, read_bit, inputs = self.actions[aid]
         probs, entropy = self.beliefs[bid]
         if kind == env.FIXATE_SOURCE:
-            table = self.models.likelihood_table(chunk)
-            cues = _read_branches(np.array(probs), table, self.zeta)
-            branches = [(w, self.belief(tuple(post))) for w, post in cues]
-            gain = _information_gain(entropy, [(w, self.beliefs[b][1]) for w, b in branches])
-            node = [gain, -READ_COST, 0, self.bits[chunk], branches]
+            reliability, table = inputs
+            channel = self.channels.get((bid, reliability))
+            if channel is None:
+                cues = _read_branches(np.array(probs), table, self.zeta)
+                branches = [(w, self.belief(tuple(post))) for w, post in cues]
+                gain = _information_gain(entropy, [(w, self.beliefs[b][1]) for w, b in branches])
+                channel = self.channels[bid, reliability] = gain, branches
+            node = [channel[0], -READ_COST, 0, read_bit, channel[1]]
         elif kind == env.TYPE:
-            fits = placement_row(self.space, chunk, slot).tolist()
-            node = [0.0, _typed_value(probs, fits, self.prefs), unread, 0, None]
+            node = [0.0, _typed_value(probs, inputs[0], self.prefs), unread, 0, None]
         else:
             node = [0.0, -PAUSE_COST, 0, 0, ((1.0, bid),)]
         self.nodes[bid * self.n_actions + aid] = node
@@ -238,10 +258,8 @@ class _Rollout:
         A plan that contradicts every live ordering keeps the belief: the
         penalty already scored it.
         """
-        _, chunk, slot, _ = self.actions[aid]
-        row = placement_row(self.space, chunk, slot)[None, :]
         try:
-            (post,) = posteriors(np.array(self.beliefs[bid][0]), row).tolist()
+            (post,) = posteriors(np.array(self.beliefs[bid][0]), self.actions[aid][3][1]).tolist()
         except ContradictionError:
             return ((1.0, bid),)
         return ((1.0, self.belief(tuple(post))),)

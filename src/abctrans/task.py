@@ -332,7 +332,8 @@ class ReadingEvidenceModel:
         for cid, r in self.reliabilities:
             if not 0.0 <= r <= 1.0:
                 raise TaskError(f"reliability for chunk {cid} must lie in [0, 1], got {r}")
-        # One [cue, ordering] matrix per chunk, built once and not a field.
+        # One [cue, ordering] matrix per chunk, built once and not a field. It
+        # depends on the reliability alone: the rollout shares cue channels on it.
         n = len(self.space.orderings)
         tables = {}
         for cid, r in self.reliabilities:

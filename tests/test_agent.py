@@ -151,6 +151,16 @@ class TestEnumeratePolicies:
             for a, b in zip(policy, policy[1:]):
                 assert not (a.kind == env.PAUSE and b.kind == env.PAUSE)
 
+    def test_opening_shares_one_action_per_kind_chunk_and_slot(self, space):
+        # the constructors hand out one Action per (kind, chunk, slot), so an
+        # opening's 1,206 policies reference only a few distinct objects
+        cfg = large_context_planner_config()
+        policies = enumerate_policies(initial_agent_state(space, cfg).cognitive, space, 4, cfg)
+        assert len(policies) == 1206
+        actions = [a for policy in policies for a in policy]
+        fields = {(a.kind, a.chunk_id, a.slot) for a in actions}
+        assert len({id(a) for a in actions}) == len(fields)
+
     def test_policy_cap_respected(self, space, models):
         cfg = large_context_planner_config(max_policies=16)
         agent = initial_agent_state(space, cfg)
@@ -236,10 +246,13 @@ class TestSelectPolicy:
 
     def test_cold_planner_opening_expands_each_belief_node_once(self, space, models, monkeypatch):
         # Scoring the 1,206 opening policies builds each table entry once: a
-        # read channel per (belief, chunk), a typed value per (belief, chunk,
-        # slot), a restriction per typed node some policy continues past,
-        # and a value per (belief, suffix of 2+ actions, read bits). Walking
-        # every policy from the root would enter 36,679 nodes.
+        # read node per (belief, chunk) over a cue channel per (belief,
+        # reliability), a typed value per (belief, chunk, slot), a
+        # restriction per typed node some policy continues past, and a value
+        # per (belief, suffix of 2+ actions, read bits). The four source
+        # chunks share one reliability, so the 516 read nodes need only 260
+        # channels, one per belief they start from. Walking every policy
+        # from the root would enter 36,679 nodes.
         tables = []
 
         class Once(dict):
@@ -271,7 +284,8 @@ class TestSelectPolicy:
         assert len(sel.policies) == 1206
         (rollout,) = tables
         kinds = [rollout.actions[key % rollout.n_actions][0] for key in rollout.nodes]
-        assert counts == {"channels": kinds.count(env.FIXATE_SOURCE), "restrictions": 149}
+        assert counts == {"channels": 260, "restrictions": 149}
+        assert len(rollout.channels) == 260
         assert (kinds.count(env.FIXATE_SOURCE), kinds.count(env.TYPE)) == (516, 769)
         assert len(rollout.values) == 7483
 

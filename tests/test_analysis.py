@@ -363,6 +363,30 @@ class TestExportAndIngest:
         with pytest.raises(IngestError, match="row 2"):
             ingest_tsv(data)
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_time_reports_row(self, time):
+        rows = [("0", env.FIXATE_SOURCE, "1"), ("200", env.TYPE, "1@1"), (time, env.PAUSE, "")]
+        data = (
+            "\t".join(TSV_COLUMNS)
+            + "\n"
+            + "\n".join("\t".join([t, k, tgt, "", "0", "", ""]) for t, k, tgt in rows)
+            + "\n"
+        ).encode()
+        with pytest.raises(IngestError, match="row 4: time must be finite"):
+            ingest_tsv(data)
+
+    @pytest.mark.parametrize("target", ["3", "@2", "3@", ""])
+    def test_type_target_without_chunk_and_slot_reports_row(self, target):
+        rows = [("0", env.FIXATE_SOURCE, "1"), ("200", env.TYPE, target)]
+        data = (
+            "\t".join(TSV_COLUMNS)
+            + "\n"
+            + "\n".join("\t".join([t, k, tgt, "", "0", "", ""]) for t, k, tgt in rows)
+            + "\n"
+        ).encode()
+        with pytest.raises(IngestError, match="row 3: type target must be <chunk>@<slot>"):
+            ingest_tsv(data)
+
     def test_custom_column_map(self):
         data = "t\tk\twhat\n0\tfixate_source\t1\n100\ttype\t1@1\n".encode()
         tr = ingest_tsv(data, {"time": "t", "kind": "k", "target": "what"})

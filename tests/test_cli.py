@@ -163,6 +163,19 @@ class TestCompareCommand:
         rho = float(re.search(r"spearman.* = (-?[0-9.]+)", out).group(1))
         assert rho <= -0.9
 
+    def test_gamma_sweep_with_constant_means_reports_rho_undefined(self, capsys):
+        # the head starter reads once and never pauses at either gamma here
+        code, out, err = run_cli(
+            ["compare", "--preset-a", "head_starter", "--gamma-sweep", "8,16", "--seeds", "2"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        assert re.findall(r"mean epistemic actions ([0-9.]+)", out) == ["1.000", "1.000"]
+        assert out.splitlines()[-1] == (
+            "spearman(gamma, epistemic actions) undefined: the means are constant"
+        )
+
     @pytest.mark.parametrize("sweep", [[], ["--gamma-sweep", "1,2"]], ids=["paired", "sweep"])
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_seed_count_below_one_is_validation_error(self, sweep, seeds, capsys):

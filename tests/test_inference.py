@@ -301,6 +301,42 @@ class TestExpectedFreeEnergy:
         )
         assert shared == alone
 
+    def test_partly_shared_reliabilities_match_oracle_and_each_policy_alone(
+        self, space, monkeypatch
+    ):
+        # chunks 1 and 2 share a reliability and so their reads share cue
+        # channels; chunks 3 and 4 each have their own
+        rollouts = []
+
+        class Watched(inference._Rollout):
+            def __init__(self, *args):
+                super().__init__(*args)
+                rollouts.append(self)
+
+        models = ReadingEvidenceModel.with_defaults(
+            space, overrides={1: 0.8, 2: 0.8, 3: 0.7, 4: 0.9}
+        )
+        cfg = large_context_planner_config()
+        start = initial_agent_state(space, cfg).cognitive
+        policies = enumerate_policies(start, space, 3, cfg)
+        kwargs = dict(w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset())
+        monkeypatch.setattr(inference, "_Rollout", Watched)
+        shared = score_policies(space.prior, policies, models, cfg.prefs, **kwargs)
+        (rollout,) = rollouts
+        kinds = [rollout.actions[key % rollout.n_actions][0] for key in rollout.nodes]
+        assert {r for _, r in rollout.channels} == {0.7, 0.8, 0.9}
+        assert len(rollout.channels) < kinds.count(env.FIXATE_SOURCE)
+        alone = tuple(
+            expected_free_energy(space.prior, policy, models, cfg.prefs, **kwargs)
+            for policy in policies
+        )
+        assert shared == alone
+        for policy, dec in zip(policies, shared):
+            oe, op = oracle_efe(space.prior, policy, models, cfg.prefs, frozenset())
+            assert abs(dec.epistemic - oe) <= 1e-9
+            assert abs(dec.pragmatic - op) <= 1e-9
+            assert abs(dec.total - (-(cfg.w_e * oe) - (cfg.w_p * op))) <= 1e-9
+
     def test_tables_are_freed_on_return_without_the_cycle_collector(self, space, models, monkeypatch):
         # reference counting alone frees a decision's tables: nothing in them
         # refers back to the instance
