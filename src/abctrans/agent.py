@@ -21,6 +21,7 @@ from . import environment as env
 from .inference import (
     ContradictionError,
     EFEDecomposition,
+    Policies,
     PreferenceVector,
     bayes_update,
     expected_free_energy,  # unused here; perfbench/run.py wraps agent.expected_free_energy
@@ -242,26 +243,35 @@ def enumerate_policies(
     horizon: int,
     cfg: AgentConfig,
     last_was_pause: bool = False,
-) -> list[tuple[env.Action, ...]]:
+) -> Policies:
     """All admissible action sequences up to the horizon, capped and ordered.
 
     Admissibility (``_next_actions``) is simulated along each candidate
-    prefix. Returns [] only when the translation is already complete.
+    prefix, depth first. The result is one Policies table, each row padded
+    to the horizon; it is empty only when the translation is already
+    complete. The first cfg.max_policies sequences are kept, and truncated
+    says whether the cap cut any.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    out: list[tuple[env.Action, ...]] = []
+    rows: list[int] = []  # the policies' action ids, end to end, each padded to the horizon
+    n_rows = 0
+    pad = [-1] * horizon
+    actions: list[env.Action] = []
+    # Enumeration shares one Action per (kind, chunk, slot), so its identity
+    # is a key that costs no generated __hash__.
+    action_ids: dict[int, int] = {}
     order_pos = {c: i for i, c in enumerate(space.table.source_order)}
+    truncated = False
 
     def expand(prefix, read, buffer, live, paused):
-        if len(out) >= cfg.max_policies:
-            return
+        nonlocal n_rows, truncated
         acts = _next_actions(space, read, buffer, live, paused)
         # Within a consecutive run of reads, chunks are taken in source
         # order: read permutations are outcome-equivalent, so one
         # representative per read set suffices.
-        if prefix and prefix[-1].kind == env.FIXATE_SOURCE:
-            min_pos = order_pos[prefix[-1].chunk_id]
+        if prefix and actions[prefix[-1]].kind == env.FIXATE_SOURCE:
+            min_pos = order_pos[actions[prefix[-1]].chunk_id]
             acts = [
                 (a, survivors)
                 for a, survivors in acts
@@ -269,30 +279,40 @@ def enumerate_policies(
             ]
         if not acts:
             if prefix:
-                out.append(tuple(prefix))
+                rows.extend(prefix)
+                rows.extend(pad[len(prefix):])
+                n_rows += 1
             return
         for action, survivors in acts:
-            if len(out) >= cfg.max_policies:
+            if n_rows >= cfg.max_policies:
+                truncated = True
                 return
+            aid = action_ids.get(id(action))
+            if aid is None:
+                aid = action_ids[id(action)] = len(actions)
+                actions.append(action)
             nxt_read, nxt_buffer = read, buffer
             if action.kind == env.FIXATE_SOURCE:
                 nxt_read = read | {action.chunk_id}
             elif action.kind == env.TYPE:
                 nxt_buffer = buffer | {action.slot: action.chunk_id}
-            prefix.append(action)
+            prefix.append(aid)
             if len(prefix) == horizon:
-                out.append(tuple(prefix))
+                rows.extend(prefix)
+                n_rows += 1
             else:
                 expand(prefix, nxt_read, nxt_buffer, survivors, action.kind == env.PAUSE)
             prefix.pop()
 
     expand([], cognitive.read_set, cognitive.placed_map(), _live(cognitive.belief), last_was_pause)
-    return out
+    ids = np.array(rows, dtype=np.int32)
+    ids.shape = (n_rows, horizon)  # in place: a reshaped view would hold a second array
+    return Policies(actions, ids, truncated)
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    policies: tuple[tuple[env.Action, ...], ...]
+    policies: Policies
     efes: tuple[EFEDecomposition, ...]
     posterior: Categorical
     choice_index: int
@@ -321,7 +341,7 @@ def _scored_policies(
     horizon: int,
     last_was_pause: bool,
     zeta: float,
-) -> tuple[tuple[tuple[env.Action, ...], ...], tuple[EFEDecomposition, ...], np.ndarray]:
+) -> tuple[Policies, tuple[EFEDecomposition, ...], np.ndarray]:
     """Every admissible policy with its EFE and the read-only array of EFE totals.
 
     A pure function of exactly what enumeration and scoring read, memoised
@@ -330,7 +350,7 @@ def _scored_policies(
     """
     # Enumeration reads the working belief, never the evidence belief.
     cognitive = CognitiveState(belief, belief, placed, read_set)
-    policies = tuple(enumerate_policies(cognitive, models.space, horizon, cfg, last_was_pause))
+    policies = enumerate_policies(cognitive, models.space, horizon, cfg, last_was_pause)
     efes = score_policies(
         belief, policies, models, cfg.prefs,
         w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read_set, zeta=zeta,

@@ -348,29 +348,33 @@ def _export_svg(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]
 
 DEFAULT_COLUMN_MAP = {"time": "time_ms", "kind": "event_kind", "target": "chunk_or_slot"}
 
-_KNOWN_KINDS = (
-    env.FIXATE_SOURCE,
-    env.FIXATE_TARGET,
-    env.TYPE,
-    env.DELETE,
-    env.PAUSE,
-    env.CONSULT,
-)
+# The target form each kind takes in a TSV (README's schema), as ingest names it.
+_TARGET_FORMS = {
+    env.FIXATE_SOURCE: "<chunk>",
+    env.FIXATE_TARGET: "@<slot> or <slot>",
+    env.TYPE: "<chunk>@<slot>",
+    env.DELETE: "@<slot> or <slot>",
+    env.PAUSE: "empty",
+    env.CONSULT: "empty",
+}
 
 
 def _parse_target(value: str, kind: str, row: int) -> tuple[int | None, int | None]:
+    """(chunk, slot) of one target field, which must take its kind's form."""
     value = value.strip()
-    if not value:
-        return None, None
-    try:
-        if "@" in value:
-            chunk_part, slot_part = value.split("@", 1)
-            chunk = int(chunk_part) if chunk_part else None
-            slot = int(slot_part) if slot_part else None
-            return chunk, slot
-        return int(value), None
+    chunk, at, slot = value.partition("@")
+    try:  # int("") raises, so an empty part is an error too
+        if kind == env.FIXATE_SOURCE and not at:
+            return int(value), None
+        if kind == env.TYPE:
+            return int(chunk), int(slot)
+        if kind in (env.FIXATE_TARGET, env.DELETE) and not (at and chunk):
+            return None, int(slot if at else chunk)
+        if kind in (env.PAUSE, env.CONSULT) and not value:
+            return None, None
     except ValueError:
-        raise IngestError(row, f"cannot parse target field {value!r} for {kind}")
+        pass
+    raise IngestError(row, f"{kind} target must be {_TARGET_FORMS[kind]}, got {value!r}")
 
 
 def ingest_tsv(data: bytes, column_map: dict[str, str] | None = None) -> Trace:
@@ -405,14 +409,9 @@ def ingest_tsv(data: bytes, column_map: dict[str, str] | None = None) -> Trace:
         if not math.isfinite(t):
             raise IngestError(row_no, f"time must be finite, got {cells[idx['time']]!r}")
         kind = cells[idx["kind"]].strip()
-        if kind not in _KNOWN_KINDS:
+        if kind not in _TARGET_FORMS:
             raise IngestError(row_no, f"unknown event kind {kind!r}")
         chunk, slot = _parse_target(cells[idx["target"]], kind, row_no)
-        if kind == env.TYPE and (chunk is None or slot is None):
-            target = cells[idx["target"]].strip()
-            raise IngestError(row_no, f"type target must be <chunk>@<slot>, got {target!r}")
-        if kind in (env.FIXATE_TARGET, env.DELETE) and chunk is not None and slot is None:
-            chunk, slot = None, chunk  # bare number names a slot for these kinds
         raw.append((t, kind, chunk, slot))
 
     events = []

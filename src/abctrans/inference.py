@@ -8,14 +8,14 @@ rollout) but no expected information gain. The pragmatic term scores a typed
 placement by the PreferenceVector, a read by -READ_COST and a pause by
 -PAUSE_COST; the rollout's node is the one place that computes it.
 
-score_policies scores all policies of a decision over memoised tables keyed
-by small integers (interned beliefs, policy suffixes, read bitmasks): a read
-channel is built once per belief and reliability, with all its cue branches
-in one array op, and the value of a suffix once per belief and read set. Each
-policy's terms are summed as expected_free_energy sums them for that policy
-alone, so totals are bitwise equal either way. posteriors is the one
-conditioning rule, over a 2-D likelihood with one row per observation;
-bayes_update is its one-row case.
+score_policies scores a decision's policies as rows of action ids (a
+Policies table), level by level: the rows that reach a policy's next action
+become the next level, one child row per cue branch of a read or per typed
+restriction, and each (belief, action) node is built once over the whole
+walk. Each row sums its node's terms and its children's in the order and
+rounding of scoring that policy alone, so totals are bitwise equal either
+way. posteriors is the one conditioning rule, over a 2-D likelihood with one
+row per observation; bayes_update is its one-row case.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ PROB_FLOOR = 1e-300
 # Fixed action costs of the pragmatic term.
 READ_COST = 0.0
 PAUSE_COST = 0.1
+
+# Policies walked at once: bounds the rows a decision holds (about 30 per
+# policy on the bundled opening) without adding much per-walk overhead.
+POLICIES_PER_WALK = 512
 
 
 class ContradictionError(RuntimeError):
@@ -158,67 +162,98 @@ def _typed_value(probs, fits, prefs: PreferenceVector) -> float:
     return value
 
 
-class _Rollout:
-    """The tables of one score_policies call, keyed by small integers.
+class Policies:
+    """A decision's policies as one table: distinct actions plus a matrix of their ids.
 
-    Beliefs are interned by probability tuple (with their entropy), policy
-    suffixes by (first action, rest) in a trie, read sets become bitmasks. A
-    node, one action from one belief, is built once; so is the value of a
-    suffix of two or more actions per (belief, suffix, the read bits it
-    depends on). A read's cue channel is built once per (belief, reliability):
-    the evidence model builds every chunk's table from its reliability alone,
-    so chunks of equal reliability have bitwise-equal channels. Each value is
-    the float the plain recursion computes, so totals do not depend on what
-    the tables hold. Nothing refers back to the instance, so the tables are
-    freed when score_policies returns.
+    Row i of ids holds policy i's action ids, padded with -1 past its end.
+    Action tuples are built only when a caller indexes or iterates, and the
+    last one indexed is kept: a memoised decision hands the same table to
+    every repeat, which then picks the same policy again. A slice is another
+    Policies. truncated is true when enumeration's max_policies cut the list.
     """
 
-    def __init__(self, models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float, policies):
-        self.prefs, self.zeta = prefs, zeta
-        self.bits = {cid: 1 << i for i, cid in enumerate(sorted(models.space.table.chunk_ids))}
-        self.belief_ids: dict = {}
-        self.beliefs: list = []  # belief id -> (probability tuple, entropy)
-        action_ids: dict = {}
-        self.actions: list = []  # action id -> (kind, unread bit, read bit, what its node reads)
-        suffix_ids: dict = {}
-        self.suffixes: list = []  # suffix id -> (action id, rest id or -1, read bits it depends on)
-        self.policies = []  # suffix id of each policy
+    __slots__ = ("actions", "ids", "truncated", "_last")
+
+    def __init__(self, actions, ids: np.ndarray, truncated: bool = False):
+        self.actions = tuple(actions)
+        self.ids = ids
+        self.ids.flags.writeable = False  # the selection memo shares it
+        self.truncated = truncated
+        self._last = (None, None)  # (index, its Action tuple)
+
+    @classmethod
+    def of(cls, policies) -> Policies:
+        """Policies of plain action sequences, one id per distinct action."""
+        if isinstance(policies, cls):
+            return policies
+        ids: dict = {}
+        rows = []
         for policy in policies:
             if not policy:
                 raise ValueError("policy must contain at least one action")
-            sid = -1
-            for action in reversed(policy):
-                # The action's fields, not the Action: its generated __hash__
-                # and __eq__ would run in Python.
-                fields = (action.kind, action.chunk_id, action.slot)
-                aid = action_ids.setdefault(fields, len(self.actions))
-                if aid == len(self.actions):
-                    self.actions.append(self.action(models, *fields))
-                rest, sid = sid, suffix_ids.setdefault((aid, sid), len(self.suffixes))
-                if sid == len(self.suffixes):
-                    depends = self.suffixes[rest][2] if rest >= 0 else 0
-                    self.suffixes.append((aid, rest, depends | self.actions[aid][1]))
-            self.policies.append(sid)
-        self.n_actions, self.n_suffixes, self.n_bits = len(self.actions), len(self.suffixes), len(self.bits)
+            rows.append([ids.setdefault(action, len(ids)) for action in policy])
+        width = max(map(len, rows), default=1)
+        matrix = np.array([row + [-1] * (width - len(row)) for row in rows], dtype=np.int32)
+        return cls(ids, matrix.reshape(len(rows), width))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Policies(self.actions, self.ids[index], self.truncated)
+        if self._last[0] != index:
+            self._last = index, tuple(self.actions[a] for a in self.ids[index].tolist() if a >= 0)
+        return self._last[1]
+
+    def __iter__(self):
+        for row in self.ids.tolist():
+            yield tuple(self.actions[a] for a in row if a >= 0)
+
+
+class _Rollout:
+    """The tables of one score_policies call, keyed by small integers.
+
+    Action ids are those of the Policies table, and beliefs are interned by
+    probability tuple (with their entropy). A node, one action from one
+    belief, is built once, keyed belief id * n_actions + action id; a typed
+    placement's restriction is built only when some policy continues past
+    it. A read's cue channel is built once per (belief, reliability): the
+    evidence model builds every chunk's table from its reliability alone,
+    so chunks of equal reliability have bitwise-equal channels. walk scores
+    the policies over these nodes. Nothing refers back to the instance, so
+    the tables are freed when score_policies returns.
+    """
+
+    def __init__(self, models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float,
+                 policies: Policies, read_chunks):
+        self.prefs, self.zeta = prefs, zeta
+        self.belief_ids: dict = {}
+        self.beliefs: list = []  # belief id -> (probability tuple, entropy)
+        self.actions = [self.action(models, a, read_chunks) for a in policies.actions]
+        self.n_actions = len(self.actions)
         self.channels: dict = {}  # (belief id, reliability) -> (information gain, cue branches)
         self.nodes: dict = {}  # belief id * n_actions + action id -> node
-        self.values: dict = {}  # packed (belief id, suffix id, read bits) -> (epistemic, pragmatic)
+        self.rows = 0  # rows the walk visited, over all levels
 
-    def action(self, models: ReadingEvidenceModel, kind: str, chunk, slot) -> tuple:
-        """(kind, unread bit, read bit, what its node reads) of one distinct action.
+    @staticmethod
+    def action(models: ReadingEvidenceModel, action: env.Action, read_chunks) -> tuple:
+        """(kind, what its node reads, chunk, whether it types an unread content chunk).
 
         A read's node reads its (reliability, likelihood table); a placement's
         reads its placement row, as a list and as a one-row likelihood.
+        read_chunks None counts every chunk as read.
         """
+        kind, chunk = action.kind, action.chunk_id
         if kind == env.FIXATE_SOURCE:
-            table = models.likelihood_table(chunk)
-            return kind, 0, self.bits[chunk], (dict(models.reliabilities)[chunk], table)
+            return kind, (dict(models.reliabilities)[chunk], models.likelihood_table(chunk)), chunk, False
         if kind == env.TYPE:
+            row = placement_row(models.space, chunk, action.slot)
             content = models.space.table.chunk(chunk).kind == CONTENT
-            row = placement_row(models.space, chunk, slot)
-            return kind, self.bits[chunk] if content else 0, 0, (row.tolist(), row[None, :])
+            unread = content and read_chunks is not None and chunk not in read_chunks
+            return kind, (row.tolist(), row[None, :]), chunk, unread
         if kind == env.PAUSE:
-            return kind, 0, 0, None
+            return kind, None, chunk, False
         raise ValueError(f"unknown action kind {kind!r}")
 
     def belief(self, probs: tuple) -> int:
@@ -228,27 +263,28 @@ class _Rollout:
         return bid
 
     def node(self, bid: int, aid: int) -> list:
-        """[epistemic, pragmatic, unread bit, read bit, branches] of one action from one belief.
+        """[epistemic, pragmatic, branches] of one action from one belief.
 
-        A read's cue branches come from its (belief, reliability) channel; a
-        typed placement's branches stay None until some policy continues
-        past it.
+        Branches are (weights, belief ids), in branch order. A read's come
+        from its (belief, reliability) channel; a typed placement's stay None
+        until some policy continues past it.
         """
-        kind, unread, read_bit, inputs = self.actions[aid]
+        kind, inputs, _, _ = self.actions[aid]
         probs, entropy = self.beliefs[bid]
         if kind == env.FIXATE_SOURCE:
             reliability, table = inputs
             channel = self.channels.get((bid, reliability))
             if channel is None:
                 cues = _read_branches(np.array(probs), table, self.zeta)
-                branches = [(w, self.belief(tuple(post))) for w, post in cues]
-                gain = _information_gain(entropy, [(w, self.beliefs[b][1]) for w, b in branches])
-                channel = self.channels[bid, reliability] = gain, branches
-            node = [channel[0], -READ_COST, 0, read_bit, channel[1]]
+                weights = tuple(w for w, _ in cues)
+                beliefs = tuple(self.belief(tuple(post)) for _, post in cues)
+                gain = _information_gain(entropy, [(w, self.beliefs[b][1]) for w, b in zip(weights, beliefs)])
+                channel = self.channels[bid, reliability] = gain, (weights, beliefs)
+            node = [channel[0], -READ_COST, channel[1]]
         elif kind == env.TYPE:
-            node = [0.0, _typed_value(probs, inputs[0], self.prefs), unread, 0, None]
+            node = [0.0, _typed_value(probs, inputs[0], self.prefs), None]
         else:
-            node = [0.0, -PAUSE_COST, 0, 0, ((1.0, bid),)]
+            node = [0.0, -PAUSE_COST, ((1.0,), (bid,))]
         self.nodes[bid * self.n_actions + aid] = node
         return node
 
@@ -259,34 +295,171 @@ class _Rollout:
         penalty already scored it.
         """
         try:
-            (post,) = posteriors(np.array(self.beliefs[bid][0]), self.actions[aid][3][1]).tolist()
+            (post,) = posteriors(np.array(self.beliefs[bid][0]), self.actions[aid][1][1]).tolist()
         except ContradictionError:
-            return ((1.0, bid),)
-        return ((1.0, self.belief(tuple(post))),)
+            return (1.0,), (bid,)
+        return (1.0,), (self.belief(tuple(post)),)
 
-    def value(self, bid: int, sid: int, mask: int) -> tuple[float, float]:
-        """Epistemic and pragmatic value of suffix sid from belief bid, given read mask."""
-        aid, rest, depends = self.suffixes[sid]
-        if rest >= 0:
-            key = (bid * self.n_suffixes + sid) << self.n_bits | mask & depends
-            hit = self.values.get(key)
-            if hit is not None:
-                return hit
-        node = self.nodes.get(bid * self.n_actions + aid) or self.node(bid, aid)
-        epistemic, pragmatic, unread, read_bit, branches = node
-        if unread & ~mask:
-            pragmatic -= self.prefs.unread_cost
-        if rest < 0:
+    def unread(self, columns: np.ndarray) -> np.ndarray | None:
+        """Per entry of columns (the policies' ids, one row per column): whether it pays the unread cost.
+
+        An action pays it when it types a content chunk that was neither
+        read before the policies start nor by an earlier action of the same
+        policy, whichever branch the row took. None when no action can pay.
+        """
+        chunks: dict = {}  # chunk id -> small int; -1 and -2 match nothing
+        typed, read = [-1] * (self.n_actions + 1), [-2] * (self.n_actions + 1)
+        for aid, (kind, _, chunk, unread) in enumerate(self.actions):
+            if unread:
+                typed[aid] = chunks.setdefault(chunk, len(chunks))
+            elif kind == env.FIXATE_SOURCE:
+                read[aid] = chunks.setdefault(chunk, len(chunks))
+        if max(typed) < 0:
+            return None
+        # The -1 pad indexes the last entry, which is its own.
+        typed_at = np.array(typed, dtype=np.int32)[columns]
+        read_at = np.array(read, dtype=np.int32)[columns]
+        pays = typed_at >= 0
+        for d in range(1, len(columns)):
+            pays[d] &= ~(read_at[:d] == typed_at[d]).any(axis=0)
+        return pays
+
+    def walk(self, root: int, ids: np.ndarray):
+        """(epistemic, pragmatic) of every policy, a row of action ids, from belief root.
+
+        Level d has one row per (policy, branch path) that reaches the
+        policy's action d; level 0 is the policies. A row whose policy goes
+        on has one child row per branch of its node, laid out by branch
+        position k. Bottom-up, each row takes its node's terms, less the
+        unread cost where it pays it, then adds w_k * child for k in branch
+        order, one elementwise multiply and add at a time: the order and
+        rounding of scoring each policy alone, so every value is bitwise the
+        same. Policies are walked POLICIES_PER_WALK at a time over the same
+        nodes, which bounds the rows held at once.
+        """
+        n, width = ids.shape
+        na = self.n_actions
+        if width == 1:
+            # One action per policy: the rows are the policies, and these
+            # small decisions skip the array set-up.
+            self.rows += n
+            values = []
+            for aid in ids[:, 0].tolist():
+                epistemic, pragmatic, _ = self.nodes.get(root * na + aid) or self.node(root, aid)
+                if self.actions[aid][3]:
+                    pragmatic -= self.prefs.unread_cost
+                values.append((epistemic, pragmatic))
+            return values
+        # One contiguous array per column: a level's gather is a 1-D take.
+        columns = ids.T.copy()
+        pays = self.unread(columns)
+        # A node's position in the walk's arrays: its terms, and its branches
+        # (count and offset into weights/beliefs) once some row continues
+        # past it. index[key] is the position, -1 before the first visit.
+        index = np.full(0, -1, dtype=np.int32)
+        keys = []  # position -> node key
+        node_e, node_p = np.empty(0), np.empty(0)
+        n_branches, offsets = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+        weights, beliefs = np.empty(0), np.empty(0, dtype=np.int32)  # every branch laid out
+
+        def positions(pol, bel, d):
+            """Node positions of rows at policy column d, and the rows that pay the unread cost."""
+            nonlocal index, node_e, node_p, n_branches, offsets
+            self.rows += len(pol)
+            if len(index) < len(self.beliefs) * na:
+                grow = np.full(len(self.beliefs) * na - len(index), -1, dtype=np.int32)
+                index = np.concatenate([index, grow])
+            at = bel * na + columns[d][pol]
+            pos = index[at]
+            new = pos < 0
+            if new.any():
+                index[at[new]] = -2
+                fresh = np.flatnonzero(index == -2)
+                index[fresh] = np.arange(len(keys), len(keys) + len(fresh), dtype=np.int32)
+                nodes = [self.node(*divmod(key, na)) for key in fresh.tolist()]
+                keys.extend(fresh.tolist())
+                node_e = np.concatenate([node_e, [node[0] for node in nodes]])
+                node_p = np.concatenate([node_p, [node[1] for node in nodes]])
+                n_branches = np.concatenate([n_branches, np.zeros(len(nodes), dtype=np.int32)])
+                offsets = np.concatenate([offsets, np.zeros(len(nodes), dtype=np.int32)])
+                pos = index[at]
+            return pos, None if pays is None else pays[d][pol]
+
+        def terms(pos, paid):
+            """(epistemic, pragmatic) of rows at node positions pos, less the unread cost where paid."""
+            epistemic, pragmatic = node_e[pos], node_p[pos]
+            if paid is not None:
+                pragmatic[paid] -= self.prefs.unread_cost
             return epistemic, pragmatic
-        if branches is None:
-            branches = node[4] = self.restricted(bid, aid)
-        mask |= read_bit
-        for weight, post in branches:
-            e_next, p_next = self.value(post, rest, mask)
-            epistemic += weight * e_next
-            pragmatic += weight * p_next
-        self.values[key] = epistemic, pragmatic
-        return epistemic, pragmatic
+
+        def branches(pos):
+            """Branch count and offset of the nodes at pos, laid out on first need."""
+            nonlocal weights, beliefs
+            counts = n_branches[pos]
+            if not counts.all():
+                lack = np.zeros(len(keys), dtype=bool)
+                lack[pos[counts == 0]] = True
+                lack = np.flatnonzero(lack)
+                sizes, new_w, new_b = [], [], []
+                for i in lack.tolist():
+                    node = self.nodes[keys[i]]
+                    if node[2] is None:
+                        node[2] = self.restricted(*divmod(keys[i], na))
+                    ws, bs = node[2]
+                    sizes.append(len(ws))
+                    new_w.extend(ws)
+                    new_b.extend(bs)
+                n_branches[lack] = sizes
+                offsets[lack] = np.cumsum(sizes) - sizes + len(weights)
+                weights = np.concatenate([weights, new_w])
+                beliefs = np.concatenate([beliefs, np.array(new_b, dtype=np.int32)])
+                counts = n_branches[pos]
+            return counts, offsets[pos]
+
+        def scored(pol):
+            """(epistemic, pragmatic) of each of the policies pol."""
+            bel = np.full(len(pol), root, dtype=np.int32)
+            # Per level: node positions, rows paying the unread cost, parent
+            # rows, children per branch position, and the children's branches.
+            # Terms are looked up again on the way back up, so a level holds
+            # no floats.
+            levels = []
+            for d in range(width):
+                pos, paid = positions(pol, bel, d)
+                parents = np.flatnonzero(columns[d + 1][pol] >= 0) if d + 1 < width else ()
+                if not len(parents):
+                    break
+                n_children, first = branches(pos[parents])
+                # Parents with most children first: the parents of the k-th
+                # children are a prefix, m[k] long, and the children are laid
+                # out k by k.
+                order = np.argsort(-n_children, kind="stable")
+                parents, n_children, first = parents[order].astype(np.int32), n_children[order], first[order]
+                m = np.bincount(n_children)[::-1].cumsum()[::-1][1:]
+                k = np.repeat(np.arange(len(m), dtype=np.int32), m)
+                i = np.arange(len(k), dtype=np.int32) - np.repeat((np.cumsum(m) - m).astype(np.int32), m)
+                branch = first[i] + k
+                levels.append((pos, paid, parents, m.tolist(), branch))
+                pol, bel = pol[parents[i]], beliefs[branch]
+            del pol, bel
+            epistemic, pragmatic = terms(pos, paid)
+            while levels:
+                pos, paid, parents, m, branch = levels.pop()
+                above_e, above_p = terms(pos, paid)
+                weight = weights[branch]
+                start = 0
+                for size in m:
+                    rows, w, stop = parents[:size], weight[start:start + size], start + size
+                    above_e[rows] += w * epistemic[start:stop]
+                    above_p[rows] += w * pragmatic[start:stop]
+                    start = stop
+                epistemic, pragmatic = above_e, above_p
+            return zip(epistemic.tolist(), pragmatic.tolist())
+
+        values = []
+        for start in range(0, n, POLICIES_PER_WALK):
+            values += scored(np.arange(start, min(start + POLICIES_PER_WALK, n), dtype=np.int32))
+        return values
 
 
 def score_policies(
@@ -301,23 +474,20 @@ def score_policies(
 ) -> tuple[EFEDecomposition, ...]:
     """Expected free energy of each policy of one decision, in order.
 
-    Each policy's belief is rolled forward through every predicted
-    observation branch: reads branch over cues, typed placements restrict the
-    belief to consistent orderings. All policies share one set of tables
-    (see _Rollout), dropped on return. read_chunks marks source chunks
-    already fixated before the policies start (defaults to all, so unread
-    costs never apply).
+    policies is a Policies or any sequence of action sequences. Each
+    policy's belief is rolled forward through every predicted observation
+    branch: reads branch over cues, typed placements restrict the belief to
+    consistent orderings. All policies share one set of nodes (see
+    _Rollout), dropped on return. read_chunks marks source chunks already
+    fixated before the policies start (defaults to all, so unread costs
+    never apply).
     """
-    rollout = _Rollout(models, prefs, zeta, policies)
-    bits = rollout.bits
-    mask = sum(bits.values() if read_chunks is None else (bits.get(c, 0) for c in read_chunks))
-    root = rollout.belief(belief.probs)
-    efes = []
-    for sid in rollout.policies:
-        epistemic, pragmatic = rollout.value(root, sid, mask)
-        total = -(w_e * epistemic) - (w_p * pragmatic)
-        efes.append(EFEDecomposition(epistemic=epistemic, pragmatic=pragmatic, total=total))
-    return tuple(efes)
+    policies = Policies.of(policies)
+    if not policies:
+        return ()
+    rollout = _Rollout(models, prefs, zeta, policies, read_chunks)
+    values = rollout.walk(rollout.belief(belief.probs), policies.ids)
+    return tuple(EFEDecomposition(e, p, -(w_e * e) - (w_p * p)) for e, p in values)
 
 
 def expected_free_energy(

@@ -24,6 +24,7 @@ from abctrans.inference import PreferenceVector, bayes_update, expected_free_ene
 from abctrans.task import Categorical, ReadingEvidenceModel
 
 from conftest import render_of
+from gentask import generated_space
 
 
 def agent_after_cue(space, models, cfg, cue: str, chunk: int = 1):
@@ -125,7 +126,7 @@ class TestEnumeratePolicies:
             placed=placed,
             read_set=frozenset({1, 2, 3, 4}),
         )
-        assert enumerate_policies(cognitive, space, 1, head_starter_config()) == []
+        assert len(enumerate_policies(cognitive, space, 1, head_starter_config())) == 0
 
     def test_start_state_contains_read_and_type(self, space, models):
         cfg = head_starter_config()
@@ -165,6 +166,22 @@ class TestEnumeratePolicies:
         cfg = large_context_planner_config(max_policies=16)
         agent = initial_agent_state(space, cfg)
         assert len(enumerate_policies(agent.cognitive, space, 4, cfg)) <= 16
+
+    def test_truncation_is_reported(self, space):
+        # The bundled opening (1,206 policies) stays under the cap. A
+        # generated task with 5 content chunks and 6 orderings has 9,068
+        # admissible horizon-5 policies; depth-first order fills the 4,096
+        # kept with policies that open with a read.
+        cfg = large_context_planner_config()
+        bundled = enumerate_policies(initial_agent_state(space, cfg).cognitive, space, 4, cfg)
+        assert (len(bundled), bundled.truncated) == (1206, False)
+        big = generated_space(5, 6, 1)
+        capped = enumerate_policies(initial_agent_state(big, cfg).cognitive, big, 5, cfg)
+        assert (len(capped), capped.truncated) == (cfg.max_policies, True)
+        assert {policy[0].kind for policy in capped} == {env.FIXATE_SOURCE}
+        uncapped_cfg = large_context_planner_config(max_policies=9068)
+        uncapped = enumerate_policies(initial_agent_state(big, cfg).cognitive, big, 5, uncapped_cfg)
+        assert (len(uncapped), uncapped.truncated) == (9068, False)
 
 
 class TestSelectPolicy:
@@ -247,12 +264,11 @@ class TestSelectPolicy:
     def test_cold_planner_opening_expands_each_belief_node_once(self, space, models, monkeypatch):
         # Scoring the 1,206 opening policies builds each table entry once: a
         # read node per (belief, chunk) over a cue channel per (belief,
-        # reliability), a typed value per (belief, chunk, slot), a
-        # restriction per typed node some policy continues past, and a value
-        # per (belief, suffix of 2+ actions, read bits). The four source
-        # chunks share one reliability, so the 516 read nodes need only 260
-        # channels, one per belief they start from. Walking every policy
-        # from the root would enter 36,679 nodes.
+        # reliability), a typed value per (belief, chunk, slot), and a
+        # restriction per typed node some policy continues past. The four
+        # source chunks share one reliability, so the 516 read nodes need
+        # only 260 channels, one per belief they start from. The walk visits
+        # every policy's every branch path: 36,679 rows over all levels.
         tables = []
 
         class Once(dict):
@@ -263,7 +279,7 @@ class TestSelectPolicy:
         class Counted(inference._Rollout):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.nodes, self.values = Once(), Once()
+                self.nodes = Once()
                 tables.append(self)
 
         counts = {"channels": 0, "restrictions": 0}
@@ -287,7 +303,7 @@ class TestSelectPolicy:
         assert counts == {"channels": 260, "restrictions": 149}
         assert len(rollout.channels) == 260
         assert (kinds.count(env.FIXATE_SOURCE), kinds.count(env.TYPE)) == (516, 769)
-        assert len(rollout.values) == 7483
+        assert rollout.rows == 36679
 
 
 class TestStep:

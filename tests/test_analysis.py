@@ -387,6 +387,64 @@ class TestExportAndIngest:
         with pytest.raises(IngestError, match="row 3: type target must be <chunk>@<slot>"):
             ingest_tsv(data)
 
+    @pytest.mark.parametrize(
+        "kind, target",
+        [
+            (env.FIXATE_SOURCE, "1@2"),
+            (env.FIXATE_SOURCE, "@2"),
+            (env.FIXATE_SOURCE, ""),
+            (env.DELETE, "3@2"),
+            (env.FIXATE_TARGET, "3@2"),
+            (env.DELETE, ""),
+            (env.PAUSE, "5"),
+            (env.CONSULT, "@1"),
+        ],
+    )
+    def test_target_outside_its_kinds_form_reports_row(self, kind, target):
+        # each kind takes one form: <chunk>, <chunk>@<slot>, @<slot> or a
+        # bare <slot>, or nothing; the rest would not survive an export
+        rows = [("0", env.FIXATE_SOURCE, "1"), ("200", kind, target)]
+        data = (
+            "\t".join(TSV_COLUMNS)
+            + "\n"
+            + "\n".join("\t".join([t, k, tgt, "", "0", "", ""]) for t, k, tgt in rows)
+            + "\n"
+        ).encode()
+        with pytest.raises(IngestError, match=f"row 3: {kind} target must be"):
+            ingest_tsv(data)
+
+    def test_ingest_export_ingest_keeps_kinds_and_targets(self):
+        rows = [
+            ("0", env.FIXATE_SOURCE, "1"),
+            ("200", env.CONSULT, ""),
+            ("900", env.TYPE, "1@1"),
+            ("1000", env.FIXATE_TARGET, "@1"),
+            ("1100", env.FIXATE_TARGET, "2"),
+            ("1300", env.PAUSE, ""),
+            ("2300", env.DELETE, "1"),
+            ("2400", env.DELETE, "@2"),
+            ("2500", env.TYPE, "3@1"),
+        ]
+        data = (
+            "\t".join(TSV_COLUMNS)
+            + "\n"
+            + "\n".join("\t".join([t, k, tgt, "", "0", "", ""]) for t, k, tgt in rows)
+            + "\n"
+        ).encode()
+        first = ingest_tsv(data)
+        segs = segment_ohrf(first)
+        again = ingest_tsv(export_progression(first, segs, group_policies(segs), "tsv"))
+        targets = [(e.kind, e.chunk_id, e.slot) for e in first.events]
+        assert {kind for kind, _, _ in targets} == {
+            env.FIXATE_SOURCE, env.FIXATE_TARGET, env.TYPE, env.DELETE, env.PAUSE, env.CONSULT,
+        }
+        assert targets == [
+            (env.FIXATE_SOURCE, 1, None), (env.CONSULT, None, None), (env.TYPE, 1, 1),
+            (env.FIXATE_TARGET, None, 1), (env.FIXATE_TARGET, None, 2), (env.PAUSE, None, None),
+            (env.DELETE, None, 1), (env.DELETE, None, 2), (env.TYPE, 3, 1),
+        ]
+        assert [(e.kind, e.chunk_id, e.slot) for e in again.events] == targets
+
     def test_custom_column_map(self):
         data = "t\tk\twhat\n0\tfixate_source\t1\n100\ttype\t1@1\n".encode()
         tr = ingest_tsv(data, {"time": "t", "kind": "k", "target": "what"})

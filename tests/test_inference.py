@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abctrans import environment as env, inference
 from abctrans.agent import enumerate_policies, initial_agent_state, large_context_planner_config
@@ -21,6 +21,8 @@ from abctrans.inference import (
     shannon_entropy,
 )
 from abctrans.task import Categorical, ReadingEvidenceModel, placement_row
+
+from gentask import generated_space
 
 PREFS = PreferenceVector(progress_bonus=0.5, inconsistency_penalty=-2.0)
 
@@ -361,6 +363,47 @@ class TestExpectedFreeEnergy:
         policy = (env.fixate_source(1), env.type_chunk(1, 1))
         dec = expected_free_energy(space.prior, policy, models, PREFS, w_e=0.0, w_p=1.0)
         assert abs(dec.total - (-dec.pragmatic)) <= 1e-12
+
+
+class TestGeneratedTasks:
+    # Tasks drawn by gentask: up to 4 content chunks, up to 12 orderings
+    # (numpy sums 8 or more terms pairwise, which the bundled task's 6 never
+    # reach) and horizons up to 3. Each opening decision is scored once over
+    # all its policies, once per policy alone, and against the oracle on at
+    # most 24 evenly spaced policies.
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        k=st.integers(2, 12),
+        seed=st.integers(1, 3),
+        horizon=st.integers(1, 3),
+        content=st.sampled_from([0.8, 0.9, 0.99]),
+        zeta=st.sampled_from([1.0, 1.15]),
+    )
+    @example(n=4, k=12, seed=1, horizon=3, content=0.9, zeta=1.0)
+    @example(n=3, k=9, seed=2, horizon=3, content=0.8, zeta=1.15)
+    def test_decision_equals_each_policy_alone_and_the_oracle(self, n, k, seed, horizon, content, zeta):
+        space = generated_space(n, min(k, math.factorial(n + 1)), seed)
+        models = ReadingEvidenceModel.with_defaults(space, content=content)
+        cfg = large_context_planner_config()
+        start = initial_agent_state(space, cfg).cognitive
+        policies = enumerate_policies(start, space, horizon, cfg)
+        assert not policies.truncated
+        kwargs = dict(w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta)
+        shared = score_policies(space.prior, policies, models, cfg.prefs, **kwargs)
+        alone = tuple(
+            expected_free_energy(space.prior, policy, models, cfg.prefs, **kwargs)
+            for policy in policies
+        )
+        assert shared == alone
+        if zeta != 1.0:
+            return  # the oracle conditions on cues with zeta = 1
+        stride = max(1, len(policies) // 24)
+        for policy, dec in zip(policies[::stride], shared[::stride]):
+            oe, op = oracle_efe(space.prior, policy, models, cfg.prefs, frozenset())
+            assert abs(dec.epistemic - oe) <= 1e-9
+            assert abs(dec.pragmatic - op) <= 1e-9
+            assert abs(dec.total - (-(cfg.w_e * oe) - (cfg.w_p * op))) <= 1e-9
 
 
 class TestPolicyPosterior:
