@@ -26,7 +26,7 @@ from .inference import (
     bayes_update,
     expected_free_energy,  # unused here; perfbench/run.py wraps agent.expected_free_energy
     policy_posterior,
-    score_policies,
+    policy_scores,
     shannon_entropy,
     surprisal as surprisal_bits,
 )
@@ -351,12 +351,10 @@ def _scored_policies(
     # Enumeration reads the working belief, never the evidence belief.
     cognitive = CognitiveState(belief, belief, placed, read_set)
     policies = enumerate_policies(cognitive, models.space, horizon, cfg, last_was_pause)
-    efes = score_policies(
+    efes, totals = policy_scores(
         belief, policies, models, cfg.prefs,
         w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read_set, zeta=zeta,
     )
-    totals = np.array([e.total for e in efes], dtype=float)
-    totals.flags.writeable = False
     return policies, efes, totals
 
 

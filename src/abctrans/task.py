@@ -116,7 +116,7 @@ class Categorical:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        object.__setattr__(self, "probs", tuple(map(float, self.probs)))
         # Written as "not valid" so that NaN fails both checks.
         if not all(p >= 0.0 for p in self.probs):
             raise ValueError("probabilities must be non-negative")

@@ -50,6 +50,11 @@ class Trace:
             last_end = ev.t_end
 
     @property
+    def stop_reason(self) -> str:
+        """Why the episode ended: "complete", or "max_steps" when its step budget ran out first."""
+        return "complete" if self.complete else "max_steps"
+
+    @property
     def total_time_ms(self) -> float:
         if not self.events:
             return 0.0

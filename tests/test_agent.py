@@ -267,40 +267,39 @@ class TestSelectPolicy:
         # reliability), a typed value per (belief, chunk, slot), and a
         # restriction per typed node some policy continues past. The four
         # source chunks share one reliability, so the 516 read nodes need
-        # only 260 channels, one per belief they start from. The walk visits
-        # every policy's every branch path: 36,679 rows over all levels.
+        # only 260 channels, one per belief they start from. Each is built in
+        # the batch of the level that first needs it, so the counts are of
+        # the rows the batches built. The walk visits every policy's every
+        # branch path: 36,679 rows over all levels.
         tables = []
-
-        class Once(dict):
-            def __setitem__(self, key, value):
-                assert key not in self
-                super().__setitem__(key, value)
 
         class Counted(inference._Rollout):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.nodes = Once()
                 tables.append(self)
 
-        counts = {"channels": 0, "restrictions": 0}
+        counts = {"channels": 0, "restrictions": 0, "nodes": 0}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
+        def counted(name, fn, batch):
+            def wrapper(*args):
+                counts[name] += len(args[batch])
+                return fn(*args)
             return wrapper
 
         monkeypatch.setattr(inference, "_Rollout", Counted)
-        monkeypatch.setattr(inference, "_read_branches", counted("channels", inference._read_branches))
-        monkeypatch.setattr(Counted, "restricted", counted("restrictions", Counted.restricted))
+        monkeypatch.setattr(inference, "_read_branches", counted("channels", inference._read_branches, 0))
+        monkeypatch.setattr(inference, "_restrictions", counted("restrictions", inference._restrictions, 0))
+        monkeypatch.setattr(Counted, "build", counted("nodes", Counted.build, 2))
         monkeypatch.setattr("abctrans.agent._scored_policies", _scored_policies.__wrapped__)
         cfg = large_context_planner_config()
         agent = initial_agent_state(space, cfg)
         sel = select_policy(agent.cognitive, agent.affective, models, cfg)
         assert len(sel.policies) == 1206
         (rollout,) = tables
-        kinds = [rollout.actions[key % rollout.n_actions][0] for key in rollout.nodes]
-        assert counts == {"channels": 260, "restrictions": 149}
+        keys = rollout.keys.tolist()
+        kinds = [sel.policies.actions[key % rollout.n_actions].kind for key in keys]
+        assert len(set(keys)) == len(keys)
+        assert counts == {"channels": 260, "restrictions": 149, "nodes": len(keys)}
         assert len(rollout.channels) == 260
         assert (kinds.count(env.FIXATE_SOURCE), kinds.count(env.TYPE)) == (516, 769)
         assert rollout.rows == 36679
@@ -502,6 +501,16 @@ class TestRunEpisode:
         cfg = large_context_planner_config()
         trace = run_episode(cfg, models, latent="TT3", seed=0, max_steps=2)
         assert not trace.complete
+
+    def test_stop_reason_names_how_the_episode_ended(self, models):
+        # derived from complete, not a field: repr(trace), and with it the
+        # golden digest, does not show it
+        cfg = large_context_planner_config()
+        done = run_episode(cfg, models, latent="TT3", seed=0)
+        cut = run_episode(cfg, models, latent="TT3", seed=0, max_steps=2)
+        assert (done.complete, done.stop_reason) == (True, "complete")
+        assert (cut.complete, cut.stop_reason) == (False, "max_steps")
+        assert "stop_reason" not in repr(done)
 
     def test_all_presets_terminate_within_four_steps_per_chunk(self, space, models):
         budget = 4 * len(space.table.chunks)

@@ -20,7 +20,7 @@ from abctrans.inference import (
     score_policies,
     shannon_entropy,
 )
-from abctrans.task import Categorical, ReadingEvidenceModel, placement_row
+from abctrans.task import Categorical, ReadingEvidenceModel, entropy_bits, placement_row
 
 from gentask import generated_space
 
@@ -68,6 +68,45 @@ def oracle_efe(belief, policy, models, prefs, read):
                 new_paths.append((w, b, r))
         paths = new_paths
     return total_e, total_p
+
+
+# The per-node rules the rollout's batches replaced, kept as oracles.
+
+
+def oracle_read_branches(b, likelihoods, zeta):
+    """One read's cue branches from one belief: (weight, posterior) per cue with mass."""
+    weights = [float(b @ row) for row in likelihoods]
+    keep = [k for k, w in enumerate(weights) if w > 0.0]
+    if len(keep) < len(weights):
+        weights = [weights[k] for k in keep]
+        likelihoods = likelihoods[keep]
+    return list(zip(weights, posteriors(b, likelihoods, zeta).tolist()))
+
+
+def oracle_typed_value(probs, fits, prefs):
+    """Belief-weighted progress bonus or inconsistency penalty of one placement."""
+    value = 0.0
+    for i, p in enumerate(probs):
+        if p == 0.0:
+            continue
+        if fits[i] > 0.0:
+            value += p * prefs.progress_bonus
+        else:
+            value += p * prefs.inconsistency_penalty
+    return value
+
+
+def oracle_restriction(b, row):
+    """One belief restricted by one placement row; None when the row contradicts it."""
+    try:
+        (post,) = posteriors(b, row[None, :]).tolist()
+    except ContradictionError:
+        return None
+    return post
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
 
 
 def all_start_actions(space):
@@ -325,7 +364,7 @@ class TestExpectedFreeEnergy:
         monkeypatch.setattr(inference, "_Rollout", Watched)
         shared = score_policies(space.prior, policies, models, cfg.prefs, **kwargs)
         (rollout,) = rollouts
-        kinds = [rollout.actions[key % rollout.n_actions][0] for key in rollout.nodes]
+        kinds = [policies.actions[key % rollout.n_actions].kind for key in rollout.keys.tolist()]
         assert {r for _, r in rollout.channels} == {0.7, 0.8, 0.9}
         assert len(rollout.channels) < kinds.count(env.FIXATE_SOURCE)
         alone = tuple(
@@ -404,6 +443,89 @@ class TestGeneratedTasks:
             assert abs(dec.epistemic - oe) <= 1e-9
             assert abs(dec.pragmatic - op) <= 1e-9
             assert abs(dec.total - (-(cfg.w_e * oe) - (cfg.w_p * op))) <= 1e-9
+
+
+class TestBatchedNodes:
+    # The rollout builds a walk level's new nodes in batches. Every read
+    # channel, typed value and restriction in its tables after scoring a
+    # generated opening equals the per-node rule above bitwise. Reliability
+    # 1.0 leaves cues without mass once a read has pinned the belief, and
+    # each decision also scores one policy that types a chunk at two slots,
+    # whose second restriction contradicts every ordering.
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        k=st.integers(2, 12),
+        seed=st.integers(1, 3),
+        content=st.sampled_from([0.5, 0.8, 0.99, 1.0]),
+        zeta=st.sampled_from([0.5, 1.0, 1.15, 2.0]),
+        preset=st.booleans(),
+    )
+    @example(n=4, k=12, seed=1, content=1.0, zeta=0.5, preset=True)
+    @example(n=3, k=9, seed=2, content=0.99, zeta=2.0, preset=False)
+    def test_tables_equal_the_per_node_rules(self, n, k, seed, content, zeta, preset):
+        space = generated_space(n, min(k, math.factorial(n + 1)), seed)
+        models = ReadingEvidenceModel.with_defaults(space, content=content)
+        cfg = large_context_planner_config()
+        prefs = cfg.prefs if preset else PREFS
+        start = initial_agent_state(space, cfg).cognitive
+        twice = (env.type_chunk(1, 1), env.type_chunk(1, 2), env.pause())
+        policies = list(enumerate_policies(start, space, 3, cfg)) + [twice]
+        rollouts = []
+
+        class Watched(inference._Rollout):
+            def __init__(self, *args):
+                super().__init__(*args)
+                rollouts.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_Rollout", Watched)
+            score_policies(space.prior, policies, models, prefs, read_chunks=frozenset(), zeta=zeta)
+        (rollout,) = rollouts
+        stack, na = rollout.stack, rollout.n_actions
+        actions = inference.Policies.of(policies).actions
+
+        assert rollout.channels
+        for (bid, reliability), (gain, count, offset) in rollout.channels.items():
+            table = rollout.tables[reliability]
+            want = oracle_read_branches(stack[bid], table, zeta)
+            children = rollout.beliefs[offset:offset + count].tolist()
+            assert bits(rollout.weights[offset:offset + count]) == bits(w for w, _ in want)
+            for child, (_, post) in zip(children, want, strict=True):
+                assert bits(stack[child]) == bits(post)
+            h = inference._information_gain(
+                entropy_bits(stack[bid].tolist()), [(w, entropy_bits(post)) for w, post in want]
+            )
+            assert bits([gain]) == bits([h])
+
+        contradictions = 0
+        for position, key in enumerate(rollout.keys.tolist()):
+            bid, aid = divmod(key, na)
+            action = actions[aid]
+            if action.kind != env.TYPE:
+                continue
+            row = placement_row(space, action.chunk_id, action.slot)
+            value = oracle_typed_value(stack[bid].tolist(), row.tolist(), prefs)
+            assert bits([rollout.node_p[position]]) == bits([value])
+            if rollout.n_branches[position]:
+                target = rollout.beliefs[rollout.offsets[position]]
+                post = oracle_restriction(stack[bid], row)
+                if post is None:
+                    contradictions += 1
+                    assert target == bid
+                else:
+                    assert bits(stack[target]) == bits(post)
+        assert contradictions
+
+    def test_restriction_batch_keeps_contradicted_rows_out(self, space):
+        # one batch of placements from a point mass on TT0: those that fit it
+        # restrict it, the one that fits no ordering the belief holds has none
+        belief = np.array(Categorical.point_mass(len(space.orderings), 0).probs)
+        rows = [placement_row(space, chunk, slot) for chunk, slot in ((1, 1), (2, 1), (0, 2), (4, 4))]
+        live, posts = inference._restrictions(np.array([belief] * len(rows)), np.array(rows))
+        want = [oracle_restriction(belief, row) for row in rows]
+        assert live.tolist() == [post is not None for post in want] == [True, False, True, True]
+        assert [bits(post) for post in posts] == [bits(post) for post in want if post is not None]
 
 
 class TestPolicyPosterior:
