@@ -118,6 +118,11 @@ class AgentConfig:
     def __post_init__(self):
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        # Written as "not valid" so that NaN fails too.
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
+        if not 0.0 < self.gamma_max < math.inf:
+            raise ValueError(f"gamma_max must be positive and finite, got {self.gamma_max!r}")
         if self.strategy == HEAD_STARTER:
             if not (self.w_p > self.w_e and self.horizon == 1):
                 raise ValueError("head starter preset requires w_p > w_e and horizon 1")
@@ -217,17 +222,18 @@ def _next_actions(
     deterministically. Pauses never repeat back to back. A complete
     translation admits nothing.
     """
-    cursor = next((s for s in range(1, space.n_slots + 1) if s not in buffer), None)
-    if cursor is None:
+    cursor = 1
+    while cursor in buffer:
+        cursor += 1
+    if cursor > space.n_slots:
         return []
     acts = [(env.fixate_source(c), live) for c in space.table.source_order if c not in read]
     options: dict[int, list[int]] = {}
+    orderings = space.orderings
     for idx in live:
-        options.setdefault(space.orderings[idx].chunk_at(cursor), []).append(idx)
-    ranked = sorted(
-        options.items(), key=lambda kv: (-positional_entropy(space, kv[0]), kv[0])
-    )
-    acts.extend((env.type_chunk(chunk, cursor), tuple(idxs)) for chunk, idxs in ranked)
+        options.setdefault(orderings[idx].slots[cursor - 1], []).append(idx)
+    for chunk in sorted(options, key=lambda chunk: (-positional_entropy(space, chunk), chunk)):
+        acts.append((env.type_chunk(chunk, cursor), tuple(options[chunk])))
     if not last_was_pause:
         acts.append((env.pause(), live))
     return acts
@@ -246,68 +252,117 @@ def enumerate_policies(
 ) -> Policies:
     """All admissible action sequences up to the horizon, capped and ordered.
 
-    Admissibility (``_next_actions``) is simulated along each candidate
-    prefix, depth first. The result is one Policies table, each row padded
-    to the horizon; it is empty only when the translation is already
-    complete. The first cfg.max_policies sequences are kept, and truncated
-    says whether the cap cut any.
+    Admissibility (``_next_actions``) is simulated over a state graph built
+    per call. A state is what the rule reads (read set, buffer, live
+    orderings, whether the last action paused) plus, right after a read,
+    how many of the reads the rule lists it skips. Many prefixes reach one
+    state, and the rule runs once per distinct input. The rows are built
+    level by level from the states' edges, each row's children in the
+    rule's order, so they come out in depth-first order: two policies are
+    ordered by the rule's order at the first action where they differ. A
+    policy that completes the translation early is padded with -1 to the
+    horizon. The result is one Policies table, its actions numbered in
+    order of first appearance; it is empty only when the translation is
+    already complete. The first cfg.max_policies rows are kept, and
+    truncated says whether the cap cut any: every row in progress ends as
+    at least one policy, so each level keeps only its first
+    cfg.max_policies rows, which bounds the work when the cap fires.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    rows: list[int] = []  # the policies' action ids, end to end, each padded to the horizon
-    n_rows = 0
-    pad = [-1] * horizon
-    actions: list[env.Action] = []
+    source = space.table.source_order
     # Enumeration shares one Action per (kind, chunk, slot), so its identity
     # is a key that costs no generated __hash__.
     action_ids: dict[int, int] = {}
-    order_pos = {c: i for i, c in enumerate(space.table.source_order)}
-    truncated = False
+    actions: list[env.Action] = []
+    rule: dict = {}  # rule input -> (first edge, edge count)
+    edge_action: list[int] = []  # per edge: its action id, -1 to pad an ended policy
+    edge_act: list = []  # per edge: (action, live orderings after it), as the rule gave it
+    edge_from: list = []  # per edge: the rule input it leaves
+    edge_to: list[int] = []  # per edge: the state it leads to, -1 until a level needs it
+    state_ids: dict = {}  # (rule input, reads skipped) -> state id
+    firsts: list[int] = []  # state id -> its first edge
+    counts: list[int] = []  # state id -> its edge count
 
-    def expand(prefix, read, buffer, live, paused):
-        nonlocal n_rows, truncated
-        acts = _next_actions(space, read, buffer, live, paused)
-        # Within a consecutive run of reads, chunks are taken in source
-        # order: read permutations are outcome-equivalent, so one
-        # representative per read set suffices.
-        if prefix and actions[prefix[-1]].kind == env.FIXATE_SOURCE:
-            min_pos = order_pos[actions[prefix[-1]].chunk_id]
-            acts = [
-                (a, survivors)
-                for a, survivors in acts
-                if a.kind != env.FIXATE_SOURCE or order_pos[a.chunk_id] > min_pos
-            ]
-        if not acts:
-            if prefix:
-                rows.extend(prefix)
-                rows.extend(pad[len(prefix):])
-                n_rows += 1
-            return
-        for action, survivors in acts:
-            if n_rows >= cfg.max_policies:
-                truncated = True
-                return
-            aid = action_ids.get(id(action))
-            if aid is None:
-                aid = action_ids[id(action)] = len(actions)
-                actions.append(action)
-            nxt_read, nxt_buffer = read, buffer
-            if action.kind == env.FIXATE_SOURCE:
-                nxt_read = read | {action.chunk_id}
-            elif action.kind == env.TYPE:
-                nxt_buffer = buffer | {action.slot: action.chunk_id}
-            prefix.append(aid)
-            if len(prefix) == horizon:
-                rows.extend(prefix)
-                n_rows += 1
-            else:
-                expand(prefix, nxt_read, nxt_buffer, survivors, action.kind == env.PAUSE)
-            prefix.pop()
+    def state_id(inputs, skip: int) -> int:
+        """The state's id; a new state's edges are listed here."""
+        sid = state_ids.setdefault((inputs, skip), len(firsts))
+        if sid < len(firsts):
+            return sid
+        entry = rule.get(inputs)
+        if entry is None:
+            read, buffer, live, paused = inputs
+            acts = _next_actions(space, read, dict(buffer), live, paused)
+            known = len(action_ids)
+            aids = [action_ids.setdefault(id(action), len(action_ids)) for action, _ in acts]
+            actions.extend(action for (action, _), aid in zip(acts, aids) if aid >= known)
+            entry = rule[inputs] = len(edge_action), len(acts)
+            edge_action.extend(aids)
+            edge_act.extend(acts)
+            edge_from.extend([inputs] * len(acts))
+            edge_to.extend([-1] * len(acts))
+        first, count = entry[0] + skip, entry[1] - skip
+        if not count:  # the policy ends here: one edge pads it
+            first, count = len(edge_action), 1
+            edge_action.append(-1)
+            edge_act.append(None)
+            edge_from.append(None)
+            edge_to.append(sid)
+        firsts.append(first)
+        counts.append(count)
+        return sid
 
-    expand([], cognitive.read_set, cognitive.placed_map(), _live(cognitive.belief), last_was_pause)
-    ids = np.array(rows, dtype=np.int32)
-    ids.shape = (n_rows, horizon)  # in place: a reshaped view would hold a second array
-    return Policies(actions, ids, truncated)
+    def child(edge: int) -> int:
+        (read, buffer, _, _), (action, survivors) = edge_from[edge], edge_act[edge]
+        if action.kind == env.FIXATE_SOURCE:
+            # Within a consecutive run of reads, chunks are taken in source
+            # order: read permutations are outcome-equivalent, so one
+            # representative per read set suffices. The rule lists reads
+            # first, in source order, so the next state skips the reads of
+            # the chunks before this one.
+            read = read | {action.chunk_id}
+            skip = sum(c not in read for c in source[:source.index(action.chunk_id)])
+            return state_id((read, buffer, survivors, False), skip)
+        if action.kind == env.TYPE:
+            return state_id((read, buffer | {(action.slot, action.chunk_id)}, survivors, False), 0)
+        return state_id((read, buffer, survivors, True), 0)
+
+    placed = frozenset(cognitive.placed)
+    state_id((cognitive.read_set, placed, _live(cognitive.belief), last_was_pause), 0)
+    if edge_action[firsts[0]] < 0:
+        return Policies([], np.empty((0, horizon), dtype=np.int32))
+    # Each level's rows are edges, in depth-first order: the first level's
+    # are the root's, and a row's children take its state's edges in order,
+    # after the children of the rows before it.
+    cap = max(cfg.max_policies, 0)
+    truncated = counts[0] > cap
+    ids = np.array(edge_action[:min(counts[0], cap)], dtype=np.int32)[:, None]  # rows so far
+    if horizon == 1:  # the root's actions were numbered first, in its edges' order
+        return Policies(actions[:len(ids)], ids, truncated)
+    edge = np.arange(len(ids))
+    for _ in range(1, horizon):
+        for e in set(edge.tolist()):
+            if edge_to[e] < 0:
+                edge_to[e] = child(e)
+        at = np.array(edge_to)[edge]  # each row's state
+        first, count = np.array(firsts)[at], np.array(counts)[at]
+        parent = np.repeat(np.arange(len(at)), count)
+        edge = np.repeat(first - (count.cumsum() - count), count) + np.arange(len(parent))
+        if len(edge) > cap:
+            truncated = True
+            parent, edge = parent[:cap], edge[:cap]
+        aids = np.array(edge_action, dtype=np.int32)[edge]
+        ids = np.concatenate([ids[parent], aids[:, None]], axis=1)
+    # Number the actions in order of first appearance, row by row: the
+    # order in which a depth-first walk meets them.
+    seen = dict.fromkeys(ids.ravel().tolist())
+    seen.pop(-1, None)
+    used = list(seen)
+    if used != list(range(len(actions))):
+        renumber = np.full(len(actions) + 1, -1, dtype=np.int32)  # the last keeps the padding
+        renumber[used] = np.arange(len(used), dtype=np.int32)
+        ids = renumber[ids]
+    return Policies([actions[a] for a in used], ids, truncated)
 
 
 @dataclass(frozen=True)

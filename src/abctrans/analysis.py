@@ -111,6 +111,8 @@ def segment_ohrf(
     A target fixation with no revision or hesitation beside it is hesitation
     when the silent gap it sits in is longer than theta_pause_ms, else flow.
     """
+    if not theta_pause_ms >= 0.0:  # NaN fails too
+        raise ValueError(f"theta_pause_ms must be non-negative, got {theta_pause_ms!r}")
     events = trace.events if isinstance(trace, Trace) else tuple(trace)
     if not events:
         return []

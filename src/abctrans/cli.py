@@ -135,14 +135,15 @@ def cmd_compare(args) -> int:
     gammas = [float(g) for g in args.gamma_sweep.split(",")] if args.gamma_sweep else []
     if gammas and len(set(gammas)) < 2:
         raise ValueError(f"--gamma-sweep needs two distinct values, got {args.gamma_sweep}")
+    # Every config is built, and so validated, before any episode runs.
+    sweep = [PRESETS[args.preset_a](gamma_max=g) for g in gammas]
     bundle = _load(args)
     latent = args.latent or bundle.latent
     seeds = list(range(args.seeds))
     if gammas:
         means = []
         print(f"gamma sweep on preset {args.preset_a} (latent {latent}, {len(seeds)} seeds)")
-        for g in gammas:
-            cfg = PRESETS[args.preset_a](gamma_max=g)
+        for g, cfg in zip(gammas, sweep):
             tot = []
             for seed in seeds:
                 tr = run_episode(

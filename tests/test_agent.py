@@ -1,5 +1,9 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abctrans import environment as env, inference
 from abctrans.agent import (
@@ -8,6 +12,7 @@ from abctrans.agent import (
     CognitiveState,
     GAMMA_MIN,
     ZETA_MAX,
+    _live,
     _next_actions,
     _recompute_working,
     _scored_policies,
@@ -25,6 +30,56 @@ from abctrans.task import Categorical, ReadingEvidenceModel
 
 from conftest import render_of
 from gentask import generated_space
+
+
+def dfs_policies(cognitive, space, horizon, cfg, last_was_pause=False):
+    """Enumeration's oracle, the recursive depth-first walk it replaced: (actions, ids, truncated)."""
+    rows, actions, action_ids = [], [], {}
+    order_pos = {c: i for i, c in enumerate(space.table.source_order)}
+    truncated = False
+
+    def expand(prefix, read, buffer, live, paused):
+        nonlocal truncated
+        acts = _next_actions(space, read, buffer, live, paused)
+        if prefix and actions[prefix[-1]].kind == env.FIXATE_SOURCE:
+            min_pos = order_pos[actions[prefix[-1]].chunk_id]
+            acts = [
+                (a, survivors) for a, survivors in acts
+                if a.kind != env.FIXATE_SOURCE or order_pos[a.chunk_id] > min_pos
+            ]
+        if not acts:
+            if prefix:
+                rows.append(prefix + [-1] * (horizon - len(prefix)))
+            return
+        for action, survivors in acts:
+            if len(rows) >= cfg.max_policies:
+                truncated = True
+                return
+            aid = action_ids.setdefault(id(action), len(actions))
+            if aid == len(actions):
+                actions.append(action)
+            nxt_read, nxt_buffer = read, buffer
+            if action.kind == env.FIXATE_SOURCE:
+                nxt_read = read | {action.chunk_id}
+            elif action.kind == env.TYPE:
+                nxt_buffer = buffer | {action.slot: action.chunk_id}
+            if len(prefix) + 1 == horizon:
+                rows.append(prefix + [aid])
+            else:
+                expand(prefix + [aid], nxt_read, nxt_buffer, survivors, action.kind == env.PAUSE)
+
+    expand([], cognitive.read_set, cognitive.placed_map(), _live(cognitive.belief), last_was_pause)
+    return actions, np.array(rows, dtype=np.int32).reshape(len(rows), horizon), truncated
+
+
+def assert_enumeration_is_the_oracles(cognitive, space, horizon, cfg, last_was_pause=False):
+    policies = enumerate_policies(cognitive, space, horizon, cfg, last_was_pause)
+    actions, ids, truncated = dfs_policies(cognitive, space, horizon, cfg, last_was_pause)
+    assert [id(a) for a in policies.actions] == [id(a) for a in actions]
+    assert policies.ids.dtype == np.int32 and policies.ids.shape == ids.shape
+    assert policies.ids.tolist() == ids.tolist()
+    assert policies.truncated == truncated
+    return policies
 
 
 def agent_after_cue(space, models, cfg, cue: str, chunk: int = 1):
@@ -115,6 +170,22 @@ class TestPresets:
             head_starter_config(w_e=5.0)
 
 
+class TestAgentConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("beta", -0.1), ("beta", 1.5), ("beta", float("nan")), ("gamma_max", 0.0),
+         ("gamma_max", -4.0), ("gamma_max", float("inf")), ("gamma_max", float("nan"))],
+    )
+    def test_out_of_range_values_are_rejected_by_name(self, field, value):
+        for make in (AgentConfig, head_starter_config, large_context_planner_config):
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                make(**{field: value})
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_beta_may_take_its_bounds(self, beta):
+        assert AgentConfig(beta=beta).beta == beta
+
+
 class TestEnumeratePolicies:
     def test_terminal_state_yields_nothing(self, space, models):
         placed = tuple(
@@ -182,6 +253,71 @@ class TestEnumeratePolicies:
         uncapped_cfg = large_context_planner_config(max_policies=9068)
         uncapped = enumerate_policies(initial_agent_state(big, cfg).cognitive, big, 5, uncapped_cfg)
         assert (len(uncapped), uncapped.truncated) == (9068, False)
+
+
+class TestEnumerationOracle:
+    # The state-graph enumeration gives the recursive walk's table exactly:
+    # the same actions in the same order, the same rows and the same flag.
+    def test_bundled_opening_and_caps(self, space):
+        cfg = large_context_planner_config()
+        start = initial_agent_state(space, cfg).cognitive
+        total = len(assert_enumeration_is_the_oracles(start, space, 4, cfg))
+        assert total == 1206
+        for cap in (1, 7, total - 1, total, total + 1):
+            capped = dataclasses.replace(cfg, max_policies=cap)
+            policies = assert_enumeration_is_the_oracles(start, space, 4, capped)
+            assert (len(policies), policies.truncated) == (min(cap, total), cap < total)
+
+    def test_every_decision_of_seeded_planner_episodes(self, space, models, monkeypatch):
+        decisions = []
+
+        def checked(cognitive, space, horizon, cfg, last_was_pause=False):
+            decisions.append(horizon)
+            return assert_enumeration_is_the_oracles(cognitive, space, horizon, cfg, last_was_pause)
+
+        monkeypatch.setattr("abctrans.agent.enumerate_policies", checked)
+        monkeypatch.setattr("abctrans.agent._scored_policies", _scored_policies.__wrapped__)
+        cfg = large_context_planner_config()
+        for latent, seed in (("TT0", 0), ("TT5", 3)):
+            run_episode(cfg, models, latent=latent, seed=seed)
+        assert len(decisions) > 2 and max(decisions) == 4
+
+    def test_capped_horizon_five_opening_keeps_reads_only(self):
+        # 9,068 admissible policies; the 4,096 kept are the first in
+        # depth-first order, and every one of them opens with a read.
+        big = generated_space(5, 6, 1)
+        cfg = large_context_planner_config()
+        start = initial_agent_state(big, cfg).cognitive
+        policies = assert_enumeration_is_the_oracles(start, big, 5, cfg)
+        assert (len(policies), policies.truncated) == (4096, True)
+        assert {policy[0].kind for policy in policies} == {env.FIXATE_SOURCE}
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        k=st.integers(1, 12),
+        seed=st.integers(1, 3),
+        horizon=st.integers(1, 4),
+        placed=st.integers(0, 2),
+        reads=st.integers(0, 15),
+        paused=st.booleans(),
+        cap=st.sampled_from([1, 7, 50, 4096]),
+    )
+    def test_generated_decisions(self, n, k, seed, horizon, placed, reads, paused, cap):
+        # A decision part-way through: the first placed slots of ordering 0
+        # typed, the belief uniform on the orderings they fit, and the
+        # content chunks in the bits of reads already read.
+        space = generated_space(n, min(k, math.factorial(n + 1)), seed)
+        slots = space.orderings[0].slots
+        fits = [i for i, o in enumerate(space.orderings) if o.slots[:placed] == slots[:placed]]
+        weights = [1.0 if i in fits else 0.0 for i in range(len(space.orderings))]
+        belief = Categorical.from_weights(weights)
+        read_set = frozenset(c for c in space.table.source_order if reads >> (c - 1) & 1)
+        cognitive = CognitiveState(
+            belief, belief, tuple((s, slots[s - 1]) for s in range(1, placed + 1)), read_set
+        )
+        cfg = large_context_planner_config(max_policies=cap)
+        assert_enumeration_is_the_oracles(cognitive, space, horizon, cfg, paused)
 
 
 class TestSelectPolicy:

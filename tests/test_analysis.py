@@ -128,6 +128,21 @@ class TestSegmentOhrf:
         tr = Trace(events=events)
         assert [s.state for s in segment_ohrf(tr, theta_pause_ms=200.0)] == ["F", "H", "F"]
 
+    @pytest.mark.parametrize("theta", [float("nan"), -5.0])
+    def test_threshold_must_be_a_non_negative_number(self, theta):
+        # read, type, a target fixation in a 2.6 s gap, type: the default
+        # threshold makes the fixation hesitation
+        events = (
+            ProcessEvent(0.0, 200.0, env.FIXATE_SOURCE, chunk_id=1),
+            ProcessEvent(200.0, 320.0, env.TYPE, chunk_id=1, slot=1),
+            ProcessEvent(400.0, 600.0, env.FIXATE_TARGET, slot=1),
+            ProcessEvent(3200.0, 3320.0, env.TYPE, chunk_id=2, slot=2),
+        )
+        tr = Trace(events=events)
+        assert [s.state for s in segment_ohrf(tr)] == ["O", "F", "H", "F"]
+        with pytest.raises(ValueError, match="theta_pause_ms"):
+            segment_ohrf(tr, theta_pause_ms=theta)
+
     def test_segments_partition_events(self, models):
         cfg = large_context_planner_config()
         for seed in range(5):

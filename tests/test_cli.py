@@ -124,6 +124,22 @@ class TestSimulateCommand:
         )
         assert code == EXIT_INCOMPLETE
 
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [("--beta", "nan", "beta"), ("--beta", "1.5", "beta"), ("--beta", "-0.1", "beta"),
+         ("--gamma-max", "inf", "gamma_max"), ("--gamma-max", "0", "gamma_max"),
+         ("--gamma-max", "nan", "gamma_max")],
+    )
+    def test_invalid_agent_config_exits_before_any_episode(self, option, value, field, capsys, monkeypatch):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the config was validated")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        code, out, err = run_cli(["simulate", "--preset", "head_starter", option, value], capsys)
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"validation error: {field} must")
+        assert out == ""
+
     def test_unknown_preset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--preset", "sprinter"])
@@ -193,6 +209,17 @@ class TestCompareCommand:
         code, out, err = run_cli(["compare", "--latent", "TT3", "--gamma-sweep", sweep], capsys)
         assert code == EXIT_VALIDATION
         assert err == f"validation error: --gamma-sweep needs two distinct values, got {sweep}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("sweep", ["1,inf", "2,0", "1,nan", "4,-1"])
+    def test_gamma_sweep_values_are_validated_before_any_episode(self, sweep, capsys, monkeypatch):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the sweep was validated")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        code, out, err = run_cli(["compare", "--latent", "TT3", "--gamma-sweep", sweep], capsys)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("validation error: gamma_max must be positive and finite")
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -290,6 +317,16 @@ class TestSegmentCommand:
             states[tuple(extra)] = re.findall(r"^  ([OHRF])  ", out, re.M)
         assert states[()] == ["F"]
         assert states[("--theta-pause", "200")] == ["F", "H", "F"]
+
+    @pytest.mark.parametrize("theta", ["nan", "-5"])
+    def test_theta_pause_must_be_a_non_negative_number(self, theta, tmp_path, capsys):
+        rows = [("0", env.TYPE, "1@1"), ("100", env.FIXATE_TARGET, "@1"), ("2700", env.TYPE, "2@2")]
+        code, out, err = run_cli(
+            ["segment", str(self.craft(tmp_path, rows)), "--theta-pause", theta], capsys
+        )
+        assert code == EXIT_VALIDATION
+        assert err.startswith("validation error: theta_pause_ms must be non-negative")
+        assert out == ""
 
     def test_missing_column_is_ingest_error(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"

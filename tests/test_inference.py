@@ -20,7 +20,7 @@ from abctrans.inference import (
     score_policies,
     shannon_entropy,
 )
-from abctrans.task import Categorical, ReadingEvidenceModel, entropy_bits, placement_row
+from abctrans.task import Categorical, ReadingEvidenceModel, entropy_bits, placement_row, row_entropies
 
 from gentask import generated_space
 
@@ -105,6 +105,11 @@ def oracle_restriction(b, row):
     return post
 
 
+def oracle_information_gain(h_before, branches):
+    """One channel's gain: H(belief) less the weighted entropies of its (weight, entropy) branches, floored at 0."""
+    return max(h_before - sum(w * h for w, h in branches), 0.0)
+
+
 def bits(values):
     return [float(v).hex() for v in values]
 
@@ -129,6 +134,41 @@ class TestShannonEntropy:
 
     def test_half_half(self):
         assert shannon_entropy(Categorical((0.5, 0.5, 0.0, 0.0))) == 1.0
+
+
+# Doubles on which np.log2 and math.log2 differ with numpy 2.4.6, enough to
+# change p * log2(p).
+NP_LOG2_DIFFERS = [float.fromhex(h) for h in ("0x1.fe924cfaebfdep-1", "0x1.a3ff621ade4f4p-1")]
+
+
+class TestRowEntropies:
+    # The batched entropy of the rollout is entropy_bits, bitwise, also on
+    # zeros of either sign, certainty, the smallest subnormal and values
+    # that repeat within and across rows.
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0.5, 0.25, 1.0 / 3.0] + NP_LOG2_DIFFERS),
+                        st.floats(0.0, 1.0),
+                    ),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_equals_entropy_bits(self, rows):
+        assert bits(row_entropies(np.array(rows))) == bits(map(entropy_bits, rows))
+
+    def test_bundled_beliefs(self, space, models):
+        rows = [space.prior.probs, Categorical.point_mass(6, 2).probs, (0.5, -0.0, 0.5, 0, 0, 0)]
+        rows += bayes_update(space.prior, models.likelihood_row(1, "TT0")).probs, NP_LOG2_DIFFERS * 3
+        assert bits(row_entropies(np.array(rows))) == bits(map(entropy_bits, rows))
 
 
 class TestBayesUpdate:
@@ -493,7 +533,7 @@ class TestBatchedNodes:
             assert bits(rollout.weights[offset:offset + count]) == bits(w for w, _ in want)
             for child, (_, post) in zip(children, want, strict=True):
                 assert bits(stack[child]) == bits(post)
-            h = inference._information_gain(
+            h = oracle_information_gain(
                 entropy_bits(stack[bid].tolist()), [(w, entropy_bits(post)) for w, post in want]
             )
             assert bits([gain]) == bits([h])
@@ -516,6 +556,43 @@ class TestBatchedNodes:
                 else:
                     assert bits(stack[target]) == bits(post)
         assert contradictions
+
+    @pytest.mark.parametrize("generated", [False, True], ids=["bundled", "4x12"])
+    def test_byte_keys_intern_as_probability_tuples_do(self, space, generated):
+        # Every intern call of an opening hands out the ids a table keyed by
+        # probability tuples would, in the same order, and a -0.0 is the
+        # same belief as a 0.0.
+        if generated:
+            space = generated_space(4, 12, 1)
+        models = ReadingEvidenceModel.with_defaults(space)
+        cfg = large_context_planner_config()
+        rollouts = []
+
+        class Checked(inference._Rollout):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.tuple_ids = {tuple(self.stack[0].tolist()): 0}
+                rollouts.append(self)
+
+            def intern(self, rows):
+                ids = super().intern(rows)
+                want = [self.tuple_ids.setdefault(tuple(row), len(self.tuple_ids)) for row in rows.tolist()]
+                assert ids == want
+                return ids
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_Rollout", Checked)
+            start = initial_agent_state(space, cfg).cognitive
+            policies = enumerate_policies(start, space, 4, cfg)
+            score_policies(space.prior, policies, models, cfg.prefs, read_chunks=frozenset())
+        (rollout,) = rollouts
+        assert len(rollout.tuple_ids) == len(rollout.stack) > 1000
+        assert [list(row) for row in rollout.tuple_ids] == rollout.stack.tolist()
+        zeroed = rollout.stack[(rollout.stack == 0.0).any(axis=1)][:1]
+        signed = np.concatenate([zeroed, np.where(zeroed == 0.0, -0.0, zeroed)])
+        assert signed[0].tobytes() != signed[1].tobytes()
+        (bid,) = rollout.intern(zeroed)
+        assert rollout.intern(signed) == [bid, bid] and bid < len(rollout.tuple_ids)
 
     def test_restriction_batch_keeps_contradicted_rows_out(self, space):
         # one batch of placements from a point mass on TT0: those that fit it
