@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .inference import (
     Policies,
     PreferenceVector,
     bayes_update,
+    efe_splits,
     expected_free_energy,  # unused here; perfbench/run.py wraps agent.expected_free_energy
     policy_posterior,
     policy_scores,
@@ -365,20 +366,57 @@ def enumerate_policies(
     return Policies([actions[a] for a in used], ids, truncated)
 
 
+@dataclass(eq=False)
+class ScoredDecision:
+    """One decision's policies, their EFE split as arrays, and its selections per gamma.
+
+    The selection memo's value. Under a gamma first seen here, selection
+    computes the policy posterior, its read-only array, MAP index and
+    entropy once and keeps them in by_gamma, so a repeated (decision,
+    gamma) costs lookups only. The EFEDecomposition of each policy is built
+    only when efes is read.
+    """
+
+    policies: Policies
+    epistemic: np.ndarray
+    pragmatic: np.ndarray
+    totals: np.ndarray
+    by_gamma: dict[float, tuple[Categorical, np.ndarray, int, float]] = field(default_factory=dict)
+
+    @functools.cached_property
+    def efes(self) -> tuple[EFEDecomposition, ...]:
+        return efe_splits(self.epistemic, self.pragmatic, self.totals)
+
+    def under(self, gamma: float) -> tuple[Categorical, np.ndarray, int, float]:
+        """(posterior, its read-only array, MAP index, entropy in bits) under gamma."""
+        selection = self.by_gamma.get(gamma)
+        if selection is None:
+            posterior = policy_posterior(self.totals, gamma=gamma)
+            probs = posterior.as_array()
+            probs.flags.writeable = False
+            selection = (posterior, probs, posterior.map_index, shannon_entropy(posterior))
+            self.by_gamma[gamma] = selection
+        return selection
+
+
 @dataclass(frozen=True)
 class SelectionResult:
-    policies: Policies
-    efes: tuple[EFEDecomposition, ...]
+    decision: ScoredDecision
     posterior: Categorical
     choice_index: int
+    posterior_entropy: float
+
+    @property
+    def policies(self) -> Policies:
+        return self.decision.policies
+
+    @property
+    def efes(self) -> tuple[EFEDecomposition, ...]:
+        return self.decision.efes
 
     @property
     def policy(self) -> tuple[env.Action, ...]:
         return self.policies[self.choice_index]
-
-    @property
-    def posterior_entropy(self) -> float:
-        return shannon_entropy(self.posterior)
 
 
 def _dynamic_horizon(cognitive: CognitiveState, space: CandidateSpace) -> int:
@@ -396,21 +434,21 @@ def _scored_policies(
     horizon: int,
     last_was_pause: bool,
     zeta: float,
-) -> tuple[Policies, tuple[EFEDecomposition, ...], np.ndarray]:
-    """Every admissible policy with its EFE and the read-only array of EFE totals.
+) -> ScoredDecision:
+    """Every admissible policy with its EFE arrays, as a ScoredDecision.
 
     A pure function of exactly what enumeration and scoring read, memoised
     on those arguments: a repeated decision costs one lookup and can never
-    see another decision's result.
+    see another decision's result. What the entry keeps per gamma is a pure
+    function of its scores and that gamma.
     """
     # Enumeration reads the working belief, never the evidence belief.
     cognitive = CognitiveState(belief, belief, placed, read_set)
     policies = enumerate_policies(cognitive, models.space, horizon, cfg, last_was_pause)
-    efes, totals = policy_scores(
+    return ScoredDecision(policies, *policy_scores(
         belief, policies, models, cfg.prefs,
         w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read_set, zeta=zeta,
-    )
-    return policies, efes, totals
+    ))
 
 
 clear_selection_cache = _scored_policies.cache_clear
@@ -432,19 +470,19 @@ def select_policy(
     states enter: the external state, latent ordering included, never does.
     """
     horizon = cfg.horizon if cfg.horizon is not None else _dynamic_horizon(cognitive, models.space)
-    policies, efes, totals = _scored_policies(
+    decision = _scored_policies(
         models, cfg, cognitive.belief, cognitive.placed, cognitive.read_set,
         horizon, last_was_pause, affective.zeta,
     )
-    if not policies:
+    if not decision.policies:
         raise ValueError("no admissible policy: translation already complete")
 
-    posterior = policy_posterior(totals, gamma=affective.gamma)
+    posterior, probs, map_index, entropy = decision.under(affective.gamma)
     if cfg.sample_policies and rng is not None:
-        choice = int(rng.choice(len(policies), p=posterior.as_array()))
+        choice = int(rng.choice(len(probs), p=probs))
     else:
-        choice = posterior.map_index
-    return SelectionResult(policies=policies, efes=efes, posterior=posterior, choice_index=choice)
+        choice = map_index
+    return SelectionResult(decision, posterior, choice, entropy)
 
 
 def _action_duration(action: env.Action, state: env.ExternalState) -> float:

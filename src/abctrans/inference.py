@@ -552,21 +552,25 @@ def policy_scores(
     w_p: float = 1.0,
     read_chunks: frozenset[int] | None = None,
     zeta: float = 1.0,
-) -> tuple[tuple[EFEDecomposition, ...], np.ndarray]:
-    """score_policies' EFE of each policy, with the totals as one read-only array.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """score_policies' EFE as three read-only arrays: epistemic, pragmatic, total.
 
-    The totals are -(w_e * epistemic) - (w_p * pragmatic) over the arrays
-    the walk returns, elementwise, so each is bitwise the total of its
-    EFEDecomposition.
+    The totals are -(w_e * epistemic) - (w_p * pragmatic), elementwise, so
+    each is bitwise the total of the policy's EFEDecomposition.
     """
     policies = Policies.of(policies)
     if not policies:
-        return (), np.empty(0)
+        return np.empty(0), np.empty(0), np.empty(0)
     epistemic, pragmatic = _Rollout(models, prefs, zeta, policies, read_chunks, belief).walk(policies.ids)
     totals = -(w_e * epistemic) - (w_p * pragmatic)
-    efes = tuple(map(EFEDecomposition, epistemic.tolist(), pragmatic.tolist(), totals.tolist()))
-    totals.flags.writeable = False
-    return efes, totals
+    for column in (epistemic, pragmatic, totals):
+        column.flags.writeable = False
+    return epistemic, pragmatic, totals
+
+
+def efe_splits(epistemic, pragmatic, totals) -> tuple[EFEDecomposition, ...]:
+    """One EFEDecomposition per policy, from policy_scores' arrays."""
+    return tuple(map(EFEDecomposition, epistemic.tolist(), pragmatic.tolist(), totals.tolist()))
 
 
 def score_policies(
@@ -589,8 +593,7 @@ def score_policies(
     fixated before the policies start (defaults to all, so unread costs
     never apply).
     """
-    efes, _ = policy_scores(belief, policies, models, prefs, w_e, w_p, read_chunks, zeta)
-    return efes
+    return efe_splits(*policy_scores(belief, policies, models, prefs, w_e, w_p, read_chunks, zeta))
 
 
 def expected_free_energy(

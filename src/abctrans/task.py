@@ -378,6 +378,16 @@ class ReadingEvidenceModel:
                 np.fill_diagonal(table, r)
             tables[cid] = _read_only(table)
         object.__setattr__(self, "_likelihood", tables)
+        # The selection memo hashes the model on every lookup; the fields are
+        # frozen, so their hash (the one dataclass would compute) is taken once.
+        object.__setattr__(self, "_hash", hash((self.space, self.reliabilities)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a str's hash differs between processes.
+        return type(self), (self.space, self.reliabilities)
 
     @classmethod
     def with_defaults(

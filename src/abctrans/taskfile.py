@@ -50,6 +50,17 @@ def _require(cond: bool, field: str, message: str):
         raise TaskFileError(f"field {field!r}: {message}")
 
 
+def _is_id_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(c, int) for c in value)
+
+
+def _number(kind, value, field: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise TaskFileError(f"field {field!r}: must be a number, got {value!r}") from None
+
+
 def load_task(path: str | Path) -> TaskBundle:
     path = Path(path)
     try:
@@ -63,6 +74,8 @@ def load_task(path: str | Path) -> TaskBundle:
     _require(raw.get("schema") == SCHEMA_VERSION, "schema", f"must be {SCHEMA_VERSION}")
     for field in ("chunks", "source_order", "orderings"):
         _require(field in raw, field, "required")
+    _require(isinstance(raw["chunks"], list), "chunks", "must be a list")
+    _require(_is_id_list(raw["source_order"]), "source_order", "must be a list of chunk ids")
 
     chunks = []
     for i, entry in enumerate(raw["chunks"]):
@@ -70,10 +83,13 @@ def load_task(path: str | Path) -> TaskBundle:
         unknown = set(entry) - _CHUNK_FIELDS
         _require(not unknown, f"chunks[{i}]", f"unknown field(s) {sorted(unknown)}")
         _require("id" in entry, f"chunks[{i}].id", "required")
+        chunk_id = _number(int, entry["id"], f"chunks[{i}].id")
+        for key in ("source", "target"):
+            _require(isinstance(entry.get(key, ""), str), f"chunks[{i}].{key}", "must be text")
         try:
             chunks.append(
                 Chunk(
-                    id=int(entry["id"]),
+                    id=chunk_id,
                     source_text=entry.get("source", ""),
                     target_text=entry.get("target", ""),
                     kind=entry.get("kind", "content"),
@@ -89,10 +105,10 @@ def load_task(path: str | Path) -> TaskBundle:
     orderings = raw["orderings"]
     _require(isinstance(orderings, dict) and orderings, "orderings", "need a label -> slots mapping")
     labels = tuple(str(k) for k in orderings)
+    for label, slots in zip(labels, orderings.values()):
+        _require(_is_id_list(slots), f"orderings.{label}", "must be a list of chunk ids")
     try:
-        space = build_candidate_space(
-            table, [list(v) for v in orderings.values()], labels=labels
-        )
+        space = build_candidate_space(table, list(orderings.values()), labels=labels)
     except TaskError as exc:
         raise TaskFileError(f"field 'orderings': {exc}")
 
@@ -100,11 +116,16 @@ def load_task(path: str | Path) -> TaskBundle:
     _require(isinstance(rel, dict), "reliability", "must be a mapping")
     unknown = set(rel) - _RELIABILITY_FIELDS
     _require(not unknown, "reliability", f"unknown field(s) {sorted(unknown)}")
-    overrides = {int(k): float(v) for k, v in (rel.get("overrides") or {}).items()}
+    overrides = rel.get("overrides") or {}
+    _require(isinstance(overrides, dict), "reliability.overrides", "must be a mapping")
+    overrides = {
+        _number(int, k, "reliability.overrides"): _number(float, v, f"reliability.overrides.{k}")
+        for k, v in overrides.items()
+    }
     evidence = ReadingEvidenceModel.with_defaults(
         space,
-        content=float(rel.get("default", 0.8)),
-        punctuation=float(rel.get("punctuation", 0.5)),
+        content=_number(float, rel.get("default", 0.8), "reliability.default"),
+        punctuation=_number(float, rel.get("punctuation", 0.5), "reliability.punctuation"),
         overrides=overrides,
     )
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -16,6 +18,7 @@ from abctrans.agent import (
     _next_actions,
     _recompute_working,
     _scored_policies,
+    clear_selection_cache,
     enumerate_policies,
     head_starter_config,
     initial_agent_state,
@@ -439,6 +442,89 @@ class TestSelectPolicy:
         assert len(rollout.channels) == 260
         assert (kinds.count(env.FIXATE_SOURCE), kinds.count(env.TYPE)) == (516, 769)
         assert rollout.rows == 36679
+
+
+def float_bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestSelectionMemo:
+    """The memo keeps each decision's posterior, MAP and entropy per gamma beside its scores."""
+
+    def test_memoised_selections_equal_a_fresh_posterior(self, space, monkeypatch):
+        # Each episode runs twice, so the second run's decisions are served
+        # from the per-gamma selections the first run stored. Every
+        # decision's posterior, choice and entropy must be bitwise what
+        # policy_posterior and shannon_entropy give afresh from its totals,
+        # and a sampled choice must leave the generator where a fresh draw
+        # would. Content 0.99 moves zeta away from 1.
+        selections, computed = [], []
+
+        def counted_posterior(totals, gamma):
+            computed.append(gamma)
+            return inference.policy_posterior(totals, gamma)
+
+        def checked_select(cognitive, affective, models, cfg, rng=None, last_was_pause=False):
+            fresh_rng = copy.deepcopy(rng)
+            sel = select_policy(cognitive, affective, models, cfg, rng=rng, last_was_pause=last_was_pause)
+            fresh = inference.policy_posterior(sel.decision.totals, affective.gamma)
+            assert float_bits(sel.posterior.probs) == float_bits(fresh.probs)
+            assert float_bits(sel.posterior_entropy) == float_bits(inference.shannon_entropy(fresh))
+            if cfg.sample_policies:
+                assert sel.choice_index == int(fresh_rng.choice(len(fresh), p=fresh.as_array()))
+                assert rng.bit_generator.state == fresh_rng.bit_generator.state
+            else:
+                assert sel.choice_index == fresh.map_index
+            selections.append(sel)
+            return sel
+
+        monkeypatch.setattr("abctrans.agent.select_policy", checked_select)
+        monkeypatch.setattr("abctrans.agent.policy_posterior", counted_posterior)
+        for preset in (head_starter_config, large_context_planner_config):
+            for sample in (False, True):
+                cfg = preset(sample_policies=sample)
+                for content in (0.8, 0.99):
+                    models = ReadingEvidenceModel.with_defaults(space, content=content)
+                    for latent, seed in (("TT0", 0), ("TT5", 1)):
+                        first = repr(run_episode(cfg, models, latent=latent, seed=seed))
+                        assert repr(run_episode(cfg, models, latent=latent, seed=seed)) == first
+        # At least the second runs' selections were served from stored posteriors.
+        assert len(computed) <= len(selections) // 2
+
+    def test_one_decision_keeps_a_posterior_per_gamma(self, space, models):
+        cfg = head_starter_config()
+        _, cognitive = agent_after_cue(space, models, cfg, "TT0")
+        sharp = select_policy(cognitive, AffectiveState(gamma=8.0, zeta=1.0), models, cfg)
+        flat = select_policy(cognitive, AffectiveState(gamma=0.5, zeta=1.0), models, cfg)
+        again = select_policy(cognitive, AffectiveState(gamma=8.0, zeta=1.0), models, cfg)
+        assert sharp.decision is flat.decision is again.decision
+        for sel, gamma in ((sharp, 8.0), (flat, 0.5), (again, 8.0)):
+            assert sel.posterior == inference.policy_posterior(sel.decision.totals, gamma)
+        assert sharp.posterior != flat.posterior
+        assert sharp.posterior_entropy < flat.posterior_entropy
+        assert again.posterior is sharp.posterior
+
+    def test_clearing_the_memo_drops_its_posteriors(self, space, models, monkeypatch):
+        # A private memo built as agent's is, so the shared one stays warm
+        # for later tests; clear_selection_cache is the shared one's clear.
+        assert clear_selection_cache == _scored_policies.cache_clear
+        memo = functools.lru_cache(maxsize=65536)(_scored_policies.__wrapped__)
+        computed = []
+
+        def counted_posterior(totals, gamma):
+            computed.append(gamma)
+            return inference.policy_posterior(totals, gamma)
+
+        monkeypatch.setattr("abctrans.agent._scored_policies", memo)
+        monkeypatch.setattr("abctrans.agent.policy_posterior", counted_posterior)
+        cfg = large_context_planner_config()
+        agent = initial_agent_state(space, cfg)
+        for _ in range(2):
+            select_policy(agent.cognitive, agent.affective, models, cfg)
+        assert len(computed) == 1
+        memo.cache_clear()
+        select_policy(agent.cognitive, agent.affective, models, cfg)
+        assert len(computed) == 2
 
 
 class TestStep:

@@ -67,6 +67,14 @@ class TestEntropyCommand:
         assert code == EXIT_VALIDATION
         assert "placed twice" in err
 
+    def test_task_field_that_is_not_a_list_is_validation_error(self, tmp_path, capsys):
+        task = tmp_path / "bad.yaml"
+        task.write_text("schema: 1\nchunks: 5\nsource_order: [1]\norderings:\n  A: [1]\n", encoding="utf-8")
+        code, out, err = run_cli(["entropy", "--task", str(task)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "field 'chunks': must be a list" in err
+
     def test_tsv_side_output(self, tmp_path, capsys):
         out_file = tmp_path / "entropy.tsv"
         code, _, _ = run_cli(["entropy", "--tsv", str(out_file)], capsys)

@@ -46,7 +46,7 @@ def test_efe_scores_match_the_golden_digest(space, monkeypatch):
 
     def scored_afresh(*args):
         result = _scored_policies.__wrapped__(*args)
-        decisions.append(result[1])
+        decisions.append(result.efes)
         return result
 
     monkeypatch.setattr(agent, "_scored_policies", scored_afresh)

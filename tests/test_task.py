@@ -1,10 +1,12 @@
 import math
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from abctrans.task import (
+    CandidateSpace,
     Categorical,
     Chunk,
     ChunkTable,
@@ -265,6 +267,32 @@ class TestReadingLikelihood:
     def test_each_chunk_has_exactly_one_reliability(self, space, models):
         with pytest.raises(TaskError):
             ReadingEvidenceModel(space, models.reliabilities + ((1, 0.3),))
+
+
+class TestEvidenceModelHash:
+    def test_hash_is_taken_once_from_the_fields(self, space, monkeypatch):
+        m = ReadingEvidenceModel.with_defaults(space, content=0.9)
+        assert m._hash == hash((m.space, m.reliabilities)) == hash(m)
+        # A lookup hashes the model without hashing its candidate space again.
+        calls = []
+        monkeypatch.setattr(CandidateSpace, "__hash__", lambda self: calls.append(self) or 0)
+        hash(m)
+        assert calls == []
+
+    def test_equal_models_hash_equal(self, space):
+        a = ReadingEvidenceModel.with_defaults(space, content=0.9)
+        b = ReadingEvidenceModel(load_task(bundled_task_path()).space, a.reliabilities)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert ReadingEvidenceModel.with_defaults(space, content=0.8) != a
+
+    def test_a_pickled_model_takes_its_hash_afresh(self, space):
+        # A str's hash changes between processes, so the stored hash is not pickled.
+        m = ReadingEvidenceModel.with_defaults(space, content=0.9)
+        data = pickle.dumps(m)
+        assert b"_hash" not in data
+        back = pickle.loads(data)
+        assert back == m and back._hash == hash((back.space, back.reliabilities))
 
 
 @given(perm=st.permutations([1, 2, 3, 4, 0]))

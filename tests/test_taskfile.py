@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from abctrans.taskfile import TaskFileError, bundled_task_path, load_task
@@ -85,3 +87,31 @@ class TestValidation:
         extra = "reliability: {default: 0.9, fuzz: 1}"
         with pytest.raises(TaskFileError, match="fuzz"):
             load_task(write(tmp_path, MINIMAL.format(extra=extra)))
+
+    @pytest.mark.parametrize(
+        "old, new, field, message",
+        [
+            ("chunks:\n  - {id: 1, source: a, target: x}\n  - {id: 2, source: b, target: y}\n",
+             "chunks: 5\n", "chunks", "must be a list"),
+            ("source_order: [1, 2]", "source_order: 5", "source_order", "must be a list of chunk ids"),
+            ("B: [2, 1]", "B: [2, 1]\n  TTX: 3", "orderings.TTX", "must be a list of chunk ids"),
+            ("A: [1, 2]", "A: [[1], 2]", "orderings.A", "must be a list of chunk ids"),
+            ("id: 1,", "id: [1],", "chunks[0].id", "must be a number"),
+            ("source: a,", "source: [a],", "chunks[0].source", "must be text"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: 5}",
+             "reliability.overrides", "must be a mapping"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: {2: [1]}}",
+             "reliability.overrides.2", "must be a number"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {default: high}",
+             "reliability.default", "must be a number"),
+        ],
+        ids=[
+            "chunks", "source_order", "new ordering", "nested slot", "chunk id", "source text",
+            "overrides", "override value", "default",
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_named(self, tmp_path, old, new, field, message):
+        text = MINIMAL.format(extra="")
+        assert old in text
+        with pytest.raises(TaskFileError, match=re.escape(f"field {field!r}: {message}")):
+            load_task(write(tmp_path, text.replace(old, new, 1)))
