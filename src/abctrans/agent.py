@@ -20,14 +20,12 @@ import numpy as np
 from . import environment as env
 from .inference import (
     ContradictionError,
-    EFEDecomposition,
     Policies,
     PreferenceVector,
     bayes_update,
-    efe_splits,
     expected_free_energy,  # unused here; perfbench/run.py wraps agent.expected_free_energy
     policy_posterior,
-    policy_scores,
+    score_policies,
     shannon_entropy,
     surprisal as surprisal_bits,
 )
@@ -119,6 +117,8 @@ class AgentConfig:
     def __post_init__(self):
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.max_policies < 1:
+            raise ValueError(f"max_policies must be at least 1, got {self.max_policies!r}")
         # Written as "not valid" so that NaN fails too.
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
@@ -335,11 +335,9 @@ def enumerate_policies(
     # Each level's rows are edges, in depth-first order: the first level's
     # are the root's, and a row's children take its state's edges in order,
     # after the children of the rows before it.
-    cap = max(cfg.max_policies, 0)
+    cap = cfg.max_policies
     truncated = counts[0] > cap
     ids = np.array(edge_action[:min(counts[0], cap)], dtype=np.int32)[:, None]  # rows so far
-    if horizon == 1:  # the root's actions were numbered first, in its edges' order
-        return Policies(actions[:len(ids)], ids, truncated)
     edge = np.arange(len(ids))
     for _ in range(1, horizon):
         for e in set(edge.tolist()):
@@ -373,8 +371,7 @@ class ScoredDecision:
     The selection memo's value. Under a gamma first seen here, selection
     computes the policy posterior, its read-only array, MAP index and
     entropy once and keeps them in by_gamma, so a repeated (decision,
-    gamma) costs lookups only. The EFEDecomposition of each policy is built
-    only when efes is read.
+    gamma) costs lookups only.
     """
 
     policies: Policies
@@ -382,10 +379,6 @@ class ScoredDecision:
     pragmatic: np.ndarray
     totals: np.ndarray
     by_gamma: dict[float, tuple[Categorical, np.ndarray, int, float]] = field(default_factory=dict)
-
-    @functools.cached_property
-    def efes(self) -> tuple[EFEDecomposition, ...]:
-        return efe_splits(self.epistemic, self.pragmatic, self.totals)
 
     def under(self, gamma: float) -> tuple[Categorical, np.ndarray, int, float]:
         """(posterior, its read-only array, MAP index, entropy in bits) under gamma."""
@@ -409,10 +402,6 @@ class SelectionResult:
     @property
     def policies(self) -> Policies:
         return self.decision.policies
-
-    @property
-    def efes(self) -> tuple[EFEDecomposition, ...]:
-        return self.decision.efes
 
     @property
     def policy(self) -> tuple[env.Action, ...]:
@@ -445,7 +434,7 @@ def _scored_policies(
     # Enumeration reads the working belief, never the evidence belief.
     cognitive = CognitiveState(belief, belief, placed, read_set)
     policies = enumerate_policies(cognitive, models.space, horizon, cfg, last_was_pause)
-    return ScoredDecision(policies, *policy_scores(
+    return ScoredDecision(policies, *score_policies(
         belief, policies, models, cfg.prefs,
         w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read_set, zeta=zeta,
     ))

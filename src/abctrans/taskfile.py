@@ -51,7 +51,13 @@ def _require(cond: bool, field: str, message: str):
 
 
 def _is_id_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(c, int) for c in value)
+    return isinstance(value, list) and all(type(c) is int for c in value)  # a bool is no id
+
+
+def _chunk_id(value, field: str) -> int:  # a float such as 2.7 is rejected, not truncated
+    _number(float, value, field)  # a non-number is named as one
+    _require(type(value) is int, field, f"must be an integer chunk id, got {value!r}")
+    return value
 
 
 def _number(kind, value, field: str):
@@ -83,7 +89,7 @@ def load_task(path: str | Path) -> TaskBundle:
         unknown = set(entry) - _CHUNK_FIELDS
         _require(not unknown, f"chunks[{i}]", f"unknown field(s) {sorted(unknown)}")
         _require("id" in entry, f"chunks[{i}].id", "required")
-        chunk_id = _number(int, entry["id"], f"chunks[{i}].id")
+        chunk_id = _chunk_id(entry["id"], f"chunks[{i}].id")
         for key in ("source", "target"):
             _require(isinstance(entry.get(key, ""), str), f"chunks[{i}].{key}", "must be text")
         try:
@@ -119,9 +125,11 @@ def load_task(path: str | Path) -> TaskBundle:
     overrides = rel.get("overrides") or {}
     _require(isinstance(overrides, dict), "reliability.overrides", "must be a mapping")
     overrides = {
-        _number(int, k, "reliability.overrides"): _number(float, v, f"reliability.overrides.{k}")
+        _chunk_id(k, "reliability.overrides"): _number(float, v, f"reliability.overrides.{k}")
         for k, v in overrides.items()
     }
+    for chunk_id in overrides:
+        _require(chunk_id in table.chunk_ids, f"reliability.overrides.{chunk_id}", "names no chunk of the task")
     evidence = ReadingEvidenceModel.with_defaults(
         space,
         content=_number(float, rel.get("default", 0.8), "reliability.default"),

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abctrans import environment as env, inference
 from abctrans.agent import (
@@ -28,7 +28,7 @@ from abctrans.agent import (
     step,
     update_affect,
 )
-from abctrans.inference import PreferenceVector, bayes_update, expected_free_energy
+from abctrans.inference import EFEDecomposition, PreferenceVector, bayes_update, expected_free_energy
 from abctrans.task import Categorical, ReadingEvidenceModel
 
 from conftest import render_of
@@ -177,7 +177,8 @@ class TestAgentConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("beta", -0.1), ("beta", 1.5), ("beta", float("nan")), ("gamma_max", 0.0),
-         ("gamma_max", -4.0), ("gamma_max", float("inf")), ("gamma_max", float("nan"))],
+         ("gamma_max", -4.0), ("gamma_max", float("inf")), ("gamma_max", float("nan")),
+         ("max_policies", 0), ("max_policies", -3)],
     )
     def test_out_of_range_values_are_rejected_by_name(self, field, value):
         for make in (AgentConfig, head_starter_config, large_context_planner_config):
@@ -271,6 +272,16 @@ class TestEnumerationOracle:
             policies = assert_enumeration_is_the_oracles(start, space, 4, capped)
             assert (len(policies), policies.truncated) == (min(cap, total), cap < total)
 
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_capped_horizon_one_openings(self, space, cap):
+        # One-action openings cut by the cap: the rows, the actions they use
+        # and the flag, for both presets' openings.
+        for preset in (head_starter_config, large_context_planner_config):
+            cfg = preset(max_policies=cap)
+            start = initial_agent_state(space, cfg).cognitive
+            policies = assert_enumeration_is_the_oracles(start, space, 1, cfg)
+            assert (len(policies), len(policies.actions), policies.truncated) == (cap, cap, True)
+
     def test_every_decision_of_seeded_planner_episodes(self, space, models, monkeypatch):
         decisions = []
 
@@ -306,6 +317,8 @@ class TestEnumerationOracle:
         paused=st.booleans(),
         cap=st.sampled_from([1, 7, 50, 4096]),
     )
+    @example(n=4, k=12, seed=2, horizon=1, placed=0, reads=0, paused=False, cap=1)
+    @example(n=3, k=6, seed=1, horizon=1, placed=1, reads=1, paused=True, cap=2)
     def test_generated_decisions(self, n, k, seed, horizon, placed, reads, paused, cap):
         # A decision part-way through: the first placed slots of ordering 0
         # typed, the belief uniform on the orderings they fit, and the
@@ -373,7 +386,9 @@ class TestSelectPolicy:
             )
             for policy in sel.policies
         )
-        assert sel.efes == direct
+        decision = sel.decision
+        scores = (decision.epistemic, decision.pragmatic, decision.totals)
+        assert tuple(map(EFEDecomposition, *(column.tolist() for column in scores))) == direct
 
     def test_results_do_not_depend_on_memo_state(self, space, monkeypatch):
         # The same episodes, once in order on a warm memo and once in reverse

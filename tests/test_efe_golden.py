@@ -24,8 +24,9 @@ from abctrans.task import ReadingEvidenceModel
 EFE_SHA256 = "7d53bbb4be660c8291de3bb37dc0017e5684f8d6808aa476615ebb89cae86666"
 
 
-def split(efes):
-    return repr(tuple((e.epistemic, e.pragmatic, e.total) for e in efes)).encode("utf-8")
+def split(scores):
+    # the repr of one (epistemic, pragmatic, total) tuple per policy
+    return repr(tuple(zip(*(column.tolist() for column in scores)))).encode("utf-8")
 
 
 def test_efe_scores_match_the_golden_digest(space, monkeypatch):
@@ -46,13 +47,13 @@ def test_efe_scores_match_the_golden_digest(space, monkeypatch):
 
     def scored_afresh(*args):
         result = _scored_policies.__wrapped__(*args)
-        decisions.append(result.efes)
+        decisions.append((result.epistemic, result.pragmatic, result.totals))
         return result
 
     monkeypatch.setattr(agent, "_scored_policies", scored_afresh)
     models = ReadingEvidenceModel.with_defaults(space, content=0.8)
     run_episode(cfg, models, latent="TT2", seed=0)
-    assert [len(efes) for efes in decisions] == [1206, 4, 3, 4, 3, 2, 2, 2]
-    for efes in decisions:
-        digest.update(split(efes))
+    assert [len(totals) for _, _, totals in decisions] == [1206, 4, 3, 4, 3, 2, 2, 2]
+    for scores in decisions:
+        digest.update(split(scores))
     assert digest.hexdigest() == EFE_SHA256

@@ -8,9 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from abctrans import environment as env, inference
-from abctrans.agent import enumerate_policies, initial_agent_state, large_context_planner_config
+from abctrans.agent import (
+    enumerate_policies,
+    head_starter_config,
+    initial_agent_state,
+    large_context_planner_config,
+)
 from abctrans.inference import (
     ContradictionError,
+    EFEDecomposition,
     PreferenceVector,
     bayes_update,
     expected_free_energy,
@@ -25,6 +31,11 @@ from abctrans.task import Categorical, ReadingEvidenceModel, entropy_bits, place
 from gentask import generated_space
 
 PREFS = PreferenceVector(progress_bonus=0.5, inconsistency_penalty=-2.0)
+
+
+def decompositions(scores):
+    """One EFEDecomposition per policy from score_policies' three arrays."""
+    return tuple(map(EFEDecomposition, *(column.tolist() for column in scores)))
 
 
 def oracle_efe(belief, policy, models, prefs, read):
@@ -352,7 +363,7 @@ class TestExpectedFreeEnergy:
         # 10th at 4, under the planner's own preferences and weights
         cfg = large_context_planner_config()
         start = initial_agent_state(space, cfg).cognitive
-        policies = enumerate_policies(start, space, horizon, cfg)[::stride]
+        policies = list(enumerate_policies(start, space, horizon, cfg))[::stride]
         assert policies
         for policy in policies:
             dec = expected_free_energy(
@@ -375,7 +386,7 @@ class TestExpectedFreeEnergy:
         start = initial_agent_state(space, cfg).cognitive
         policies = enumerate_policies(start, space, horizon, cfg)
         kwargs = dict(w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta)
-        shared = score_policies(space.prior, policies, models, cfg.prefs, **kwargs)
+        shared = decompositions(score_policies(space.prior, policies, models, cfg.prefs, **kwargs))
         alone = tuple(
             expected_free_energy(space.prior, policy, models, cfg.prefs, **kwargs)
             for policy in policies
@@ -402,7 +413,7 @@ class TestExpectedFreeEnergy:
         policies = enumerate_policies(start, space, 3, cfg)
         kwargs = dict(w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset())
         monkeypatch.setattr(inference, "_Rollout", Watched)
-        shared = score_policies(space.prior, policies, models, cfg.prefs, **kwargs)
+        shared = decompositions(score_policies(space.prior, policies, models, cfg.prefs, **kwargs))
         (rollout,) = rollouts
         kinds = [policies.actions[key % rollout.n_actions].kind for key in rollout.keys.tolist()]
         assert {r for _, r in rollout.channels} == {0.7, 0.8, 0.9}
@@ -469,7 +480,7 @@ class TestGeneratedTasks:
         policies = enumerate_policies(start, space, horizon, cfg)
         assert not policies.truncated
         kwargs = dict(w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta)
-        shared = score_policies(space.prior, policies, models, cfg.prefs, **kwargs)
+        shared = decompositions(score_policies(space.prior, policies, models, cfg.prefs, **kwargs))
         alone = tuple(
             expected_free_energy(space.prior, policy, models, cfg.prefs, **kwargs)
             for policy in policies
@@ -478,7 +489,7 @@ class TestGeneratedTasks:
         if zeta != 1.0:
             return  # the oracle conditions on cues with zeta = 1
         stride = max(1, len(policies) // 24)
-        for policy, dec in zip(policies[::stride], shared[::stride]):
+        for policy, dec in zip(list(policies)[::stride], shared[::stride]):
             oe, op = oracle_efe(space.prior, policy, models, cfg.prefs, frozenset())
             assert abs(dec.epistemic - oe) <= 1e-9
             assert abs(dec.pragmatic - op) <= 1e-9
@@ -603,6 +614,31 @@ class TestBatchedNodes:
         want = [oracle_restriction(belief, row) for row in rows]
         assert live.tolist() == [post is not None for post in want] == [True, False, True, True]
         assert [bits(post) for post in posts] == [bits(post) for post in want if post is not None]
+
+    @pytest.mark.parametrize("generated", [False, True], ids=["bundled", "5x6"])
+    @pytest.mark.parametrize("zeta", [1.0, 1.15])
+    def test_one_action_branch_equals_the_level_walk(self, space, generated, zeta):
+        # A one-action decision scored by walk's own branch is bitwise what
+        # the level walk gives the same rows padded with a -1 column. Nothing
+        # has been read, so every content placement pays the unread cost.
+        if generated:
+            space = generated_space(5, 6, 1)
+        models = ReadingEvidenceModel.with_defaults(space)
+        cfg = head_starter_config()
+        start = initial_agent_state(space, cfg).cognitive
+        policies = enumerate_policies(start, space, 1, cfg)
+        assert policies.ids.shape[1] == 1 and len(policies) > 5
+        padded = np.pad(policies.ids, ((0, 0), (0, 1)), constant_values=-1)
+
+        def walked(ids):
+            rollout = inference._Rollout(models, cfg.prefs, zeta, policies, frozenset(), space.prior)
+            return rollout, rollout.walk(ids)
+
+        branch, (branch_e, branch_p) = walked(policies.ids)
+        level, (level_e, level_p) = walked(padded)
+        assert max(branch.typed_chunk) >= 0 and not len(branch.keys) and len(level.keys) == len(policies)
+        assert bits(branch_e) == bits(level_e)
+        assert bits(branch_p) == bits(level_p)
 
 
 class TestPolicyPosterior:

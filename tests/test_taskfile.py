@@ -104,10 +104,23 @@ class TestValidation:
              "reliability.overrides.2", "must be a number"),
             ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {default: high}",
              "reliability.default", "must be a number"),
+            ("id: 2,", "id: 2.7,", "chunks[1].id", "must be an integer chunk id, got 2.7"),
+            ("id: 2,", "id: 2.0,", "chunks[1].id", "must be an integer chunk id, got 2.0"),
+            ("id: 2,", "id: true,", "chunks[1].id", "must be an integer chunk id, got True"),
+            ("id: 2,", "id: '2',", "chunks[1].id", "must be an integer chunk id, got '2'"),
+            ("source_order: [1, 2]", "source_order: [true, 2]", "source_order", "must be a list of chunk ids"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: {2.7: 0.6}}",
+             "reliability.overrides", "must be an integer chunk id, got 2.7"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: {true: 0.6}}",
+             "reliability.overrides", "must be an integer chunk id, got True"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: {9: 0.9}}",
+             "reliability.overrides.9", "names no chunk of the task"),
         ],
         ids=[
             "chunks", "source_order", "new ordering", "nested slot", "chunk id", "source text",
-            "overrides", "override value", "default",
+            "overrides", "override value", "default", "fractional chunk id", "float chunk id",
+            "boolean chunk id", "text chunk id", "boolean in source_order", "fractional override key",
+            "boolean override key", "override of no chunk",
         ],
     )
     def test_a_field_of_the_wrong_type_is_named(self, tmp_path, old, new, field, message):
