@@ -17,6 +17,8 @@ from .trace import ProcessEvent, Trace
 
 O, H, R, F = "O", "H", "R", "F"
 
+EXPORT_FORMATS = ("tsv", "svg")  # what export_progression writes
+
 TSV_COLUMNS = (
     "time_ms",
     "event_kind",
@@ -244,11 +246,9 @@ def export_progression(
     fmt: str = "tsv",
 ) -> bytes:
     """Serialize the analyzed trace, either as a flat TSV or as an SVG timeline."""
-    if fmt == "tsv":
-        return _export_tsv(trace, segments, cycles)
-    if fmt == "svg":
-        return _export_svg(trace, segments, cycles)
-    raise AnalysisError(f"unknown export format {fmt!r}")
+    if fmt not in EXPORT_FORMATS:
+        raise AnalysisError(f"unknown export format {fmt!r}")
+    return (_export_tsv if fmt == "tsv" else _export_svg)(trace, segments, cycles)
 
 
 def _export_tsv(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]) -> bytes:

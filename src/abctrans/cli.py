@@ -90,10 +90,13 @@ def cmd_simulate(args) -> int:
     bundle = _load(args)
     cfg = _agent_config(args, args.preset)
     latent = args.latent or bundle.latent
+    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
+    for fmt in formats:
+        if fmt not in analysis.EXPORT_FORMATS:
+            raise analysis.AnalysisError(f"unknown export format {fmt!r}")
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
     incomplete = 0
     for seed in args.seed:
         trace = run_episode(

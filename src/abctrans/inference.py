@@ -10,19 +10,21 @@ placement by the PreferenceVector, a read by -READ_COST and a pause by
 
 score_policies, the one scoring entry point, gives the epistemic, pragmatic
 and total EFE of a decision's policies, rows of action ids (a Policies
-table), as three read-only arrays. It walks all rows in one pass, level by
-level: the rows that reach a policy's next action become the next level, one
-child row per cue branch of a read or per typed restriction, and each
-(belief, action) node is built once over the whole walk, in one batch with
-the other nodes its level visits first. Each batch is bitwise what building
-its nodes one at a time gives: np.vecdot runs the same 1-D dot loop as b @
-row, posteriors is elementwise per row, np.cumsum adds left to right,
-entropies are task.row_entropies, entropy_bits row by row (math.log2 once
-per distinct probability, never np.log2, which differs on about 0.2% of
-doubles), and a channel's information gain sums w * h per branch in one
-zero-padded np.cumsum, the order of Python's sum. Each row sums its node's
-terms and its children's in the order and rounding of scoring that policy
-alone, so totals are bitwise equal either way.
+table), as three read-only arrays. It walks all policies in one pass, level
+by level, over distinct states. A state is a belief plus a policy's
+remaining actions and which of them pay the unread cost; policies that reach
+one state share its value, as EFE is a recursion over (belief, remaining
+plan). Each level builds the (belief, action) nodes its states need in one
+batch, and a state that goes on has one child per cue branch of a read or
+per typed restriction. Each batch is bitwise what building its nodes one at
+a time gives: np.vecdot runs the same 1-D dot loop as b @ row, posteriors
+is elementwise per row, np.cumsum adds left to right, entropies are
+task.row_entropies, entropy_bits row by row (math.log2 once per distinct
+probability, never np.log2, which differs on about 0.2% of doubles), and a
+channel's information gain sums w * h per branch in one zero-padded
+np.cumsum, the order of Python's sum. Each state sums its
+node's terms and its children's in the order and rounding of scoring one
+policy alone, so totals are bitwise equal either way.
 posteriors is the one conditioning rule, over a 2-D likelihood with one row
 per observation; bayes_update is its one-row case.
 """
@@ -238,22 +240,23 @@ class _Rollout:
 
     Action ids are those of the Policies table. A belief is interned by the
     bytes of its probability row after + 0.0, so that -0.0 and 0.0 are one
-    belief, to a row of a belief stack; the root is id 0. A node, one
-    action from one belief, is keyed belief id * n_actions + action id and
-    built once, in the batch of the walk level that first visits it; its
-    terms and branches (count and offset into the flat weights and beliefs)
-    sit at its position in arrays. A read's cue channel is built once per
-    (belief, reliability), as a chunk's table depends on its reliability
-    alone. Per batch, the missing channels take one _read_branches call per
+    belief, to a row of a belief stack; the root is id 0. A read's cue
+    channel is built once per (belief, reliability), as a chunk's table
+    depends on its reliability alone, and keeps its gain and its branches'
+    weights and child belief ids in two flat arrays. Beliefs and channels
+    are all the walk keeps across levels: each level builds the nodes (one
+    action from one belief) that its states need in one batch (build), and
+    the branches of those some state continues past in another (branches).
+    In a batch, the missing channels take one _read_branches call per
     reliability (row_entropies and information_gains within it), typed
-    placements one _typed_values call, and the restrictions a level needs
-    one _restrictions call. Each is bitwise what its nodes built one at a
-    time give: vecdot runs b @ row's dot loop, posteriors is elementwise,
-    cumsum adds in order, entropies take math.log2 once per distinct
-    probability (np.log2 differs on 4,136 of 2.1M uniform doubles with
-    numpy 2.4.6), and a gain sums w * h per branch in the order of Python's
-    sum. walk scores the policies over these nodes, and the tables are
-    freed when score_policies returns, as nothing refers back to them.
+    placements one _typed_values call, and restrictions one _restrictions
+    call. Each is
+    bitwise what its nodes built one at a time give: vecdot runs b @ row's
+    dot loop, posteriors is elementwise, cumsum adds in order, entropies
+    take math.log2 once per distinct probability (np.log2 differs on 4,136
+    of 2.1M uniform doubles with numpy 2.4.6), and a gain sums w * h per
+    branch in the order of Python's sum. The tables are freed when
+    score_policies returns, as nothing refers back to them.
     """
 
     def __init__(self, models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float,
@@ -298,13 +301,8 @@ class _Rollout:
         self.stack = np.array([belief.probs]) + 0.0  # belief id -> probabilities; the root is 0
         self.belief_ids = {self.stack.tobytes(): 0}  # row bytes (see intern) -> belief id
         self.channels: dict = {}  # (belief id, reliability) -> (information gain, count, offset)
-        # Node tables: index[key] is the node's position, -1 before it is built.
-        self.index = self.keys = np.empty(0, dtype=np.int32)  # and position -> key
-        self.node_e = self.node_p = np.empty(0)
-        # A node's branch count and offset, count 0 until its branches are laid out.
-        self.n_branches = self.offsets = np.empty(0, dtype=np.int32)
-        self.weights, self.beliefs = np.empty(0), np.empty(0, dtype=np.int32)  # every branch, laid out
-        self.rows = 0  # rows the walk visited, over all levels
+        self.weights, self.beliefs = np.empty(0), np.empty(0, dtype=np.int32)  # every channel's branches
+        self.states = 0  # states the level walk visited, over all levels
 
     def intern(self, rows: np.ndarray) -> list:
         """Belief ids of the rows of probabilities; a new belief gets a row of the stack.
@@ -324,15 +322,18 @@ class _Rollout:
             self.stack = np.concatenate([self.stack, rows[np.flatnonzero(top[1:] > top[:-1])]])
         return bids
 
-    def read_channels(self, bids: list, reliabilities: list) -> list:
-        """(information gain, branch count, branch offset) of the channel of each (belief, reliability).
+    def read_channels(self, bids: list, aids: list) -> list:
+        """(i, information gain, branch count, branch offset) per read i among the nodes (bids[i], aids[i]).
 
-        The missing channels are built in one _read_branches call per
-        reliability, and their branches laid out after the others.
+        A read's channel is that of its (belief, reliability). The missing
+        channels are built in one _read_branches call per reliability, and
+        their branches laid out after the others.
         """
-        keys = list(zip(bids, reliabilities))
+        reads = [
+            (i, (bids[i], self.reliability[aid])) for i, aid in enumerate(aids) if self.kinds[aid] == _READ
+        ]
         lack: dict = {}  # reliability -> belief ids without its channel
-        for bid, reliability in dict.fromkeys(keys):
+        for bid, reliability in dict.fromkeys(key for _, key in reads):
             if (bid, reliability) not in self.channels:
                 lack.setdefault(reliability, []).append(bid)
         for reliability, group in lack.items():
@@ -346,23 +347,18 @@ class _Rollout:
             self.channels.update(zip(
                 [(bid, reliability) for bid in group], zip(gains.tolist(), counts, offsets)
             ))
-        return [self.channels[key] for key in keys]
+        return [(i, *self.channels[key]) for i, key in reads]
 
     def build(self, bids: list, aids: list) -> tuple:
-        """(epistemic, pragmatic, branch counts, branch offsets) lists of the nodes (bids[i], aids[i]).
+        """(epistemic, pragmatic) lists of the nodes (bids[i], aids[i]).
 
-        A read takes its channel's gain and branches, and a batch's typed
-        placements their values from one _typed_values call. A placement's
-        or a pause's branches are laid out by branches, so their counts
-        are 0 here.
+        A read takes its channel's gain, and a batch's typed placements
+        their values from one _typed_values call.
         """
         m = len(aids)
-        epistemic, pragmatic, counts, offsets = [0.0] * m, [-PAUSE_COST] * m, [0] * m, [0] * m
-        reads = [i for i, aid in enumerate(aids) if self.kinds[aid] == _READ]
-        reliabilities = [self.reliability[aids[i]] for i in reads]
-        channels = self.read_channels([bids[i] for i in reads], reliabilities)
-        for i, (gain, count, offset) in zip(reads, channels):
-            epistemic[i], pragmatic[i], counts[i], offsets[i] = gain, -READ_COST, count, offset
+        epistemic, pragmatic = [0.0] * m, [-PAUSE_COST] * m
+        for i, gain, _, _ in self.read_channels(bids, aids):
+            epistemic[i], pragmatic[i] = gain, -READ_COST
         typed = [i for i, aid in enumerate(aids) if self.kinds[aid] == _TYPE]
         if typed:
             beliefs = self.stack.take([bids[i] for i in typed], axis=0)
@@ -370,74 +366,45 @@ class _Rollout:
             values = _typed_values(beliefs, factors)
             for i, value in zip(typed, values.tolist()):
                 pragmatic[i] = value
-        return epistemic, pragmatic, counts, offsets
-
-    def positions(self, bids: np.ndarray, aids: np.ndarray) -> np.ndarray:
-        """Node positions of (bids[i], aids[i]), the nodes not yet built built here in one batch."""
-        na = self.n_actions
-        if len(self.index) < len(self.stack) * na:
-            grow = np.full(len(self.stack) * na - len(self.index), -1, dtype=np.int32)
-            self.index = np.concatenate([self.index, grow])
-        at = bids * na + aids
-        pos = self.index[at]
-        new = pos < 0
-        if new.any():
-            self.index[at[new]] = -2
-            fresh = np.flatnonzero(self.index == -2)
-            self.index[fresh] = np.arange(len(self.keys), len(self.keys) + len(fresh))
-            bids, aids = np.divmod(fresh, na)
-            epistemic, pragmatic, counts, offsets = self.build(bids.tolist(), aids.tolist())
-            self.keys = np.concatenate([self.keys, fresh], dtype=np.int32)
-            self.node_e = np.concatenate([self.node_e, epistemic])
-            self.node_p = np.concatenate([self.node_p, pragmatic])
-            self.n_branches = np.concatenate([self.n_branches, counts], dtype=np.int32)
-            self.offsets = np.concatenate([self.offsets, offsets], dtype=np.int32)
-            pos = self.index[at]
-        return pos
-
-    def branches(self, pos: np.ndarray) -> tuple:
-        """Branch counts and offsets of the nodes at pos, laid out on first need.
-
-        A placement or a pause has one branch of weight 1.0. A pause keeps
-        its belief; a placement restricts it to the orderings it fits, all
-        the placements of one call in one batch. A placement that
-        contradicts every live ordering keeps the belief: the penalty
-        already scored it.
-        """
-        counts = self.n_branches[pos]
-        if not counts.all():
-            lack = np.zeros(len(self.keys), dtype=bool)
-            lack[pos[counts == 0]] = True
-            lack = np.flatnonzero(lack)
-            bids, aids = np.divmod(self.keys[lack], self.n_actions)
-            targets, aids = bids.tolist(), aids.tolist()
-            typed = [i for i, aid in enumerate(aids) if self.kinds[aid] == _TYPE]
-            if typed:
-                beliefs = self.stack.take([targets[i] for i in typed], axis=0)
-                fits = self.fits.take([self.row[aids[i]] for i in typed], axis=0)
-                live, posts = _restrictions(beliefs, fits)
-                restricted = [i for i, ok in zip(typed, live.tolist()) if ok]
-                for i, bid in zip(restricted, self.intern(posts)):
-                    targets[i] = bid
-            self.n_branches[lack] = 1
-            self.offsets[lack] = np.arange(len(self.weights), len(self.weights) + len(lack))
-            self.weights = np.concatenate([self.weights, np.ones(len(lack))])
-            self.beliefs = np.concatenate([self.beliefs, targets], dtype=np.int32)
-            counts = self.n_branches[pos]
-        return counts, self.offsets[pos]
-
-    def terms(self, pos: np.ndarray, paid: np.ndarray) -> tuple:
-        """(epistemic, pragmatic) of rows at node positions pos, less the unread cost where paid."""
-        epistemic, pragmatic = self.node_e[pos], self.node_p[pos]
-        pragmatic[paid] -= self.prefs.unread_cost
         return epistemic, pragmatic
+
+    def branches(self, bids: list, aids: list) -> tuple:
+        """(counts, weights, belief ids) of the branches of the nodes (bids[i], aids[i]), node by node.
+
+        A read's branches are its channel's, in cue order. A placement or a
+        pause has one branch of weight 1.0. A pause keeps its belief; a
+        placement restricts it to the orderings it fits, all the placements
+        of one call in one batch. A placement that contradicts every live
+        ordering keeps the belief: the penalty already scored it.
+        """
+        m = len(aids)
+        counts, offsets, targets = [1] * m, [-1] * m, list(bids)
+        for i, _, count, offset in self.read_channels(bids, aids):
+            counts[i], offsets[i] = count, offset
+        typed = [i for i, aid in enumerate(aids) if self.kinds[aid] == _TYPE]
+        if typed:
+            beliefs = self.stack.take([targets[i] for i in typed], axis=0)
+            fits = self.fits.take([self.row[aids[i]] for i in typed], axis=0)
+            live, posts = _restrictions(beliefs, fits)
+            restricted = [i for i, ok in zip(typed, live.tolist()) if ok]
+            for i, bid in zip(restricted, self.intern(posts)):
+                targets[i] = bid
+        # Branch j of node i is channel entry offsets[i] + j, or -1 for a
+        # node's one branch of weight 1.0 to its target.
+        counts = np.array(counts)
+        j = np.arange(counts.sum()) - np.repeat(counts.cumsum() - counts, counts)
+        at = np.repeat(offsets, counts) + j
+        weights, beliefs = np.ones(len(at)), np.repeat(np.array(targets, dtype=np.int64), counts)
+        read = at >= 0
+        weights[read], beliefs[read] = self.weights[at[read]], self.beliefs[at[read]]
+        return counts, weights, beliefs
 
     def unread(self, columns: np.ndarray) -> np.ndarray:
         """Per entry of columns (the policies' ids, one row per column): whether it pays the unread cost.
 
         An action pays it when it types a content chunk that was neither
         read before the policies start nor by an earlier action of the same
-        policy, whichever branch the row took.
+        policy, whichever branches it takes.
         """
         # The -1 pad indexes the last entry, which is its own.
         typed_at = np.array(self.typed_chunk, dtype=np.int32)[columns]
@@ -450,75 +417,97 @@ class _Rollout:
     def walk(self, ids: np.ndarray) -> tuple:
         """(epistemic, pragmatic) arrays over the policies, rows of action ids, from the root belief.
 
-        Level d has one row per (policy, branch path) that reaches the
-        policy's action d; level 0 is the policies. A row whose policy goes
-        on has one child row per branch of its node, laid out by branch
-        position k. Bottom-up, each row takes its node's terms, less the
-        unread cost where it pays it, then adds w_k * child for k in branch
-        order, one elementwise multiply and add at a time: the order and
-        rounding of scoring each policy alone, so every value is bitwise the
-        same. All policies are walked in one pass.
+        A policy's tail at level d is its actions from d on together with
+        whether each pays the unread cost. Tails are numbered bottom-up, one
+        np.unique per level over (action, paid, id of the rest), so equal
+        tails share an id. A state is a (belief id, tail id) pair, and its
+        value depends on the pair alone: EFE is a recursion over (belief,
+        remaining plan), and equal keys run the same arithmetic on the same
+        numbers. Level 0 holds one state per distinct policy, at the root
+        belief. Each level builds the nodes its states need in one batch,
+        lays out the branches of those that some state continues past, and
+        gives each such state one child per branch position k; the next
+        level holds the children's distinct states. Bottom-up, each state
+        takes its node's terms, less the unread cost where its action pays
+        it, then adds w_k * child for k in branch order, one elementwise
+        multiply and add at a time: the order and rounding of scoring each
+        policy alone, so every value is bitwise the same.
 
         One action per policy, a selection by the width of ids alone: the
         rows are the policies, and these small decisions (every head-starter
         decision, every planner decision after the opening) need only their
         nodes' terms, bitwise what the level walk gives them padded with -1.
         Through the level walk, compare_sweep, where they dominate, measured
-        a p90 of about 2.65 ref per op instead of 2.2-2.35.
+        a p90 of 2.85-2.91 ref per op instead of 2.28-2.37.
         """
         n, width = ids.shape
         if width == 1:
-            self.rows += n
             aids = ids[:, 0].tolist()
-            epistemic, pragmatic, _, _ = self.build([0] * n, aids)
+            epistemic, pragmatic = self.build([0] * n, aids)
             for i, aid in enumerate(aids):
                 if self.typed_chunk[aid] >= 0:
                     pragmatic[i] -= self.prefs.unread_cost
             return np.array(epistemic), np.array(pragmatic)
-        # One contiguous array per column: a level's gather is a 1-D take.
-        columns = ids.T.copy()
+        na = self.n_actions
+        columns = ids.T  # row d: each policy's action d
         pays = self.unread(columns)
+        # Per level, per tail: its action, whether that pays, the id of its
+        # rest, and whether the rest holds an action. Past the last level
+        # every policy has the empty tail 0, which holds none.
+        tail, holds = np.zeros(n, dtype=np.int64), np.zeros(1, dtype=bool)
+        heads = []
+        for d in reversed(range(width)):
+            key = (tail * (na + 1) + columns[d] + 1) * 2 + pays[d]
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            action, rest = columns[d][first], tail[first]
+            heads.append((action, pays[d][first], rest, holds[rest]))
+            tail, holds = inverse, action >= 0
 
-        pol = np.arange(n, dtype=np.int32)  # each row's policy
-        bel = np.zeros(n, dtype=np.int32)  # each row's belief id
-        # Per level: node positions, rows paying the unread cost, parent
-        # rows, children per branch position, and the children's branches.
-        # Terms are looked up again on the way back up, so a level holds no
-        # floats.
+        bel = np.zeros(n, dtype=np.int64)  # each policy starts at the root belief
+        # Per level: each entry's state (the entries are the policies on
+        # level 0, the children of the level above after it), the states'
+        # terms, and, where states go on, the parent state of each child and
+        # its weight, laid out k by k.
         levels = []
-        for d in range(width):
-            self.rows += len(pol)
-            pos = self.positions(bel, columns[d][pol])
-            paid = pays[d][pol]
-            parents = np.flatnonzero(columns[d + 1][pol] >= 0) if d + 1 < width else ()
+        for action, paid, rest, goes_on in reversed(heads):
+            keys, up = np.unique(bel * len(action) + tail, return_inverse=True)
+            bel, tail = np.divmod(keys, len(action))
+            self.states += len(keys)
+            nodes, at = np.unique(bel * na + action[tail], return_inverse=True)
+            node_bel, node_aid = np.divmod(nodes, na)
+            epistemic, pragmatic = map(np.array, self.build(node_bel.tolist(), node_aid.tolist()))
+            epistemic, pragmatic = epistemic[at], pragmatic[at]
+            pragmatic[paid[tail]] -= self.prefs.unread_cost
+            levels.append((up, epistemic, pragmatic))
+            parents = np.flatnonzero(goes_on[tail])
             if not len(parents):
                 break
-            n_children, first = self.branches(pos[parents])
+            used, at = np.unique(at[parents], return_inverse=True)
+            counts, weights, beliefs = self.branches(node_bel[used].tolist(), node_aid[used].tolist())
+            n_children, first = counts[at], (counts.cumsum() - counts)[at]
             # Parents with most children first: the parents of the k-th
             # children are a prefix, m[k] long, and the children are laid
             # out k by k.
             order = np.argsort(-n_children, kind="stable")
-            parents, n_children, first = parents[order].astype(np.int32), n_children[order], first[order]
+            parents, n_children, first = parents[order], n_children[order], first[order]
             m = np.bincount(n_children)[::-1].cumsum()[::-1][1:]
-            k = np.repeat(np.arange(len(m), dtype=np.int32), m)
-            i = np.arange(len(k), dtype=np.int32) - np.repeat((np.cumsum(m) - m).astype(np.int32), m)
+            k = np.repeat(np.arange(len(m)), m)
+            i = np.arange(len(k)) - np.repeat(np.cumsum(m) - m, m)
             branch = first[i] + k
-            levels.append((pos, paid, parents, m.tolist(), branch))
-            pol, bel = pol[parents[i]], self.beliefs[branch]
-        del pol, bel
-        epistemic, pragmatic = self.terms(pos, paid)
+            levels[-1] += (parents, m.tolist(), weights[branch])
+            bel, tail = beliefs[branch], rest[tail[parents[i]]]
+        up, epistemic, pragmatic = levels.pop()
         while levels:
-            pos, paid, parents, m, branch = levels.pop()
-            above_e, above_p = self.terms(pos, paid)
-            weight = self.weights[branch]
+            above, above_e, above_p, parents, m, weights = levels.pop()
+            below_e, below_p = epistemic[up], pragmatic[up]
             start = 0
             for size in m:
-                rows, w, stop = parents[:size], weight[start:start + size], start + size
-                above_e[rows] += w * epistemic[start:stop]
-                above_p[rows] += w * pragmatic[start:stop]
+                rows, w, stop = parents[:size], weights[start:start + size], start + size
+                above_e[rows] += w * below_e[start:stop]
+                above_p[rows] += w * below_p[start:stop]
                 start = stop
-            epistemic, pragmatic = above_e, above_p
-        return epistemic, pragmatic
+            up, epistemic, pragmatic = above, above_e, above_p
+        return epistemic[up], pragmatic[up]
 
 
 def score_policies(
@@ -536,8 +525,8 @@ def score_policies(
     policies is a Policies or any sequence of action sequences. Each
     policy's belief is rolled forward through every predicted observation
     branch: reads branch over cues, typed placements restrict the belief to
-    consistent orderings. All policies share one set of nodes (see
-    _Rollout), dropped on return. read_chunks marks source chunks already
+    consistent orderings. All policies share one walk over distinct
+    states (see _Rollout.walk), dropped on return. read_chunks marks source chunks already
     fixated before the policies start (defaults to all, so unread costs
     never apply). The totals are -(w_e * epistemic) - (w_p * pragmatic).
     """

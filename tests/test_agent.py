@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from abctrans import environment as env, inference
+from abctrans import analysis, environment as env, inference
 from abctrans.agent import (
     AgentConfig,
     AffectiveState,
@@ -33,6 +33,7 @@ from abctrans.task import Categorical, ReadingEvidenceModel
 
 from conftest import render_of
 from gentask import generated_space
+from perfbench.workloads import round_trip_problems
 
 
 def dfs_policies(cognitive, space, horizon, cfg, last_was_pause=False):
@@ -415,48 +416,51 @@ class TestSelectPolicy:
         cold = [run(*e) for e in reversed(episodes)]
         assert cold[::-1] == warm
 
-    def test_cold_planner_opening_expands_each_belief_node_once(self, space, models, monkeypatch):
-        # Scoring the 1,206 opening policies builds each table entry once: a
-        # read node per (belief, chunk) over a cue channel per (belief,
-        # reliability), a typed value per (belief, chunk, slot), and a
-        # restriction per typed node some policy continues past. The four
-        # source chunks share one reliability, so the 516 read nodes need
-        # only 260 channels, one per belief they start from. Each is built in
-        # the batch of the level that first needs it, so the counts are of
-        # the rows the batches built. The walk visits every policy's every
-        # branch path: 36,679 rows over all levels.
-        tables = []
+    def test_cold_planner_opening_expands_each_state_once(self, space, models, monkeypatch):
+        # Scoring the 1,206 opening policies walks 9,729 distinct (belief,
+        # tail) states over all levels, where one row per (policy, branch
+        # path) would be 36,679. Cue channels are built once per (belief,
+        # reliability): the four source chunks share one reliability, so the
+        # 516 distinct read nodes need only 260 channels, one per belief they
+        # start from. Nodes and restrictions are built per level, so a node
+        # two levels need is built twice: 1,941 nodes are built, 1,545 of
+        # them distinct, and 175 restrictions. These pins count work, not
+        # results.
+        tables, built = [], []
 
         class Counted(inference._Rollout):
             def __init__(self, *args):
                 super().__init__(*args)
                 tables.append(self)
 
-        counts = {"channels": 0, "restrictions": 0, "nodes": 0}
+            def build(self, bids, aids):
+                built.extend(zip(bids, aids))
+                return super().build(bids, aids)
 
-        def counted(name, fn, batch):
+        counts = {"channels": 0, "restrictions": 0}
+
+        def counted(name, fn):
             def wrapper(*args):
-                counts[name] += len(args[batch])
+                counts[name] += len(args[0])
                 return fn(*args)
             return wrapper
 
         monkeypatch.setattr(inference, "_Rollout", Counted)
-        monkeypatch.setattr(inference, "_read_branches", counted("channels", inference._read_branches, 0))
-        monkeypatch.setattr(inference, "_restrictions", counted("restrictions", inference._restrictions, 0))
-        monkeypatch.setattr(Counted, "build", counted("nodes", Counted.build, 2))
+        monkeypatch.setattr(inference, "_read_branches", counted("channels", inference._read_branches))
+        monkeypatch.setattr(inference, "_restrictions", counted("restrictions", inference._restrictions))
         monkeypatch.setattr("abctrans.agent._scored_policies", _scored_policies.__wrapped__)
         cfg = large_context_planner_config()
         agent = initial_agent_state(space, cfg)
         sel = select_policy(agent.cognitive, agent.affective, models, cfg)
         assert len(sel.policies) == 1206
         (rollout,) = tables
-        keys = rollout.keys.tolist()
-        kinds = [sel.policies.actions[key % rollout.n_actions].kind for key in keys]
-        assert len(set(keys)) == len(keys)
-        assert counts == {"channels": 260, "restrictions": 149, "nodes": len(keys)}
+        nodes = set(built)
+        kinds = [sel.policies.actions[aid].kind for _, aid in nodes]
+        assert counts == {"channels": 260, "restrictions": 175}
+        assert (len(built), len(nodes)) == (1941, 1545)
         assert len(rollout.channels) == 260
         assert (kinds.count(env.FIXATE_SOURCE), kinds.count(env.TYPE)) == (516, 769)
-        assert rollout.rows == 36679
+        assert rollout.states == 9729
 
 
 def float_bits(values) -> bytes:
@@ -779,6 +783,40 @@ class TestRunEpisode:
         models99 = ReadingEvidenceModel.with_defaults(space, content=0.99)
         trace = run_episode(large_context_planner_config(), models99, latent=latent, seed=0)
         assert trace.complete
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        k=st.integers(1, 12),
+        task_seed=st.integers(1, 3),
+        content=st.sampled_from([0.5, 0.8, 0.9, 0.99, 1.0]),
+        planner=st.booleans(),
+        latent=st.integers(0, 11),
+        seed=st.integers(0, 3),
+    )
+    @example(n=4, k=12, task_seed=1, content=0.9, planner=True, latent=0, seed=0)
+    @example(n=4, k=12, task_seed=1, content=0.9, planner=True, latent=1, seed=0)  # ends at max_steps
+    @example(n=4, k=12, task_seed=2, content=1.0, planner=False, latent=3, seed=1)
+    def test_generated_episode_ends_by_name_and_its_export_round_trips(
+        self, n, k, task_seed, content, planner, latent, seed
+    ):
+        # An episode on a generated task never raises. It completes with a
+        # candidate ordering typed out, or runs out of steps: the livelock
+        # that the strict xfails above pin still ends some episodes that
+        # way, as in the second example. Exporting its trace and ingesting
+        # the TSV gives back the event kinds, the targets the export keeps
+        # and the OHRF states.
+        space = generated_space(n, min(k, math.factorial(n + 1)), task_seed)
+        models = ReadingEvidenceModel.with_defaults(space, content=content)
+        cfg = large_context_planner_config() if planner else head_starter_config()
+        label = space.labels[latent % len(space.labels)]
+        trace = run_episode(cfg, models, latent=label, seed=seed)
+        assert trace.stop_reason in ("complete", "max_steps")
+        if trace.complete:
+            assert trace.final_target in {render_of(space, other) for other in space.labels}
+        segments = analysis.segment_ohrf(trace)
+        tsv = analysis.export_progression(trace, segments, analysis.group_policies(segments), "tsv")
+        assert round_trip_problems(trace, segments, tsv) == []
 
     def test_frozen_affect_changes_behavior_under_surprises(self, models):
         script = ("TT1", "TT5")

@@ -148,6 +148,21 @@ class TestSimulateCommand:
         assert err.startswith(f"validation error: {field} must")
         assert out == ""
 
+    @pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+    def test_unknown_export_format_exits_before_any_episode(self, out, tmp_path, capsys, monkeypatch):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the formats were validated")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        args = ["simulate", "--preset", "head_starter", "--seed", "0", "1", "--formats", "tsv,png"]
+        if out:
+            args += ["--out", str(tmp_path / "d")]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("validation error: unknown export format 'png'")
+        assert stdout == ""
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_preset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--preset", "sprinter"])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from abctrans import environment as env, inference
 from abctrans.agent import (
+    CognitiveState,
     enumerate_policies,
     head_starter_config,
     initial_agent_state,
@@ -403,7 +404,12 @@ class TestExpectedFreeEnergy:
         class Watched(inference._Rollout):
             def __init__(self, *args):
                 super().__init__(*args)
+                self.built = set()
                 rollouts.append(self)
+
+            def build(self, bids, aids):
+                self.built.update(zip(bids, aids))
+                return super().build(bids, aids)
 
         models = ReadingEvidenceModel.with_defaults(
             space, overrides={1: 0.8, 2: 0.8, 3: 0.7, 4: 0.9}
@@ -415,7 +421,7 @@ class TestExpectedFreeEnergy:
         monkeypatch.setattr(inference, "_Rollout", Watched)
         shared = decompositions(score_policies(space.prior, policies, models, cfg.prefs, **kwargs))
         (rollout,) = rollouts
-        kinds = [policies.actions[key % rollout.n_actions].kind for key in rollout.keys.tolist()]
+        kinds = [policies.actions[aid].kind for _, aid in rollout.built]
         assert {r for _, r in rollout.channels} == {0.7, 0.8, 0.9}
         assert len(rollout.channels) < kinds.count(env.FIXATE_SOURCE)
         alone = tuple(
@@ -458,9 +464,31 @@ class TestExpectedFreeEnergy:
 class TestGeneratedTasks:
     # Tasks drawn by gentask: up to 4 content chunks, up to 12 orderings
     # (numpy sums 8 or more terms pairwise, which the bundled task's 6 never
-    # reach) and horizons up to 3. Each opening decision is scored once over
-    # all its policies, once per policy alone, and against the oracle on at
-    # most 24 evenly spaced policies.
+    # reach) and horizons up to 3. Each decision is scored once over all its
+    # policies, once per policy alone, and against the oracle on at most 24
+    # evenly spaced policies.
+    @staticmethod
+    def check_decision(space, models, cognitive, horizon, zeta):
+        cfg = large_context_planner_config()
+        policies = enumerate_policies(cognitive, space, horizon, cfg)
+        assert not policies.truncated
+        belief, read = cognitive.belief, cognitive.read_set
+        kwargs = dict(w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read, zeta=zeta)
+        shared = decompositions(score_policies(belief, policies, models, cfg.prefs, **kwargs))
+        alone = tuple(
+            expected_free_energy(belief, policy, models, cfg.prefs, **kwargs)
+            for policy in policies
+        )
+        assert shared == alone
+        if zeta != 1.0:
+            return  # the oracle conditions on cues with zeta = 1
+        stride = max(1, len(policies) // 24)
+        for policy, dec in zip(list(policies)[::stride], shared[::stride]):
+            oe, op = oracle_efe(belief, policy, models, cfg.prefs, read)
+            assert abs(dec.epistemic - oe) <= 1e-9
+            assert abs(dec.pragmatic - op) <= 1e-9
+            assert abs(dec.total - (-(cfg.w_e * oe) - (cfg.w_p * op))) <= 1e-9
+
     @settings(max_examples=10, derandomize=True, deadline=None)
     @given(
         n=st.integers(2, 4),
@@ -475,31 +503,47 @@ class TestGeneratedTasks:
     def test_decision_equals_each_policy_alone_and_the_oracle(self, n, k, seed, horizon, content, zeta):
         space = generated_space(n, min(k, math.factorial(n + 1)), seed)
         models = ReadingEvidenceModel.with_defaults(space, content=content)
-        cfg = large_context_planner_config()
-        start = initial_agent_state(space, cfg).cognitive
-        policies = enumerate_policies(start, space, horizon, cfg)
-        assert not policies.truncated
-        kwargs = dict(w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta)
-        shared = decompositions(score_policies(space.prior, policies, models, cfg.prefs, **kwargs))
-        alone = tuple(
-            expected_free_energy(space.prior, policy, models, cfg.prefs, **kwargs)
-            for policy in policies
-        )
-        assert shared == alone
-        if zeta != 1.0:
-            return  # the oracle conditions on cues with zeta = 1
-        stride = max(1, len(policies) // 24)
-        for policy, dec in zip(list(policies)[::stride], shared[::stride]):
-            oe, op = oracle_efe(space.prior, policy, models, cfg.prefs, frozenset())
-            assert abs(dec.epistemic - oe) <= 1e-9
-            assert abs(dec.pragmatic - op) <= 1e-9
-            assert abs(dec.total - (-(cfg.w_e * oe) - (cfg.w_p * op))) <= 1e-9
+        start = initial_agent_state(space, large_context_planner_config()).cognitive
+        self.check_decision(space, models, start, horizon, zeta)
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        k=st.integers(2, 12),
+        seed=st.integers(1, 3),
+        horizon=st.integers(1, 3),
+        content=st.sampled_from([0.8, 0.9, 0.99]),
+        zeta=st.sampled_from([1.0, 1.15]),
+        typed=st.booleans(),
+    )
+    @example(n=4, k=12, seed=1, horizon=3, content=0.9, zeta=1.0, typed=True)
+    @example(n=3, k=9, seed=2, horizon=3, content=0.8, zeta=1.15, typed=False)
+    def test_later_decision_equals_each_policy_alone_and_the_oracle(
+        self, n, k, seed, horizon, content, zeta, typed
+    ):
+        # A decision after reading chunk 1 and seeing the cue of one
+        # ordering, and, if typed, after then typing that ordering's first
+        # chunk at slot 1. Chunk 1 has been read, so placing it pays no
+        # unread cost where placing another content chunk does: the
+        # unread-cost bits of a walk state differ between policies.
+        space = generated_space(n, min(k, math.factorial(n + 1)), seed)
+        models = ReadingEvidenceModel.with_defaults(space, content=content)
+        shown = seed % len(space.orderings)
+        belief = bayes_update(space.prior, models.likelihood_row(1, space.labels[shown]))
+        placed = ()
+        if typed:
+            chunk = space.orderings[shown].chunk_at(1)
+            belief = bayes_update(belief, placement_row(space, chunk, 1))
+            placed = ((1, chunk),)
+        cognitive = CognitiveState(belief, belief, placed, frozenset({1}))
+        self.check_decision(space, models, cognitive, horizon, zeta)
 
 
 class TestBatchedNodes:
-    # The rollout builds a walk level's new nodes in batches. Every read
-    # channel, typed value and restriction in its tables after scoring a
-    # generated opening equals the per-node rule above bitwise. Reliability
+    # The rollout builds each walk level's nodes, and their branches, in
+    # batches. After scoring a generated opening, every read channel it
+    # keeps, and every node term and branch that build and branches
+    # returned, equals the per-node rule above bitwise. Reliability
     # 1.0 leaves cues without mass once a read has pinned the belief, and
     # each decision also scores one policy that types a chunk at two slots,
     # whose second restriction contradicts every ordering.
@@ -525,15 +569,30 @@ class TestBatchedNodes:
         rollouts = []
 
         class Watched(inference._Rollout):
+            # Records (belief id, action id, epistemic, pragmatic) per node
+            # built and (belief id, action id, weights, belief ids) per node
+            # whose branches were laid out.
             def __init__(self, *args):
                 super().__init__(*args)
+                self.built, self.laid = [], []
                 rollouts.append(self)
+
+            def build(self, bids, aids):
+                epistemic, pragmatic = super().build(bids, aids)
+                self.built += zip(bids, aids, epistemic, pragmatic)
+                return epistemic, pragmatic
+
+            def branches(self, bids, aids):
+                counts, weights, beliefs = super().branches(bids, aids)
+                ends = counts.cumsum()[:-1]
+                self.laid += zip(bids, aids, np.split(weights, ends), np.split(beliefs, ends))
+                return counts, weights, beliefs
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(inference, "_Rollout", Watched)
             score_policies(space.prior, policies, models, prefs, read_chunks=frozenset(), zeta=zeta)
         (rollout,) = rollouts
-        stack, na = rollout.stack, rollout.n_actions
+        stack = rollout.stack
         actions = inference.Policies.of(policies).actions
 
         assert rollout.channels
@@ -549,23 +608,37 @@ class TestBatchedNodes:
             )
             assert bits([gain]) == bits([h])
 
-        contradictions = 0
-        for position, key in enumerate(rollout.keys.tolist()):
-            bid, aid = divmod(key, na)
+        for bid, aid, epistemic, pragmatic in rollout.built:
             action = actions[aid]
-            if action.kind != env.TYPE:
+            if action.kind == env.FIXATE_SOURCE:
+                gain, _, _ = rollout.channels[bid, rollout.reliability[aid]]
+                assert (bits([epistemic]), pragmatic) == (bits([gain]), -inference.READ_COST)
+            elif action.kind == env.TYPE:
+                row = placement_row(space, action.chunk_id, action.slot)
+                value = oracle_typed_value(stack[bid].tolist(), row.tolist(), prefs)
+                assert (epistemic, bits([pragmatic])) == (0.0, bits([value]))
+            else:
+                assert (epistemic, pragmatic) == (0.0, -inference.PAUSE_COST)
+
+        contradictions = 0
+        for bid, aid, weights, children in rollout.laid:
+            action = actions[aid]
+            if action.kind == env.FIXATE_SOURCE:
+                _, count, offset = rollout.channels[bid, rollout.reliability[aid]]
+                assert bits(weights) == bits(rollout.weights[offset:offset + count])
+                assert children.tolist() == rollout.beliefs[offset:offset + count].tolist()
                 continue
-            row = placement_row(space, action.chunk_id, action.slot)
-            value = oracle_typed_value(stack[bid].tolist(), row.tolist(), prefs)
-            assert bits([rollout.node_p[position]]) == bits([value])
-            if rollout.n_branches[position]:
-                target = rollout.beliefs[rollout.offsets[position]]
-                post = oracle_restriction(stack[bid], row)
-                if post is None:
-                    contradictions += 1
-                    assert target == bid
-                else:
-                    assert bits(stack[target]) == bits(post)
+            (target,) = children.tolist()
+            assert weights.tolist() == [1.0]
+            if action.kind != env.TYPE:
+                assert target == bid
+                continue
+            post = oracle_restriction(stack[bid], placement_row(space, action.chunk_id, action.slot))
+            if post is None:
+                contradictions += 1
+                assert target == bid
+            else:
+                assert bits(stack[target]) == bits(post)
         assert contradictions
 
     @pytest.mark.parametrize("generated", [False, True], ids=["bundled", "4x12"])
@@ -619,8 +692,9 @@ class TestBatchedNodes:
     @pytest.mark.parametrize("zeta", [1.0, 1.15])
     def test_one_action_branch_equals_the_level_walk(self, space, generated, zeta):
         # A one-action decision scored by walk's own branch is bitwise what
-        # the level walk gives the same rows padded with a -1 column. Nothing
-        # has been read, so every content placement pays the unread cost.
+        # the level walk gives the same rows padded with a -1 column, and it
+        # visits no state of the level walk. Nothing has been read, so every
+        # content placement pays the unread cost.
         if generated:
             space = generated_space(5, 6, 1)
         models = ReadingEvidenceModel.with_defaults(space)
@@ -636,7 +710,7 @@ class TestBatchedNodes:
 
         branch, (branch_e, branch_p) = walked(policies.ids)
         level, (level_e, level_p) = walked(padded)
-        assert max(branch.typed_chunk) >= 0 and not len(branch.keys) and len(level.keys) == len(policies)
+        assert max(branch.typed_chunk) >= 0 and branch.states == 0 and level.states == len(policies)
         assert bits(branch_e) == bits(level_e)
         assert bits(branch_p) == bits(level_p)
 
