@@ -6,6 +6,10 @@ zeta below, and of every decision one seeded planner episode scores, each
 scored afresh. ``repr`` of a float is exact, so any change in a summation
 order shows. A change that moves any score updates EFE_SHA256 and says in
 CHANGES.md which scores moved and why.
+
+GENERATED_SHA256 covers the horizon-4 planner opening of a generated task
+(4 content chunks, 12 orderings, 1,686 policies), whose walk levels batch
+far more channels and restrictions than the bundled task's.
 """
 
 import hashlib
@@ -20,8 +24,10 @@ from abctrans.agent import (
 )
 from abctrans.inference import score_policies
 from abctrans.task import ReadingEvidenceModel
+from gentask import generated_space
 
 EFE_SHA256 = "7d53bbb4be660c8291de3bb37dc0017e5684f8d6808aa476615ebb89cae86666"
+GENERATED_SHA256 = "cdbe700febb558be77f2ffe1504111a30083658c549eb97d0dfe9cbf4b065719"
 
 
 def split(scores):
@@ -57,3 +63,19 @@ def test_efe_scores_match_the_golden_digest(space, monkeypatch):
     for scores in decisions:
         digest.update(split(scores))
     assert digest.hexdigest() == EFE_SHA256
+
+
+def test_generated_opening_scores_match_the_golden_digest():
+    digest = hashlib.sha256()
+    space = generated_space(4, 12, 1)
+    cfg = large_context_planner_config()
+    start = initial_agent_state(space, cfg).cognitive
+    policies = enumerate_policies(start, space, 4, cfg)
+    assert len(policies) == 1686
+    models = ReadingEvidenceModel.with_defaults(space, content=0.9)
+    for zeta in (1.0, 1.15):
+        digest.update(split(score_policies(
+            space.prior, policies, models, cfg.prefs,
+            w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta,
+        )))
+    assert digest.hexdigest() == GENERATED_SHA256
