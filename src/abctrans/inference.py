@@ -14,24 +14,18 @@ table), as three read-only arrays. It walks all policies in one pass, level
 by level, over distinct states. A state is a belief plus a policy's
 remaining actions and which of them pay the unread cost; policies that reach
 one state share its value, as EFE is a recursion over (belief, remaining
-plan). Each level builds the (belief, action) nodes its states need in one
-batch, and a state that goes on has one child per cue branch of a read or
-per typed restriction. Each batch is bitwise what building its nodes one at
-a time gives: np.vecdot runs the same 1-D dot loop as b @ row, posteriors
-is elementwise per row, np.cumsum adds left to right, entropies are
-task.row_entropies, entropy_bits row by row (math.log2 once per distinct
-probability, never np.log2, which differs on about 0.2% of doubles), and a
-channel's information gain sums w * h per branch in one zero-padded
-np.cumsum, the order of Python's sum. Each state sums its
-node's terms and its children's in the order and rounding of scoring one
-policy alone, so totals are bitwise equal either way.
-posteriors is the one conditioning rule, over a 2-D likelihood with one row
-per observation; bayes_update is its one-row case.
+plan). Each level builds the (belief, action) nodes its states need as
+arrays in one batch, bitwise what building them one at a time gives (see
+the helpers below), and a state that goes on has one child per cue branch
+of a read or per typed restriction. Each state sums its node's terms and
+its children's in the order and rounding of scoring one policy alone, so
+totals are bitwise equal either way. posteriors is the one conditioning
+rule, over a 2-D likelihood with one row per observation; bayes_update is
+its one-row case.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,8 +95,8 @@ def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) ->
     give no posteriors.
     """
     weighted = prior * np.power(likelihoods, zeta)
-    totals = weighted.sum(axis=1, keepdims=True)
-    if totals.size and not totals.min() > PROB_FLOOR:
+    totals = np.add.reduce(weighted, axis=1, keepdims=True)  # weighted.sum, less its call overhead
+    if totals.size and not np.minimum.reduce(totals, axis=None) > PROB_FLOOR:
         raise ContradictionError("observation impossible under the current belief")
     return weighted / totals
 
@@ -118,24 +112,21 @@ def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categori
     return Categorical(tuple(post))
 
 
-def _read_branches(beliefs: np.ndarray, table: np.ndarray, zeta: float):
-    """The read channel of one chunk from each belief of a stack (one per row).
+def _read_branches(beliefs: np.ndarray, tables: np.ndarray, zeta: float):
+    """The read channels of a stack of beliefs, belief i through likelihood table tables[i].
 
     Returns (gains, counts, weights, posteriors): gains[i] is belief i's
     expected information gain and counts[i] the number of cues with mass
-    under it, and the branches follow belief by belief, in cue order, one
-    weight and one posterior row each. Each weight is np.vecdot of the
-    belief and the cue's likelihood row, the 1-D dot loop of b @ row (a
-    matrix product would round differently); the posteriors of every branch
-    come from one posteriors call, which is elementwise per row, and the
-    entropies of beliefs and posteriors from one row_entropies call, so
-    every value is bitwise that of one belief alone.
+    under it; the branches follow belief by belief, in cue order, one weight
+    (np.vecdot, b @ row's 1-D dot loop; a matrix product rounds differently)
+    and one posterior row each. posteriors is elementwise, one row_entropies
+    call gives the entropies: every value is bitwise that of one belief alone.
     """
-    weights = np.vecdot(beliefs[:, None, :], table[None])
+    weights = np.vecdot(beliefs[:, None, :], tables)
     live = weights > 0.0
     rows, cues = live.nonzero()
-    counts, weights = live.sum(axis=1), weights[rows, cues]
-    posts = posteriors(beliefs[rows], table[cues], zeta)
+    counts, weights = np.add.reduce(live, axis=1), weights[rows, cues]
+    posts = posteriors(beliefs[rows], tables[rows, cues], zeta)
     h = row_entropies(np.concatenate([beliefs, posts]))
     gains = information_gains(h[:len(beliefs)], counts, weights, h[len(beliefs):])
     return gains, counts, weights, posts
@@ -158,7 +149,7 @@ def expected_information_gain(
     if action.kind != env.FIXATE_SOURCE:
         return 0.0
     table = models.likelihood_table(action.chunk_id)
-    (gain,), _, _, _ = _read_branches(belief.as_array()[None, :], table, zeta)
+    (gain,), _, _, _ = _read_branches(belief.as_array()[None, :], table[None], zeta)
     return float(gain)
 
 
@@ -167,15 +158,14 @@ def _typed_values(beliefs: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
     factors[i] holds, per ordering, the progress bonus where placement i
     fits it and the inconsistency penalty where it does not. Each value is
-    the sum of p * factor over the orderings, left to right from 0.0:
-    np.cumsum adds in that order, and an ordering with p == 0 adds -0.0,
-    which leaves any sum as it was.
+    the sum of p * factor over the orderings, left to right from 0.0: an
+    ordering with p == 0 adds -0.0, which leaves any sum as it was, and
+    np.cumsum, which starts from the first term, then + 0.0 give the same
+    bits (as in task.row_entropies).
     """
-    values = np.zeros((len(beliefs), beliefs.shape[1] + 1))  # column 0 is the 0.0 each sum starts from
-    terms = values[:, 1:]
-    np.multiply(beliefs, factors, out=terms)
+    terms = beliefs * factors
     terms[beliefs == 0.0] = -0.0
-    return values.cumsum(axis=1)[:, -1]
+    return terms.cumsum(axis=1)[:, -1] + 0.0
 
 
 def _restrictions(beliefs: np.ndarray, fits: np.ndarray):
@@ -231,170 +221,179 @@ class Policies:
             yield tuple(self.actions[a] for a in row if a >= 0)
 
 
-# Node kinds of the rollout's action table.
-_READ, _TYPE, _PAUSE = 0, 1, 2
+def _distinct(keys: np.ndarray) -> tuple:
+    """(sorted distinct keys, inverse): np.unique(keys, return_inverse=True), less its overhead."""
+    order = keys.argsort()
+    ordered = keys[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    inverse = np.empty(len(keys), dtype=int)
+    inverse[order] = new.cumsum() - 1
+    return ordered[new], inverse
+
+
+# The most cue rows one channel batch holds: a level's missing channels are
+# built in slices of at most this many (at least one belief a slice), which
+# give bitwise what one batch gives. The bundled opening's largest has 1,512.
+CHANNEL_ROWS = 1 << 13
+
+# Read-only empty starts of every rollout's channel arrays, which grow by concatenation.
+_NO_FLOATS, _NO_INTS = np.empty(0), np.empty(0, dtype=int)
+_NO_FLOATS.flags.writeable = _NO_INTS.flags.writeable = False
 
 
 class _Rollout:
-    """The tables of one score_policies call, keyed by small integers.
+    """The tables of one score_policies call, as arrays indexed by small integers.
 
-    Action ids are those of the Policies table. A belief is interned by the
-    bytes of its probability row after + 0.0, so that -0.0 and 0.0 are one
-    belief, to a row of a belief stack; the root is id 0. A read's cue
-    channel is built once per (belief, reliability), as a chunk's table
-    depends on its reliability alone, and keeps its gain and its branches'
-    weights and child belief ids in two flat arrays. Beliefs and channels
-    are all the walk keeps across levels: each level builds the nodes (one
-    action from one belief) that its states need in one batch (build), and
-    the branches of those some state continues past in another (branches).
-    In a batch, the missing channels take one _read_branches call per
-    reliability (row_entropies and information_gains within it), typed
-    placements one _typed_values call, and restrictions one _restrictions
-    call. Each is
-    bitwise what its nodes built one at a time give: vecdot runs b @ row's
-    dot loop, posteriors is elementwise, cumsum adds in order, entropies
-    take math.log2 once per distinct probability (np.log2 differs on 4,136
-    of 2.1M uniform doubles with numpy 2.4.6), and a gain sums w * h per
-    branch in the order of Python's sum. The tables are freed when
-    score_policies returns, as nothing refers back to them.
+    Action ids are those of the Policies table. Per action id, int arrays
+    hold a read's reliability index and a placement's row of fits and
+    factors (-1 for other kinds, so they give the kind too). A belief is
+    interned by the bytes of its probability row after + 0.0 (so -0.0 and
+    0.0 are one belief) to a row of a belief stack; the root is id 0. A
+    read's cue channel is built once per (belief, reliability), as a chunk's
+    table depends on its reliability alone: channel c has gain[c] and
+    count[c] branches, whose weights and child belief ids follow those of
+    the channels before it in two flat arrays, and a dense channel index
+    over belief id x reliability index, grown with the stack, holds each
+    channel's id (-1 for none). Beliefs and channels are all the walk keeps
+    across levels. Each level builds the nodes (one action from one belief)
+    its states need in one batch (build), looking each read's channel up
+    once, and lays out the branches of those some state continues past from
+    that channel column (branches): one _read_branches call per CHANNEL_ROWS
+    slice of missing channels, one _typed_values and one _restrictions call.
+    Nothing refers back to the tables, so they are freed on return.
     """
 
     def __init__(self, models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float,
                  policies: Policies, read_chunks, belief: Categorical):
         self.prefs, self.zeta = prefs, zeta
         space = models.space
-        reliabilities = dict(models.reliabilities)
         na = self.n_actions = len(policies.actions)
-        # Per action id: its kind, a read's reliability, a placement's row
-        # of fits and factors.
-        self.kinds = [_PAUSE] * na
-        self.reliability: list = [None] * na
-        self.tables: dict = {}  # reliability -> likelihood table
-        self.row: list = [None] * na
-        fits = []
-        # Per action id, padded by one for the -1 past a policy's end: the
-        # chunk a read reads and the unread content chunk a placement types,
-        # as small ints (-2 and -1 match nothing), for the unread cost.
-        self.read_chunk, self.typed_chunk = [-2] * (na + 1), [-1] * (na + 1)
-        chunks: dict = {}
+        # Per action id: a read's or pause's pragmatic term, the unread cost
+        # paid as a first action, then (padded for the -1 past a policy's
+        # end) reliability index, placement row, and the small int of the
+        # unread content chunk typed, or -2 less that of the chunk read.
+        m = na + 1
+        cost, first, rel, row, chunk_of = [-PAUSE_COST] * na, [0.0] * na, [-1] * m, [-1] * m, [-1] * m
+        self.reliabilities: dict = {}  # reliability -> reliability index
+        tables, fits, chunks, reliabilities = [], [], {}, None
         for aid, action in enumerate(policies.actions):
             kind, chunk = action.kind, action.chunk_id
             if kind == env.FIXATE_SOURCE:
-                self.kinds[aid] = _READ
-                reliability = self.reliability[aid] = reliabilities[chunk]
-                if reliability not in self.tables:
-                    self.tables[reliability] = models.likelihood_table(chunk)
-                self.read_chunk[aid] = chunks.setdefault(chunk, len(chunks))
+                reliabilities = reliabilities or dict(models.reliabilities)
+                cost[aid] = -READ_COST
+                rel[aid] = self.reliabilities.setdefault(reliabilities[chunk], len(tables))
+                if rel[aid] == len(tables):
+                    tables.append(models.likelihood_table(chunk))
+                chunk_of[aid] = -2 - chunks.setdefault(chunk, len(chunks))
             elif kind == env.TYPE:
-                self.kinds[aid] = _TYPE
-                self.row[aid] = len(fits)
+                row[aid] = len(fits)
                 fits.append(placement_row(space, chunk, action.slot))
                 unread = read_chunks is not None and chunk not in read_chunks
                 if unread and space.table.chunk(chunk).kind == CONTENT:
-                    self.typed_chunk[aid] = chunks.setdefault(chunk, len(chunks))
+                    chunk_of[aid] = chunks.setdefault(chunk, len(chunks))
+                    first[aid] = prefs.unread_cost
             elif kind != env.PAUSE:
                 raise ValueError(f"unknown action kind {kind!r}")
-        # Per typed placement: whether each ordering fits it (its placement
-        # row), and the preference each ordering gives it.
+        self.unread_typed = any(first)  # whether a first action pays a (nonzero) unread cost
+        costs, columns = np.array(cost + first), np.array(rel + row + chunk_of)
+        self.cost, self.first_cost = costs[:na], costs[na:]
+        self.rel, self.row, self.chunk = columns[:m], columns[m:2 * m], columns[2 * m:]
+        # Per typed placement and ordering: whether it fits, and its preference.
         self.fits = np.array(fits) if fits else np.empty((0, len(space.orderings)))
-        self.factors = np.where(self.fits > 0.0, prefs.progress_bonus, prefs.inconsistency_penalty)
-        self.stack = np.array([belief.probs]) + 0.0  # belief id -> probabilities; the root is 0
+        fit = (self.fits > 0.0).view(np.int8)
+        self.factors = np.array((prefs.inconsistency_penalty, prefs.progress_bonus)).take(fit)
+        self.stack = np.add([belief.probs], 0.0)  # belief id -> probabilities (see intern); the root is 0
         self.belief_ids = {self.stack.tobytes(): 0}  # row bytes (see intern) -> belief id
-        self.channels: dict = {}  # (belief id, reliability) -> (information gain, count, offset)
-        self.weights, self.beliefs = np.empty(0), np.empty(0, dtype=np.int32)  # every channel's branches
+        # Reliability index -> likelihood table, and the dense channel index:
+        # belief id * len(tables) + reliability index -> channel id.
+        self.tables, self.channel = (np.array(tables), np.array([-1] * len(tables))) if tables else ((), ())
+        self.gain, self.count, self.weights, self.beliefs = _NO_FLOATS, _NO_INTS, _NO_FLOATS, _NO_INTS
         self.states = 0  # states the level walk visited, over all levels
 
-    def intern(self, rows: np.ndarray) -> list:
+    def intern(self, rows: np.ndarray) -> np.ndarray:
         """Belief ids of the rows of probabilities; a new belief gets a row of the stack.
 
-        A belief is keyed by its row's bytes, after + 0.0 has turned any
-        -0.0 into 0.0, so rows that are equal as numbers are one belief.
+        Keys are row bytes after + 0.0 turns -0.0 into 0.0: rows equal as numbers are one belief.
         """
         rows = rows + 0.0
         ids = self.belief_ids
         known = len(ids)
         keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
-        bids = [ids.setdefault(key, len(ids)) for key in keys]
+        # Ids are handed out in row order: a new belief's first row is where
+        # the running maximum of the ids, from known - 1, rises.
+        bids = np.array([known - 1] + [ids.setdefault(key, len(ids)) for key in keys])
         if len(ids) > known:
-            # Ids are handed out in row order: a new belief's first row is
-            # where the running maximum of the ids, from known - 1, rises.
-            top = np.maximum.accumulate(np.array([known - 1] + bids))
-            self.stack = np.concatenate([self.stack, rows[np.flatnonzero(top[1:] > top[:-1])]])
-        return bids
+            top = np.maximum.accumulate(bids)
+            self.stack = np.concatenate([self.stack, rows[(top[1:] > top[:-1]).nonzero()[0]]])
+        return bids[1:]
 
-    def read_channels(self, bids: list, aids: list) -> list:
-        """(i, information gain, branch count, branch offset) per read i among the nodes (bids[i], aids[i]).
+    def channels(self, bids: np.ndarray, rels: np.ndarray) -> np.ndarray:
+        """The channel id of each (belief id, reliability index) pair; missing ones are built first."""
+        n_rel = len(self.tables)
+        grow = len(self.stack) * n_rel - len(self.channel)
+        if grow:
+            self.channel = np.concatenate([self.channel, np.full(grow, -1)])
+        keys = bids * n_rel + rels
+        lack = (self.channel[keys] < 0).nonzero()[0]
+        if len(lack):
+            # Each missing pair's entry keeps one of the positions written
+            # to it: the positions that kept theirs are the distinct pairs.
+            missing = keys[lack]
+            self.channel[missing] = lack
+            new = lack[self.channel[missing] == lack]
+            self.channel[keys[new]] = np.arange(len(self.gain), len(self.gain) + len(new))
+            step = max(1, CHANNEL_ROWS // self.stack.shape[1])
+            for part in (new[start:start + step] for start in range(0, len(new), step)):
+                beliefs, tables = self.stack.take(bids[part], axis=0), self.tables.take(rels[part], axis=0)
+                gains, counts, weights, posts = _read_branches(beliefs, tables, self.zeta)
+                self.gain = np.concatenate([self.gain, gains])
+                self.count = np.concatenate([self.count, counts])
+                self.weights = np.concatenate([self.weights, weights])
+                self.beliefs = np.concatenate([self.beliefs, self.intern(posts)])
+        return self.channel[keys]
 
-        A read's channel is that of its (belief, reliability). The missing
-        channels are built in one _read_branches call per reliability, and
-        their branches laid out after the others.
+    def build(self, bids: np.ndarray, aids: np.ndarray) -> tuple:
+        """(epistemic, pragmatic, channel) arrays of the nodes (bids[i], aids[i]).
+
+        A read takes its channel's gain, whose id channel holds (-1 for
+        other nodes); placements take theirs from one _typed_values call.
         """
-        reads = [
-            (i, (bids[i], self.reliability[aid])) for i, aid in enumerate(aids) if self.kinds[aid] == _READ
-        ]
-        lack: dict = {}  # reliability -> belief ids without its channel
-        for bid, reliability in dict.fromkeys(key for _, key in reads):
-            if (bid, reliability) not in self.channels:
-                lack.setdefault(reliability, []).append(bid)
-        for reliability, group in lack.items():
-            beliefs = self.stack.take(group, axis=0)
-            gains, counts, weights, posts = _read_branches(beliefs, self.tables[reliability], self.zeta)
-            children = self.intern(posts)
-            counts = counts.tolist()
-            offsets = itertools.accumulate(counts[:-1], initial=len(self.weights))
-            self.weights = np.concatenate([self.weights, weights])
-            self.beliefs = np.concatenate([self.beliefs, children], dtype=np.int32)
-            self.channels.update(zip(
-                [(bid, reliability) for bid in group], zip(gains.tolist(), counts, offsets)
-            ))
-        return [(i, *self.channels[key]) for i, key in reads]
+        epistemic, pragmatic, channel = np.zeros(len(aids)), self.cost[aids], self.rel[aids]
+        reads = (channel >= 0).nonzero()[0]
+        if len(reads):
+            channel[reads] = found = self.channels(bids[reads], channel[reads])
+            epistemic[reads] = self.gain[found]
+        rows = self.row[aids]
+        typed = (rows >= 0).nonzero()[0]
+        if len(typed):
+            beliefs = self.stack.take(bids[typed], axis=0)
+            pragmatic[typed] = _typed_values(beliefs, self.factors.take(rows[typed], axis=0))
+        return epistemic, pragmatic, channel
 
-    def build(self, bids: list, aids: list) -> tuple:
-        """(epistemic, pragmatic) lists of the nodes (bids[i], aids[i]).
-
-        A read takes its channel's gain, and a batch's typed placements
-        their values from one _typed_values call.
-        """
-        m = len(aids)
-        epistemic, pragmatic = [0.0] * m, [-PAUSE_COST] * m
-        for i, gain, _, _ in self.read_channels(bids, aids):
-            epistemic[i], pragmatic[i] = gain, -READ_COST
-        typed = [i for i, aid in enumerate(aids) if self.kinds[aid] == _TYPE]
-        if typed:
-            beliefs = self.stack.take([bids[i] for i in typed], axis=0)
-            factors = self.factors.take([self.row[aids[i]] for i in typed], axis=0)
-            values = _typed_values(beliefs, factors)
-            for i, value in zip(typed, values.tolist()):
-                pragmatic[i] = value
-        return epistemic, pragmatic
-
-    def branches(self, bids: list, aids: list) -> tuple:
+    def branches(self, bids: np.ndarray, aids: np.ndarray, channel: np.ndarray) -> tuple:
         """(counts, weights, belief ids) of the branches of the nodes (bids[i], aids[i]), node by node.
 
-        A read's branches are its channel's, in cue order. A placement or a
-        pause has one branch of weight 1.0. A pause keeps its belief; a
-        placement restricts it to the orderings it fits, all the placements
-        of one call in one batch. A placement that contradicts every live
-        ordering keeps the belief: the penalty already scored it.
+        channel is build's column for these nodes; a read has its channel's
+        branches, in cue order. A pause has one branch of weight 1.0 to its
+        belief, a placement one to its belief restricted to the orderings it
+        fits, or to its belief if it contradicts them all (the penalty has
+        scored it); one batch restricts them all.
         """
-        m = len(aids)
-        counts, offsets, targets = [1] * m, [-1] * m, list(bids)
-        for i, _, count, offset in self.read_channels(bids, aids):
-            counts[i], offsets[i] = count, offset
-        typed = [i for i, aid in enumerate(aids) if self.kinds[aid] == _TYPE]
-        if typed:
-            beliefs = self.stack.take([targets[i] for i in typed], axis=0)
-            fits = self.fits.take([self.row[aids[i]] for i in typed], axis=0)
-            live, posts = _restrictions(beliefs, fits)
-            restricted = [i for i, ok in zip(typed, live.tolist()) if ok]
-            for i, bid in zip(restricted, self.intern(posts)):
-                targets[i] = bid
+        counts, offsets, targets = np.ones(len(aids), dtype=int), np.full(len(aids), -1), bids.copy()
+        reads = (channel >= 0).nonzero()[0]
+        counts[reads] = self.count[channel[reads]]
+        offsets[reads] = (self.count.cumsum() - self.count)[channel[reads]]
+        rows = self.row[aids]
+        typed = (rows >= 0).nonzero()[0]
+        if len(typed):
+            beliefs = self.stack.take(bids[typed], axis=0)
+            live, posts = _restrictions(beliefs, self.fits.take(rows[typed], axis=0))
+            targets[typed[live]] = self.intern(posts)
         # Branch j of node i is channel entry offsets[i] + j, or -1 for a
         # node's one branch of weight 1.0 to its target.
-        counts = np.array(counts)
         j = np.arange(counts.sum()) - np.repeat(counts.cumsum() - counts, counts)
         at = np.repeat(offsets, counts) + j
-        weights, beliefs = np.ones(len(at)), np.repeat(np.array(targets, dtype=np.int64), counts)
+        weights, beliefs = np.ones(len(at)), np.repeat(targets, counts)
         read = at >= 0
         weights[read], beliefs[read] = self.weights[at[read]], self.beliefs[at[read]]
         return counts, weights, beliefs
@@ -406,10 +405,8 @@ class _Rollout:
         read before the policies start nor by an earlier action of the same
         policy, whichever branches it takes.
         """
-        # The -1 pad indexes the last entry, which is its own.
-        typed_at = np.array(self.typed_chunk, dtype=np.int32)[columns]
-        read_at = np.array(self.read_chunk, dtype=np.int32)[columns]
-        pays = typed_at >= 0
+        typed_at = self.chunk[columns]  # the -1 pad indexes the last entry, which is its own
+        read_at, pays = -2 - typed_at, typed_at >= 0
         for d in range(1, len(columns)):
             pays[d] &= ~(read_at[:d] == typed_at[d]).any(axis=0)
         return pays
@@ -419,76 +416,79 @@ class _Rollout:
 
         A policy's tail at level d is its actions from d on together with
         whether each pays the unread cost. Tails are numbered bottom-up, one
-        np.unique per level over (action, paid, id of the rest), so equal
-        tails share an id. A state is a (belief id, tail id) pair, and its
-        value depends on the pair alone: EFE is a recursion over (belief,
-        remaining plan), and equal keys run the same arithmetic on the same
-        numbers. Level 0 holds one state per distinct policy, at the root
-        belief. Each level builds the nodes its states need in one batch,
-        lays out the branches of those that some state continues past, and
-        gives each such state one child per branch position k; the next
+        sort per level over (action, paid, id of the rest), so equal tails
+        share an id; a tail reads its action, paid bit and rest off a row a
+        scatter picks (np.unique's first rows need a slower, stable sort). A
+        state is a (belief id, tail id) pair, and its value depends on the
+        pair alone: EFE is a recursion over (belief, remaining plan), and
+        equal keys run the same arithmetic on the same numbers. Level 0
+        holds one state per distinct policy, at the root belief. Each level
+        builds the nodes its states need, lays out the branches of those
+        some state continues past, and gives each such state one child per
+        branch position k, parents with most children first by a stable
+        sort of their counts in a small int dtype (a radix sort); the next
         level holds the children's distinct states. Bottom-up, each state
         takes its node's terms, less the unread cost where its action pays
         it, then adds w_k * child for k in branch order, one elementwise
         multiply and add at a time: the order and rounding of scoring each
         policy alone, so every value is bitwise the same.
 
-        One action per policy, a selection by the width of ids alone: the
-        rows are the policies, and these small decisions (every head-starter
-        decision, every planner decision after the opening) need only their
-        nodes' terms, bitwise what the level walk gives them padded with -1.
-        Through the level walk, compare_sweep, where they dominate, measured
+        One action per policy, a selection by the width of ids alone: these
+        small decisions (every head-starter decision, every planner decision
+        after the opening) need only their nodes' terms less each action's
+        first-action unread cost (x - 0.0 is x, -0.0 included), bitwise what
+        the level walk gives. Through the level walk, compare_sweep measured
         a p90 of 2.85-2.91 ref per op instead of 2.28-2.37.
         """
         n, width = ids.shape
         if width == 1:
-            aids = ids[:, 0].tolist()
-            epistemic, pragmatic = self.build([0] * n, aids)
-            for i, aid in enumerate(aids):
-                if self.typed_chunk[aid] >= 0:
-                    pragmatic[i] -= self.prefs.unread_cost
-            return np.array(epistemic), np.array(pragmatic)
+            aids = ids[:, 0].astype(int)  # an int32 index costs a cast in every gather
+            epistemic, pragmatic, _ = self.build(np.zeros(n, dtype=int), aids)
+            if self.unread_typed:
+                pragmatic -= self.first_cost[aids]
+            return epistemic, pragmatic
         na = self.n_actions
+        small = np.min_scalar_type(-self.fits.shape[1])  # fits a node's negated branch count
         columns = ids.T  # row d: each policy's action d
         pays = self.unread(columns)
         # Per level, per tail: its action, whether that pays, the id of its
         # rest, and whether the rest holds an action. Past the last level
         # every policy has the empty tail 0, which holds none.
-        tail, holds = np.zeros(n, dtype=np.int64), np.zeros(1, dtype=bool)
+        tail, holds = np.zeros(n, dtype=int), np.zeros(1, dtype=bool)
         heads = []
         for d in reversed(range(width)):
-            key = (tail * (na + 1) + columns[d] + 1) * 2 + pays[d]
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            key, inverse = _distinct((tail * (na + 1) + columns[d] + 1) * 2 + pays[d])
+            first = np.empty(len(key), dtype=int)
+            first[inverse] = np.arange(n)
             action, rest = columns[d][first], tail[first]
             heads.append((action, pays[d][first], rest, holds[rest]))
             tail, holds = inverse, action >= 0
 
-        bel = np.zeros(n, dtype=np.int64)  # each policy starts at the root belief
-        # Per level: each entry's state (the entries are the policies on
-        # level 0, the children of the level above after it), the states'
-        # terms, and, where states go on, the parent state of each child and
-        # its weight, laid out k by k.
+        bel = np.zeros(n, dtype=int)  # each policy starts at the root belief
+        # Per level: each entry's state (entries are the policies on level 0,
+        # then the children of the level above), the states' terms, and, if
+        # states go on, each child's parent state and weight, k by k.
         levels = []
         for action, paid, rest, goes_on in reversed(heads):
-            keys, up = np.unique(bel * len(action) + tail, return_inverse=True)
+            keys, up = _distinct(bel * len(action) + tail)
             bel, tail = np.divmod(keys, len(action))
             self.states += len(keys)
-            nodes, at = np.unique(bel * na + action[tail], return_inverse=True)
+            nodes, at = _distinct(bel * na + action[tail])
             node_bel, node_aid = np.divmod(nodes, na)
-            epistemic, pragmatic = map(np.array, self.build(node_bel.tolist(), node_aid.tolist()))
+            epistemic, pragmatic, channel = self.build(node_bel, node_aid)
             epistemic, pragmatic = epistemic[at], pragmatic[at]
             pragmatic[paid[tail]] -= self.prefs.unread_cost
             levels.append((up, epistemic, pragmatic))
-            parents = np.flatnonzero(goes_on[tail])
+            parents = goes_on[tail].nonzero()[0]
             if not len(parents):
                 break
-            used, at = np.unique(at[parents], return_inverse=True)
-            counts, weights, beliefs = self.branches(node_bel[used].tolist(), node_aid[used].tolist())
+            used, at = _distinct(at[parents])
+            counts, weights, beliefs = self.branches(node_bel[used], node_aid[used], channel[used])
             n_children, first = counts[at], (counts.cumsum() - counts)[at]
             # Parents with most children first: the parents of the k-th
             # children are a prefix, m[k] long, and the children are laid
             # out k by k.
-            order = np.argsort(-n_children, kind="stable")
+            order = np.argsort(-n_children.astype(small), kind="stable")
             parents, n_children, first = parents[order], n_children[order], first[order]
             m = np.bincount(n_children)[::-1].cumsum()[::-1][1:]
             k = np.repeat(np.arange(len(m)), m)

@@ -458,7 +458,7 @@ class TestSelectPolicy:
         kinds = [sel.policies.actions[aid].kind for _, aid in nodes]
         assert counts == {"channels": 260, "restrictions": 175}
         assert (len(built), len(nodes)) == (1941, 1545)
-        assert len(rollout.channels) == 260
+        assert len(rollout.gain) == (rollout.channel >= 0).sum() == 260
         assert (kinds.count(env.FIXATE_SOURCE), kinds.count(env.TYPE)) == (516, 769)
         assert rollout.states == 9729
 

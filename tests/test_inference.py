@@ -422,8 +422,11 @@ class TestExpectedFreeEnergy:
         shared = decompositions(score_policies(space.prior, policies, models, cfg.prefs, **kwargs))
         (rollout,) = rollouts
         kinds = [policies.actions[aid].kind for _, aid in rollout.built]
-        assert {r for _, r in rollout.channels} == {0.7, 0.8, 0.9}
-        assert len(rollout.channels) < kinds.count(env.FIXATE_SOURCE)
+        # The dense channel index is keyed belief id * len(tables) + reliability index.
+        reliabilities = list(rollout.reliabilities)
+        keys = (rollout.channel >= 0).nonzero()[0]
+        assert {reliabilities[r] for r in keys % len(rollout.tables)} == {0.7, 0.8, 0.9}
+        assert len(rollout.gain) == len(keys) < kinds.count(env.FIXATE_SOURCE)
         alone = tuple(
             expected_free_energy(space.prior, policy, models, cfg.prefs, **kwargs)
             for policy in policies
@@ -569,23 +572,23 @@ class TestBatchedNodes:
         rollouts = []
 
         class Watched(inference._Rollout):
-            # Records (belief id, action id, epistemic, pragmatic) per node
-            # built and (belief id, action id, weights, belief ids) per node
-            # whose branches were laid out.
+            # Records (belief id, action id, epistemic, pragmatic, channel id)
+            # per node built and (belief id, action id, channel id, weights,
+            # belief ids) per node whose branches were laid out.
             def __init__(self, *args):
                 super().__init__(*args)
                 self.built, self.laid = [], []
                 rollouts.append(self)
 
             def build(self, bids, aids):
-                epistemic, pragmatic = super().build(bids, aids)
-                self.built += zip(bids, aids, epistemic, pragmatic)
-                return epistemic, pragmatic
+                epistemic, pragmatic, channel = super().build(bids, aids)
+                self.built += zip(bids, aids, epistemic, pragmatic, channel)
+                return epistemic, pragmatic, channel
 
-            def branches(self, bids, aids):
-                counts, weights, beliefs = super().branches(bids, aids)
+            def branches(self, bids, aids, channel):
+                counts, weights, beliefs = super().branches(bids, aids, channel)
                 ends = counts.cumsum()[:-1]
-                self.laid += zip(bids, aids, np.split(weights, ends), np.split(beliefs, ends))
+                self.laid += zip(bids, aids, channel, np.split(weights, ends), np.split(beliefs, ends))
                 return counts, weights, beliefs
 
         with pytest.MonkeyPatch.context() as patch:
@@ -595,10 +598,19 @@ class TestBatchedNodes:
         stack = rollout.stack
         actions = inference.Policies.of(policies).actions
 
-        assert rollout.channels
-        for (bid, reliability), (gain, count, offset) in rollout.channels.items():
-            table = rollout.tables[reliability]
-            want = oracle_read_branches(stack[bid], table, zeta)
+        # Channel c's branches follow those of the channels before it; the
+        # dense index maps belief id * len(tables) + reliability index to c.
+        offsets = rollout.count.cumsum() - rollout.count
+
+        def channel_of(bid, aid):
+            return rollout.channel[bid * len(rollout.tables) + rollout.rel[aid]]
+
+        keys = (rollout.channel >= 0).nonzero()[0]
+        assert len(keys) and sorted(rollout.channel[keys]) == list(range(len(rollout.gain)))
+        for bid, reliability in zip(*np.divmod(keys, len(rollout.tables))):
+            c = rollout.channel[bid * len(rollout.tables) + reliability]
+            gain, count, offset = rollout.gain[c], rollout.count[c], offsets[c]
+            want = oracle_read_branches(stack[bid], rollout.tables[reliability], zeta)
             children = rollout.beliefs[offset:offset + count].tolist()
             assert bits(rollout.weights[offset:offset + count]) == bits(w for w, _ in want)
             for child, (_, post) in zip(children, want, strict=True):
@@ -608,12 +620,15 @@ class TestBatchedNodes:
             )
             assert bits([gain]) == bits([h])
 
-        for bid, aid, epistemic, pragmatic in rollout.built:
+        for bid, aid, epistemic, pragmatic, channel in rollout.built:
             action = actions[aid]
             if action.kind == env.FIXATE_SOURCE:
-                gain, _, _ = rollout.channels[bid, rollout.reliability[aid]]
+                assert channel == channel_of(bid, aid) >= 0
+                gain = rollout.gain[channel]
                 assert (bits([epistemic]), pragmatic) == (bits([gain]), -inference.READ_COST)
-            elif action.kind == env.TYPE:
+                continue
+            assert channel == -1
+            if action.kind == env.TYPE:
                 row = placement_row(space, action.chunk_id, action.slot)
                 value = oracle_typed_value(stack[bid].tolist(), row.tolist(), prefs)
                 assert (epistemic, bits([pragmatic])) == (0.0, bits([value]))
@@ -621,10 +636,11 @@ class TestBatchedNodes:
                 assert (epistemic, pragmatic) == (0.0, -inference.PAUSE_COST)
 
         contradictions = 0
-        for bid, aid, weights, children in rollout.laid:
+        for bid, aid, channel, weights, children in rollout.laid:
             action = actions[aid]
             if action.kind == env.FIXATE_SOURCE:
-                _, count, offset = rollout.channels[bid, rollout.reliability[aid]]
+                assert channel == channel_of(bid, aid)
+                count, offset = rollout.count[channel], offsets[channel]
                 assert bits(weights) == bits(rollout.weights[offset:offset + count])
                 assert children.tolist() == rollout.beliefs[offset:offset + count].tolist()
                 continue
@@ -661,7 +677,7 @@ class TestBatchedNodes:
             def intern(self, rows):
                 ids = super().intern(rows)
                 want = [self.tuple_ids.setdefault(tuple(row), len(self.tuple_ids)) for row in rows.tolist()]
-                assert ids == want
+                assert ids.tolist() == want
                 return ids
 
         with pytest.MonkeyPatch.context() as patch:
@@ -676,7 +692,7 @@ class TestBatchedNodes:
         signed = np.concatenate([zeroed, np.where(zeroed == 0.0, -0.0, zeroed)])
         assert signed[0].tobytes() != signed[1].tobytes()
         (bid,) = rollout.intern(zeroed)
-        assert rollout.intern(signed) == [bid, bid] and bid < len(rollout.tuple_ids)
+        assert rollout.intern(signed).tolist() == [bid, bid] and bid < len(rollout.tuple_ids)
 
     def test_restriction_batch_keeps_contradicted_rows_out(self, space):
         # one batch of placements from a point mass on TT0: those that fit it
@@ -710,7 +726,7 @@ class TestBatchedNodes:
 
         branch, (branch_e, branch_p) = walked(policies.ids)
         level, (level_e, level_p) = walked(padded)
-        assert max(branch.typed_chunk) >= 0 and branch.states == 0 and level.states == len(policies)
+        assert branch.unread_typed and branch.states == 0 and level.states == len(policies)
         assert bits(branch_e) == bits(level_e)
         assert bits(branch_p) == bits(level_p)
 
