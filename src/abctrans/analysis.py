@@ -387,7 +387,12 @@ def ingest_tsv(data: bytes, column_map: dict[str, str] | None = None) -> Trace:
     the next event's start.
     """
     column_map = dict(DEFAULT_COLUMN_MAP, **(column_map or {}))
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # rows count non-blank lines, as below
+        before = data[:exc.start].decode("utf-8").split("\n")[:-1]
+        row = 1 + sum(1 for ln in before if ln.strip())
+        raise IngestError(row, f"byte {exc.start} is not UTF-8") from None
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise IngestError(0, "empty file: no header row")

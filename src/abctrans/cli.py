@@ -197,7 +197,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    data = Path(args.trace).read_bytes()
+    try:
+        data = Path(args.trace).read_bytes()
+    except OSError as exc:
+        print(f"ingestion error: cannot read {args.trace}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INGEST
     column_map = {"time": args.time_col, "kind": args.kind_col, "target": args.target_col}
     trace = analysis.ingest_tsv(data, column_map)
     segments = analysis.segment_ohrf(trace, theta_pause_ms=args.theta_pause)

@@ -71,6 +71,10 @@ def load_task(path: str | Path) -> TaskBundle:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise TaskFileError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TaskFileError(f"cannot read {path}: byte {exc.start} is not UTF-8") from None
     except yaml.YAMLError as exc:
         raise TaskFileError(f"cannot parse {path}: {exc}")
     if not isinstance(raw, dict):

@@ -378,6 +378,20 @@ class TestExportAndIngest:
         with pytest.raises(IngestError, match="row 2"):
             ingest_tsv(data)
 
+    def test_bytes_that_are_not_utf8_report_their_row(self):
+        # rows count the non-blank lines, the header as row 1
+        rows = [("0", env.FIXATE_SOURCE, "1"), ("200", env.TYPE, "1@1")]
+        data = (
+            "\t".join(TSV_COLUMNS)
+            + "\n\n"
+            + "\n".join("\t".join([t, k, tgt, "", "0", "", ""]) for t, k, tgt in rows)
+            + "\n"
+        ).encode()
+        bad = data.replace(b"1@1", b"1@\xe9")
+        offset = data.index(b"1@1") + 2
+        with pytest.raises(IngestError, match=f"row 3: byte {offset} is not UTF-8"):
+            ingest_tsv(bad)
+
     @pytest.mark.parametrize("time", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_time_reports_row(self, time):
         rows = [("0", env.FIXATE_SOURCE, "1"), ("200", env.TYPE, "1@1"), (time, env.PAUSE, "")]

@@ -75,6 +75,23 @@ class TestEntropyCommand:
         assert out == ""
         assert "field 'chunks': must be a list" in err
 
+    @pytest.mark.parametrize("command", [["entropy"], ["simulate", "--preset", "head_starter"]])
+    @pytest.mark.parametrize("target", ["missing.yaml", "."], ids=["missing file", "directory"])
+    def test_unreadable_task_is_one_line_validation_error(self, command, target, tmp_path, capsys):
+        path = tmp_path / target
+        code, out, err = run_cli(command + ["--task", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith(f"validation error: cannot read {path}: ") and err.count("\n") == 1
+
+    def test_task_that_is_not_utf8_is_one_line_validation_error(self, tmp_path, capsys):
+        task = tmp_path / "latin1.yaml"
+        task.write_bytes(b"schema: 1\nname: caf\xe9\n")
+        code, out, err = run_cli(["entropy", "--task", str(task)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == f"validation error: cannot read {task}: byte 19 is not UTF-8\n"
+
     def test_tsv_side_output(self, tmp_path, capsys):
         out_file = tmp_path / "entropy.tsv"
         code, _, _ = run_cli(["entropy", "--tsv", str(out_file)], capsys)
@@ -357,6 +374,22 @@ class TestSegmentCommand:
         code, _, err = run_cli(["segment", str(path)], capsys)
         assert code == EXIT_INGEST
         assert "missing column" in err
+
+    @pytest.mark.parametrize("target", ["missing.tsv", "."], ids=["missing file", "directory"])
+    def test_unreadable_log_is_one_line_ingest_error(self, target, tmp_path, capsys):
+        path = tmp_path / target
+        code, out, err = run_cli(["segment", str(path)], capsys)
+        assert code == EXIT_INGEST
+        assert out == ""
+        assert err.startswith(f"ingestion error: cannot read {path}: ") and err.count("\n") == 1
+
+    def test_log_that_is_not_utf8_is_ingest_error_naming_the_row(self, tmp_path, capsys):
+        path = self.craft(tmp_path, [("0", env.FIXATE_SOURCE, "1"), ("100", env.TYPE, "1@1")])
+        path.write_bytes(path.read_bytes().replace(b"1@1", b"1@\xff"))
+        code, out, err = run_cli(["segment", str(path)], capsys)
+        assert code == EXIT_INGEST
+        assert out == ""
+        assert re.fullmatch(r"ingestion error: row 3: byte \d+ is not UTF-8\n", err)
 
     def test_svg_output(self, tmp_path, capsys):
         rows = [("0", env.FIXATE_SOURCE, "1"), ("100", env.TYPE, "1@1")]

@@ -694,6 +694,35 @@ class TestBatchedNodes:
         (bid,) = rollout.intern(zeroed)
         assert rollout.intern(signed).tolist() == [bid, bid] and bid < len(rollout.tuple_ids)
 
+    @pytest.mark.parametrize("generated", [False, True], ids=["bundled", "4x12"])
+    @pytest.mark.parametrize("zeta", [1.0, 1.15])
+    def test_channel_slices_equal_one_batch(self, space, generated, zeta, monkeypatch):
+        # Slices of at most 1, 7 or 64 cue rows (one belief a slice, or up
+        # to 64 // orderings) give bitwise the totals of one unbounded batch
+        # per level; each slice holds at most its share of beliefs.
+        if generated:
+            space = generated_space(4, 12, 1)
+        models = ReadingEvidenceModel.with_defaults(space, content=0.9)
+        cfg = large_context_planner_config()
+        policies = enumerate_policies(initial_agent_state(space, cfg).cognitive, space, 4, cfg)
+        batches, read_branches = [], inference._read_branches
+
+        def counted(beliefs, *args):
+            batches.append(len(beliefs))
+            return read_branches(beliefs, *args)
+
+        monkeypatch.setattr(inference, "_read_branches", counted)
+        totals, calls = {}, {}
+        for rows in (1 << 62, 1, 7, 64):
+            monkeypatch.setattr(inference, "CHANNEL_ROWS", rows)
+            batches.clear()
+            scores = score_policies(space.prior, policies, models, cfg.prefs, w_e=cfg.w_e, w_p=cfg.w_p,
+                                    read_chunks=frozenset(), zeta=zeta)
+            totals[rows], calls[rows] = [bits(column) for column in scores], len(batches)
+            assert max(batches) <= max(1, rows // len(space.orderings)) or rows == 1 << 62
+        assert totals[1] == totals[7] == totals[64] == totals[1 << 62]
+        assert calls[1] == calls[7] > calls[64] > calls[1 << 62]
+
     def test_restriction_batch_keeps_contradicted_rows_out(self, space):
         # one batch of placements from a point mass on TT0: those that fit it
         # restrict it, the one that fits no ordering the belief holds has none

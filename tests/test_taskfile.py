@@ -88,6 +88,19 @@ class TestValidation:
         with pytest.raises(TaskFileError, match="fuzz"):
             load_task(write(tmp_path, MINIMAL.format(extra=extra)))
 
+    @pytest.mark.parametrize("target", ["missing.yaml", "."], ids=["missing file", "directory"])
+    def test_unreadable_file_is_named(self, tmp_path, target):
+        path = tmp_path / target
+        with pytest.raises(TaskFileError, match=re.escape(f"cannot read {path}: ")):
+            load_task(path)
+
+    def test_bytes_that_are_not_utf8_are_named(self, tmp_path):
+        path = tmp_path / "task.yaml"
+        path.write_bytes(MINIMAL.format(extra="name: caf\xe9").encode("latin-1"))
+        offset = MINIMAL.format(extra="name: caf").encode().index(b"caf") + 3
+        with pytest.raises(TaskFileError, match=re.escape(f"cannot read {path}: byte {offset} is not UTF-8")):
+            load_task(path)
+
     @pytest.mark.parametrize(
         "old, new, field, message",
         [
