@@ -253,14 +253,15 @@ class _Rollout:
     table depends on its reliability alone: channel c has gain[c] and
     count[c] branches, whose weights and child belief ids follow those of
     the channels before it in two flat arrays, and a dense channel index
-    over belief id x reliability index, grown with the stack, holds each
-    channel's id (-1 for none). Beliefs and channels are all the walk keeps
-    across levels. Each level builds the nodes (one action from one belief)
-    its states need in one batch (build), looking each read's channel up
-    once, and lays out the branches of those some state continues past from
-    that channel column (branches): one _read_branches call per CHANNEL_ROWS
-    slice of missing channels, one _typed_values and one _restrictions call.
-    Nothing refers back to the tables, so they are freed on return.
+    over belief id x reliability index (key bid * len(tables) + index),
+    grown with the stack, holds each channel's id (-1 for none). Beliefs and
+    channels are all the walk keeps across levels. Each level builds the
+    nodes (one action from one belief) its states need in one batch (build),
+    looking each read's channel up once, and lays out the branches of those
+    some state continues past from that channel column (branches): one
+    _read_branches call per CHANNEL_ROWS slice of missing channels, one
+    _typed_values and one _restrictions call. Nothing refers back to the
+    tables, so they are freed on return.
     """
 
     def __init__(self, models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float,
@@ -304,17 +305,13 @@ class _Rollout:
         self.factors = np.array((prefs.inconsistency_penalty, prefs.progress_bonus)).take(fit)
         self.stack = np.add([belief.probs], 0.0)  # belief id -> probabilities (see intern); the root is 0
         self.belief_ids = {self.stack.tobytes(): 0}  # row bytes (see intern) -> belief id
-        # Reliability index -> likelihood table, and the dense channel index:
-        # belief id * len(tables) + reliability index -> channel id.
+        # Reliability index -> likelihood table; the dense channel index.
         self.tables, self.channel = (np.array(tables), np.array([-1] * len(tables))) if tables else ((), ())
         self.gain, self.count, self.weights, self.beliefs = _NO_FLOATS, _NO_INTS, _NO_FLOATS, _NO_INTS
         self.states = 0  # states the level walk visited, over all levels
 
     def intern(self, rows: np.ndarray) -> np.ndarray:
-        """Belief ids of the rows of probabilities; a new belief gets a row of the stack.
-
-        Keys are row bytes after + 0.0 turns -0.0 into 0.0: rows equal as numbers are one belief.
-        """
+        """Belief ids of the rows, keyed by their bytes after + 0.0 (-0.0 is 0.0); new ones are stacked."""
         rows = rows + 0.0
         ids = self.belief_ids
         known = len(ids)
@@ -327,8 +324,8 @@ class _Rollout:
             self.stack = np.concatenate([self.stack, rows[(top[1:] > top[:-1]).nonzero()[0]]])
         return bids[1:]
 
-    def channels(self, bids: np.ndarray, rels: np.ndarray) -> np.ndarray:
-        """The channel id of each (belief id, reliability index) pair; missing ones are built first."""
+    def channels(self, bids: np.ndarray, rels: np.ndarray, laid: bool) -> np.ndarray:
+        """Channel ids of the (belief id, reliability index) pairs; missing ones are built first."""
         n_rel = len(self.tables)
         grow = len(self.stack) * n_rel - len(self.channel)
         if grow:
@@ -347,21 +344,24 @@ class _Rollout:
                 beliefs, tables = self.stack.take(bids[part], axis=0), self.tables.take(rels[part], axis=0)
                 gains, counts, weights, posts = _read_branches(beliefs, tables, self.zeta)
                 self.gain = np.concatenate([self.gain, gains])
-                self.count = np.concatenate([self.count, counts])
-                self.weights = np.concatenate([self.weights, weights])
-                self.beliefs = np.concatenate([self.beliefs, self.intern(posts)])
+                self.count = np.concatenate([self.count, counts if laid else np.zeros_like(counts)])
+                if laid:
+                    self.weights = np.concatenate([self.weights, weights])
+                    self.beliefs = np.concatenate([self.beliefs, self.intern(posts)])
         return self.channel[keys]
 
-    def build(self, bids: np.ndarray, aids: np.ndarray) -> tuple:
+    def build(self, bids: np.ndarray, aids: np.ndarray, laid: bool) -> tuple:
         """(epistemic, pragmatic, channel) arrays of the nodes (bids[i], aids[i]).
 
         A read takes its channel's gain, whose id channel holds (-1 for
         other nodes); placements take theirs from one _typed_values call.
+        Unless laid, no node's branches are laid out, so a new channel keeps
+        none and counts 0 (a walk's last level, a one-action decision).
         """
         epistemic, pragmatic, channel = np.zeros(len(aids)), self.cost[aids], self.rel[aids]
-        reads = (channel >= 0).nonzero()[0]
+        reads = (channel >= 0).nonzero()[0] if len(self.tables) else ()  # no table, no read
         if len(reads):
-            channel[reads] = found = self.channels(bids[reads], channel[reads])
+            channel[reads] = found = self.channels(bids[reads], channel[reads], laid)
             epistemic[reads] = self.gain[found]
         rows = self.row[aids]
         typed = (rows >= 0).nonzero()[0]
@@ -443,7 +443,7 @@ class _Rollout:
         n, width = ids.shape
         if width == 1:
             aids = ids[:, 0].astype(int)  # an int32 index costs a cast in every gather
-            epistemic, pragmatic, _ = self.build(np.zeros(n, dtype=int), aids)
+            epistemic, pragmatic, _ = self.build(np.zeros(n, dtype=int), aids, False)
             if self.unread_typed:
                 pragmatic -= self.first_cost[aids]
             return epistemic, pragmatic
@@ -475,11 +475,11 @@ class _Rollout:
             self.states += len(keys)
             nodes, at = _distinct(bel * na + action[tail])
             node_bel, node_aid = np.divmod(nodes, na)
-            epistemic, pragmatic, channel = self.build(node_bel, node_aid)
+            parents = goes_on[tail].nonzero()[0]
+            epistemic, pragmatic, channel = self.build(node_bel, node_aid, len(parents) > 0)
             epistemic, pragmatic = epistemic[at], pragmatic[at]
             pragmatic[paid[tail]] -= self.prefs.unread_cost
             levels.append((up, epistemic, pragmatic))
-            parents = goes_on[tail].nonzero()[0]
             if not len(parents):
                 break
             used, at = _distinct(at[parents])

@@ -433,9 +433,9 @@ class TestSelectPolicy:
                 super().__init__(*args)
                 tables.append(self)
 
-            def build(self, bids, aids):
+            def build(self, bids, aids, laid):
                 built.extend(zip(bids, aids))
-                return super().build(bids, aids)
+                return super().build(bids, aids, laid)
 
         counts = {"channels": 0, "restrictions": 0}
 
