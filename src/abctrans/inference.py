@@ -95,8 +95,8 @@ def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) ->
     give no posteriors.
     """
     weighted = prior * np.power(likelihoods, zeta)
-    totals = np.add.reduce(weighted, axis=1, keepdims=True)  # weighted.sum, less its call overhead
-    if totals.size and not np.minimum.reduce(totals, axis=None) > PROB_FLOOR:
+    totals = weighted.sum(axis=1, keepdims=True)
+    if totals.size and not totals.min() > PROB_FLOOR:
         raise ContradictionError("observation impossible under the current belief")
     return weighted / totals
 
@@ -125,7 +125,7 @@ def _read_branches(beliefs: np.ndarray, tables: np.ndarray, zeta: float):
     weights = np.vecdot(beliefs[:, None, :], tables)
     live = weights > 0.0
     rows, cues = live.nonzero()
-    counts, weights = np.add.reduce(live, axis=1), weights[rows, cues]
+    counts, weights = live.sum(axis=1), weights[rows, cues]
     posts = posteriors(beliefs[rows], tables[rows, cues], zeta)
     h = row_entropies(np.concatenate([beliefs, posts]))
     gains = information_gains(h[:len(beliefs)], counts, weights, h[len(beliefs):])
@@ -158,14 +158,15 @@ def _typed_values(beliefs: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
     factors[i] holds, per ordering, the progress bonus where placement i
     fits it and the inconsistency penalty where it does not. Each value is
-    the sum of p * factor over the orderings, left to right from 0.0: an
-    ordering with p == 0 adds -0.0, which leaves any sum as it was, and
-    np.cumsum, which starts from the first term, then + 0.0 give the same
-    bits (as in task.row_entropies).
+    the sum of p * factor over the orderings, left to right from 0.0:
+    np.cumsum adds in that order, and an ordering with p == 0 adds -0.0,
+    which leaves any sum as it was.
     """
-    terms = beliefs * factors
+    values = np.zeros((len(beliefs), beliefs.shape[1] + 1))  # column 0 is the 0.0 each sum starts from
+    terms = values[:, 1:]
+    np.multiply(beliefs, factors, out=terms)
     terms[beliefs == 0.0] = -0.0
-    return terms.cumsum(axis=1)[:, -1] + 0.0
+    return values.cumsum(axis=1)[:, -1]
 
 
 def _restrictions(beliefs: np.ndarray, fits: np.ndarray):
@@ -301,9 +302,8 @@ class _Rollout:
         self.rel, self.row, self.chunk = columns[:m], columns[m:2 * m], columns[2 * m:]
         # Per typed placement and ordering: whether it fits, and its preference.
         self.fits = np.array(fits) if fits else np.empty((0, len(space.orderings)))
-        fit = (self.fits > 0.0).view(np.int8)
-        self.factors = np.array((prefs.inconsistency_penalty, prefs.progress_bonus)).take(fit)
-        self.stack = np.add([belief.probs], 0.0)  # belief id -> probabilities (see intern); the root is 0
+        self.factors = np.where(self.fits > 0.0, prefs.progress_bonus, prefs.inconsistency_penalty)
+        self.stack = np.array([belief.probs]) + 0.0  # belief id -> probabilities; the root is 0
         self.belief_ids = {self.stack.tobytes(): 0}  # row bytes (see intern) -> belief id
         # Reliability index -> likelihood table; the dense channel index.
         self.tables, self.channel = (np.array(tables), np.array([-1] * len(tables))) if tables else ((), ())
