@@ -226,7 +226,8 @@ def _distinct(keys: np.ndarray) -> tuple:
     """(sorted distinct keys, inverse): np.unique(keys, return_inverse=True), less its overhead."""
     order = keys.argsort()
     ordered = keys[order]
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    new = np.ones(len(keys), dtype=bool)  # no keys, no distinct ones
+    new[1:] = ordered[1:] != ordered[:-1]
     inverse = np.empty(len(keys), dtype=int)
     inverse[order] = new.cumsum() - 1
     return ordered[new], inverse
@@ -353,10 +354,9 @@ class _Rollout:
     def build(self, bids: np.ndarray, aids: np.ndarray, laid: bool) -> tuple:
         """(epistemic, pragmatic, channel) arrays of the nodes (bids[i], aids[i]).
 
-        A read takes its channel's gain, whose id channel holds (-1 for
-        other nodes); placements take theirs from one _typed_values call.
-        Unless laid, no node's branches are laid out, so a new channel keeps
-        none and counts 0 (a walk's last level, a one-action decision).
+        A read takes its channel's gain and id (-1 for other nodes); the
+        placements take theirs from one _typed_values call. Unless laid (a
+        walk's last level), new channels keep no branches and count 0.
         """
         epistemic, pragmatic, channel = np.zeros(len(aids)), self.cost[aids], self.rel[aids]
         reads = (channel >= 0).nonzero()[0] if len(self.tables) else ()  # no table, no read
@@ -488,7 +488,7 @@ class _Rollout:
             # Parents with most children first: the parents of the k-th
             # children are a prefix, m[k] long, and the children are laid
             # out k by k.
-            order = np.argsort(-n_children.astype(small), kind="stable")
+            order = np.argsort((-n_children).astype(small), kind="stable")
             parents, n_children, first = parents[order], n_children[order], first[order]
             m = np.bincount(n_children)[::-1].cumsum()[::-1][1:]
             k = np.repeat(np.arange(len(m)), m)

@@ -729,6 +729,13 @@ class TestBatchedNodes:
         assert totals[1] == totals[7] == totals[64] == totals[1 << 62]
         assert calls[1] == calls[7] > calls[64] > calls[1 << 62]
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_no_policies_give_empty_scores(self, space, models, width):
+        # enumeration returns a table with no rows once nothing is left to do
+        policies = inference.Policies([], np.empty((0, width), dtype=np.int32))
+        scores = score_policies(space.prior, policies, models, PREFS, read_chunks=frozenset())
+        assert [column.shape for column in scores] == [(0,)] * 3
+
     def test_restriction_batch_keeps_contradicted_rows_out(self, space):
         # one batch of placements from a point mass on TT0: those that fit it
         # restrict it, the one that fits no ordering the belief holds has none
