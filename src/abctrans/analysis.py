@@ -85,22 +85,26 @@ def _base_label(event: ProcessEvent, deleted_slots: set[int]) -> str | None:
 def _resolve_target_fixations(
     events: tuple[ProcessEvent, ...], labels: list[str | None], theta_pause: float
 ) -> None:
+    # Every event before i is labelled by the time i is reached, so its left
+    # neighbour is i - 1; its right one, the next base label k, only moves on.
     n = len(events)
+    k = 0
     for i, lab in enumerate(labels):
         if lab is not None:
             continue
-        prev_idx = next((j for j in range(i - 1, -1, -1) if labels[j] is not None), None)
-        next_idx = next((j for j in range(i + 1, n) if labels[j] is not None), None)
-        neighbors = [labels[j] for j in (prev_idx, next_idx) if j is not None]
+        if k <= i:
+            k = i + 1
+            while k < n and labels[k] is None:
+                k += 1
+        neighbors = (labels[i - 1] if i else None, labels[k] if k < n else None)
         if R in neighbors:
             labels[i] = R
-            continue
-        if H in neighbors:
+        elif H in neighbors:
             labels[i] = H
-            continue
-        gap_start = events[prev_idx].t_end if prev_idx is not None else events[i].t_start
-        gap_end = events[next_idx].t_start if next_idx is not None else events[i].t_end
-        labels[i] = H if gap_end - gap_start > theta_pause else F
+        else:
+            gap_start = events[i - 1].t_end if i else events[i].t_start
+            gap_end = events[k].t_start if k < n else events[i].t_end
+            labels[i] = H if gap_end - gap_start > theta_pause else F
 
 
 def segment_ohrf(
@@ -125,20 +129,11 @@ def segment_ohrf(
     # A typing run broken by a long silent gap resumes as hesitation-adjacent
     # flow; the gap itself carries no events, so only flanking target
     # fixations (already handled) can surface it. Merge adjacent same labels.
-    segments: list[Segment] = []
-    run_start = 0
-    for i in range(1, len(events) + 1):
-        if i == len(events) or labels[i] != labels[run_start]:
-            segments.append(
-                Segment(
-                    state=labels[run_start],
-                    t_start=events[run_start].t_start,
-                    t_end=events[i - 1].t_end,
-                    events=tuple(range(run_start, i)),
-                )
-            )
-            run_start = i
-    return segments
+    cuts = [i for i in range(1, len(events)) if labels[i] != labels[i - 1]]
+    return [
+        Segment(labels[a], events[a].t_start, events[b - 1].t_end, tuple(range(a, b)))
+        for a, b in zip([0, *cuts], [*cuts, len(events)])
+    ]
 
 
 def group_policies(segments: list[Segment]) -> list[PolicyCycle]:
@@ -267,34 +262,24 @@ def _export_tsv(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]
     for i, e in enumerate(trace.events):
         entropy = f"{e.belief_entropy:.9f}" if e.belief_entropy is not None else ""
         gamma = f"{e.gamma:.9f}" if e.gamma is not None else ""
-        row = (
-            f"{e.t_start:.3f}",
-            e.kind,
-            _target_field(e),
-            state_of.get(i, ""),
-            str(cycle_of.get(i, -1)),
-            entropy,
-            gamma,
+        out.write(
+            f"{e.t_start:.3f}\t{e.kind}\t{_target_field(e)}\t{state_of.get(i, '')}\t"
+            f"{cycle_of.get(i, -1)}\t{entropy}\t{gamma}\n"
         )
-        out.write("\t".join(row) + "\n")
     return out.getvalue().encode("utf-8")
 
 
 def _export_svg(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]) -> bytes:
     width, height = 960.0, 320.0
     pad = 40.0
+    inner = width - 2 * pad  # time t sits at x = pad + (t - t0) / span * inner
     t0 = trace.events[0].t_start if trace.events else 0.0
     t1 = trace.events[-1].t_end if trace.events else 1.0
     span = max(t1 - t0, 1.0)
 
-    def x(t: float) -> float:
-        return pad + (t - t0) / span * (width - 2 * pad)
-
     chunk_rows: dict[int, float] = {}
-    if trace.events:
-        seen = sorted({e.chunk_id for e in trace.events if e.chunk_id is not None})
-        for k, cid in enumerate(seen):
-            chunk_rows[cid] = pad + 30.0 + 28.0 * k
+    for k, cid in enumerate(sorted({e.chunk_id for e in trace.events if e.chunk_id is not None})):
+        chunk_rows[cid] = pad + 30.0 + 28.0 * k
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -302,47 +287,45 @@ def _export_svg(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
     band_y, band_h = height - pad - 50.0, 26.0
+    band = f'y="{band_y:.2f}" '
+    band_height = f'height="{band_h:.2f}"'
+    band_label = f'y="{band_y + band_h - 8:.2f}"'
     for seg in segments:
+        x0 = pad + (seg.t_start - t0) / span * inner
+        x1 = pad + (seg.t_end - t0) / span * inner
         parts.append(
-            f'<rect class="segment" x="{x(seg.t_start):.2f}" y="{band_y:.2f}" '
-            f'width="{max(x(seg.t_end) - x(seg.t_start), 1.0):.2f}" height="{band_h:.2f}" '
-            f'fill="{_STATE_COLORS[seg.state]}" stroke="black" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{x(seg.t_start) + 2:.2f}" y="{band_y + band_h - 8:.2f}" '
-            f'font-size="11">{seg.state}</text>'
+            f'<rect class="segment" x="{x0:.2f}" {band}width="{max(x1 - x0, 1.0):.2f}" '
+            f'{band_height} fill="{_STATE_COLORS[seg.state]}" '
+            f'stroke="black" stroke-width="0.5"/>\n'
+            f'<text x="{x0 + 2:.2f}" {band_label} font-size="11">{seg.state}</text>'
         )
     cycle_y = band_y + band_h + 6.0
+    cycle_band, cycle_label = f'y="{cycle_y:.2f}"', f'y="{cycle_y + 11:.2f}"'
     for cyc in cycles:
-        segs = [segments[i] for i in cyc.segments]
+        x0 = pad + (segments[cyc.segments[0]].t_start - t0) / span * inner
+        x1 = pad + (segments[cyc.segments[-1]].t_end - t0) / span * inner
         parts.append(
-            f'<rect class="cycle" x="{x(segs[0].t_start):.2f}" y="{cycle_y:.2f}" '
-            f'width="{max(x(segs[-1].t_end) - x(segs[0].t_start), 1.0):.2f}" height="14" '
-            f'fill="none" stroke="#555" stroke-dasharray="4 2"/>'
+            f'<rect class="cycle" x="{x0:.2f}" {cycle_band} width="{max(x1 - x0, 1.0):.2f}" '
+            f'height="14" fill="none" stroke="#555" stroke-dasharray="4 2"/>\n'
+            f'<text x="{x0 + 2:.2f}" {cycle_label} font-size="10">{cyc.label}</text>'
         )
-        parts.append(
-            f'<text x="{x(segs[0].t_start) + 2:.2f}" y="{cycle_y + 11:.2f}" '
-            f'font-size="10">{cyc.label}</text>'
-        )
+    target_cy, delete_y = f'cy="{band_y - 12:.2f}"', f'y="{band_y - 18:.2f}"'
     for e in trace.events:
+        x = pad + (e.t_start - t0) / span * inner
         if e.kind == env.FIXATE_SOURCE and e.chunk_id in chunk_rows:
             parts.append(
-                f'<circle cx="{x(e.t_start):.2f}" cy="{chunk_rows[e.chunk_id]:.2f}" '
-                f'r="4" fill="#2b6cb0"/>'
+                f'<circle cx="{x:.2f}" cy="{chunk_rows[e.chunk_id]:.2f}" r="4" fill="#2b6cb0"/>'
             )
         elif e.kind == env.FIXATE_TARGET:
-            parts.append(
-                f'<circle cx="{x(e.t_start):.2f}" cy="{band_y - 12:.2f}" r="4" fill="#2f855a"/>'
-            )
+            parts.append(f'<circle cx="{x:.2f}" {target_cy} r="4" fill="#2f855a"/>')
         elif e.kind == env.TYPE and e.chunk_id in chunk_rows:
             parts.append(
-                f'<text x="{x(e.t_start):.2f}" y="{chunk_rows[e.chunk_id] + 4:.2f}" '
+                f'<text x="{x:.2f}" y="{chunk_rows[e.chunk_id] + 4:.2f}" '
                 f'font-size="12" fill="#1a202c">+{e.chunk_id}@{e.slot}</text>'
             )
         elif e.kind == env.DELETE:
             parts.append(
-                f'<text x="{x(e.t_start):.2f}" y="{band_y - 18:.2f}" '
-                f'font-size="12" fill="#c53030">x@{e.slot}</text>'
+                f'<text x="{x:.2f}" {delete_y} font-size="12" fill="#c53030">x@{e.slot}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts).encode("utf-8")
@@ -387,38 +370,41 @@ def ingest_tsv(data: bytes, column_map: dict[str, str] | None = None) -> Trace:
     the next event's start.
     """
     column_map = dict(DEFAULT_COLUMN_MAP, **(column_map or {}))
+    # A leading byte-order mark, and the \r of CRLF line endings, are not data.
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:  # rows count non-blank lines, as below
-        before = data[:exc.start].decode("utf-8").split("\n")[:-1]
+        before = data[:exc.start].decode("utf-8").removeprefix("\ufeff").split("\n")[:-1]
         row = 1 + sum(1 for ln in before if ln.strip())
         raise IngestError(row, f"byte {exc.start} is not UTF-8") from None
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [ln.removesuffix("\r") for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise IngestError(0, "empty file: no header row")
-    header = lines[0].rstrip("\n").split("\t")
-    idx = {}
+    header = lines[0].split("\t")
+    columns = []
     for key in ("time", "kind", "target"):
         name = column_map[key]
         if name not in header:
             raise IngestError(1, f"missing column {name!r} in header {header}")
-        idx[key] = header.index(name)
+        columns.append(header.index(name))
+    t_col, kind_col, target_col = columns
+    width = max(columns) + 1
 
     raw: list[tuple[float, str, int | None, int | None]] = []
     for row_no, line in enumerate(lines[1:], start=2):
-        cells = line.rstrip("\n").split("\t")
-        if len(cells) <= max(idx.values()):
-            raise IngestError(row_no, f"expected at least {max(idx.values()) + 1} columns")
+        cells = line.split("\t")
+        if len(cells) < width:
+            raise IngestError(row_no, f"expected at least {width} columns")
         try:
-            t = float(cells[idx["time"]])
+            t = float(cells[t_col])
         except ValueError:
-            raise IngestError(row_no, f"unparseable time {cells[idx['time']]!r}")
+            raise IngestError(row_no, f"unparseable time {cells[t_col]!r}")
         if not math.isfinite(t):
-            raise IngestError(row_no, f"time must be finite, got {cells[idx['time']]!r}")
-        kind = cells[idx["kind"]].strip()
+            raise IngestError(row_no, f"time must be finite, got {cells[t_col]!r}")
+        kind = cells[kind_col].strip()
         if kind not in _TARGET_FORMS:
             raise IngestError(row_no, f"unknown event kind {kind!r}")
-        chunk, slot = _parse_target(cells[idx["target"]], kind, row_no)
+        chunk, slot = _parse_target(cells[target_col], kind, row_no)
         raw.append((t, kind, chunk, slot))
 
     events = []
@@ -426,7 +412,5 @@ def ingest_tsv(data: bytes, column_map: dict[str, str] | None = None) -> Trace:
         t_end = raw[i + 1][0] if i + 1 < len(raw) else t
         if t_end < t:
             raise IngestError(i + 2, "event times must be non-decreasing")
-        events.append(
-            ProcessEvent(t_start=t, t_end=t_end, kind=kind, chunk_id=chunk, slot=slot)
-        )
+        events.append(ProcessEvent(t, t_end, kind, chunk, slot))
     return Trace(events=tuple(events), complete=True, strategy="ingested")

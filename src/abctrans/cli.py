@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCOMPLETE = 3
 EXIT_INGEST = 4
+
+
+@contextmanager
+def _writing(path: str | Path):
+    """Turn an OSError from writing an output into a validation error naming its path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _load(args) -> TaskBundle:
@@ -64,7 +74,8 @@ def cmd_entropy(args) -> int:
         out = ["chunk\tpositional_bits\tlexical_bits"]
         out += [f"{cid}\t{pos:.9f}\t{lex:.9f}" for cid, _, pos, lex in lines]
         out.append(f"prior\t{prior_h:.9f}\t")
-        Path(args.tsv).write_text("\n".join(out) + "\n", encoding="utf-8")
+        with _writing(args.tsv):
+            Path(args.tsv).write_text("\n".join(out) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -96,7 +107,8 @@ def cmd_simulate(args) -> int:
             raise analysis.AnalysisError(f"unknown export format {fmt!r}")
     out_dir = Path(args.out) if args.out else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
     incomplete = 0
     for seed in args.seed:
         trace = run_episode(
@@ -109,7 +121,9 @@ def cmd_simulate(args) -> int:
         if out_dir:
             for fmt in formats:
                 data = analysis.export_progression(trace, segments, cycles, fmt)
-                (out_dir / f"trace_{args.preset}_{latent}_{seed}.{fmt}").write_bytes(data)
+                path = out_dir / f"trace_{args.preset}_{latent}_{seed}.{fmt}"
+                with _writing(path):
+                    path.write_bytes(data)
     return EXIT_INCOMPLETE if incomplete else EXIT_OK
 
 
@@ -211,7 +225,8 @@ def cmd_segment(args) -> int:
         print(f"  {seg.state}  {seg.t_start:9.1f} .. {seg.t_end:9.1f}  events {list(seg.events)}")
     print("cycles:", " ".join(c.label for c in cycles))
     if args.svg:
-        Path(args.svg).write_bytes(analysis.export_progression(trace, segments, cycles, "svg"))
+        with _writing(args.svg):
+            Path(args.svg).write_bytes(analysis.export_progression(trace, segments, cycles, "svg"))
     return EXIT_OK
 
 

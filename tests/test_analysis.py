@@ -1,3 +1,4 @@
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -142,6 +143,58 @@ class TestSegmentOhrf:
         assert [s.state for s in segment_ohrf(tr)] == ["O", "F", "H", "F"]
         with pytest.raises(ValueError, match="theta_pause_ms"):
             segment_ohrf(tr, theta_pause_ms=theta)
+
+    @pytest.mark.parametrize("run", [1, 2, 50])
+    def test_target_fixations_after_a_delete_are_all_revision(self, run):
+        tr = make_events(
+            [(env.TYPE, 1, 1), (env.DELETE, None, 1)]
+            + [(env.FIXATE_TARGET, None, 1)] * run
+            + [(env.TYPE, 2, 2)]
+        )
+        assert [(s.state, s.events) for s in segment_ohrf(tr)] == [
+            ("F", (0,)), ("R", tuple(range(1, run + 2))), ("F", (run + 2,)),
+        ]
+
+    @pytest.mark.parametrize("run", [1, 2, 50])
+    def test_target_fixations_before_a_pause_are_all_hesitation(self, run):
+        tr = make_events(
+            [(env.TYPE, 1, 1)]
+            + [(env.FIXATE_TARGET, None, 1)] * run
+            + [(env.PAUSE, None, None), (env.TYPE, 2, 2)]
+        )
+        assert [(s.state, s.events) for s in segment_ohrf(tr)] == [
+            ("F", (0,)), ("H", tuple(range(1, run + 2))), ("F", (run + 2,)),
+        ]
+
+    @pytest.mark.parametrize("run", [1, 2, 40])
+    def test_target_fixations_in_a_short_gap_between_typings_are_all_flow(self, run):
+        # 20 ms glances: even the first, 40 of them from the next keystroke,
+        # sits in a gap under the 1 s threshold
+        events = [ProcessEvent(0.0, 100.0, env.TYPE, chunk_id=1, slot=1)]
+        events += [
+            ProcessEvent(100.0 + 20.0 * j, 120.0 + 20.0 * j, env.FIXATE_TARGET, slot=1)
+            for j in range(run)
+        ]
+        t = 100.0 + 20.0 * run
+        events.append(ProcessEvent(t, t + 100.0, env.TYPE, chunk_id=2, slot=2))
+        segs = segment_ohrf(Trace(events=tuple(events)))
+        assert [(s.state, s.events) for s in segs] == [("F", tuple(range(run + 2)))]
+
+    def test_a_run_of_target_fixations_segments_in_linear_time(self):
+        # 8,000 consecutive target fixations against 8,000 events that
+        # alternate fixations with typing, best of three each, interleaved
+        n = 8000
+        run = make_events([(env.FIXATE_TARGET, None, 1)] * n)
+        mixed = make_events(
+            [(env.FIXATE_TARGET, None, 1) if i % 2 else (env.TYPE, i, i) for i in range(n)]
+        )
+        best = {id(run): float("inf"), id(mixed): float("inf")}
+        for _ in range(3):
+            for trace in (run, mixed):
+                start = time.perf_counter()
+                segment_ohrf(trace)
+                best[id(trace)] = min(best[id(trace)], time.perf_counter() - start)
+        assert best[id(run)] <= 3.0 * best[id(mixed)]
 
     def test_segments_partition_events(self, models):
         cfg = large_context_planner_config()
@@ -391,6 +444,35 @@ class TestExportAndIngest:
         offset = data.index(b"1@1") + 2
         with pytest.raises(IngestError, match=f"row 3: byte {offset} is not UTF-8"):
             ingest_tsv(bad)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_bad_byte_after_a_byte_order_mark_reports_its_file_offset(self, newline):
+        rows = [("0", env.FIXATE_SOURCE, "1"), ("200", env.TYPE, "1@1")]
+        lines = ["\t".join(TSV_COLUMNS), ""]
+        lines += ["\t".join([t, k, tgt, "", "0", "", ""]) for t, k, tgt in rows]
+        data = ("\ufeff" + newline.join(lines) + newline).encode()
+        offset = data.index(b"1@1") + 2
+        with pytest.raises(IngestError, match=f"row 3: byte {offset} is not UTF-8"):
+            ingest_tsv(data.replace(b"1@1", b"1@\xe9"))
+
+    @pytest.mark.parametrize(
+        "bom, newline", [("\ufeff", "\n"), ("", "\r\n"), ("\ufeff", "\r\n")],
+        ids=["bom", "crlf", "bom-crlf"],
+    )
+    def test_crlf_and_bom_logs_ingest_as_the_plain_log(self, bom, newline):
+        # the mark would join the first header cell, and the \r the last
+        rows = [
+            ("0", env.FIXATE_SOURCE, "1"), ("200", env.TYPE, "1@1"),
+            ("400", env.FIXATE_TARGET, "@1"), ("500", env.DELETE, "1"),
+            ("700", env.PAUSE, ""), ("1900", env.TYPE, "2@1"),
+        ]
+        lines = ["time_ms\tevent_kind\tchunk_or_slot", ""] + ["\t".join(row) for row in rows]
+        plain = ingest_tsv(("\n".join(lines) + "\n").encode())
+        saved = ingest_tsv((bom + newline.join(lines) + newline).encode())
+        assert saved == plain
+        assert [(e.kind, e.chunk_id, e.slot) for e in saved.events][-2:] == [
+            (env.PAUSE, None, None), (env.TYPE, 2, 1),
+        ]
 
     @pytest.mark.parametrize("time", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_time_reports_row(self, time):

@@ -100,6 +100,11 @@ class TestEntropyCommand:
         assert lines[0] == "chunk\tpositional_bits\tlexical_bits"
         assert len(lines) == 7  # 5 chunks + prior + header
 
+    def test_unwritable_tsv_is_one_line_validation_error(self, tmp_path, capsys):
+        code, _, err = run_cli(["entropy", "--tsv", str(tmp_path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"validation error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_head_starter_reproduces_source_like_order(self, tmp_path, capsys):
@@ -179,6 +184,28 @@ class TestSimulateCommand:
         assert err.startswith("validation error: unknown export format 'png'")
         assert stdout == ""
         assert not any(tmp_path.iterdir())
+
+    def test_out_that_is_a_file_exits_before_any_episode(self, tmp_path, capsys, monkeypatch):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        args = ["simulate", "--preset", "head_starter", "--out", str(out)]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert err.startswith(f"validation error: cannot write {out}: ") and err.count("\n") == 1
+
+    def test_unwritable_trace_file_is_one_line_validation_error(self, tmp_path, capsys):
+        blocked = tmp_path / "trace_head_starter_TT3_0.svg"
+        blocked.mkdir()
+        code, _, err = run_cli(
+            ["simulate", "--preset", "head_starter", "--latent", "TT3", "--out", str(tmp_path)], capsys
+        )
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"validation error: cannot write {blocked}: ") and err.count("\n") == 1
 
     def test_unknown_preset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
@@ -399,3 +426,12 @@ class TestSegmentCommand:
         )
         assert code == EXIT_OK
         assert svg.read_bytes().startswith(b"<svg")
+
+    def test_unwritable_svg_is_one_line_validation_error(self, tmp_path, capsys):
+        rows = [("0", env.FIXATE_SOURCE, "1"), ("100", env.TYPE, "1@1")]
+        svg = tmp_path / "missing" / "plot.svg"
+        code, _, err = run_cli(
+            ["segment", str(self.craft(tmp_path, rows)), "--svg", str(svg)], capsys
+        )
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"validation error: cannot write {svg}: ") and err.count("\n") == 1
