@@ -287,14 +287,14 @@ def _export_svg(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
     band_y, band_h = height - pad - 50.0, 26.0
-    band = f'y="{band_y:.2f}" '
+    band = f'y="{band_y:.2f}"'
     band_height = f'height="{band_h:.2f}"'
     band_label = f'y="{band_y + band_h - 8:.2f}"'
     for seg in segments:
         x0 = pad + (seg.t_start - t0) / span * inner
         x1 = pad + (seg.t_end - t0) / span * inner
         parts.append(
-            f'<rect class="segment" x="{x0:.2f}" {band}width="{max(x1 - x0, 1.0):.2f}" '
+            f'<rect class="segment" x="{x0:.2f}" {band} width="{max(x1 - x0, 1.0):.2f}" '
             f'{band_height} fill="{_STATE_COLORS[seg.state]}" '
             f'stroke="black" stroke-width="0.5"/>\n'
             f'<text x="{x0 + 2:.2f}" {band_label} font-size="11">{seg.state}</text>'

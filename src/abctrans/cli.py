@@ -225,8 +225,9 @@ def cmd_segment(args) -> int:
         print(f"  {seg.state}  {seg.t_start:9.1f} .. {seg.t_end:9.1f}  events {list(seg.events)}")
     print("cycles:", " ".join(c.label for c in cycles))
     if args.svg:
+        data = analysis.export_progression(trace, segments, cycles, "svg")
         with _writing(args.svg):
-            Path(args.svg).write_bytes(analysis.export_progression(trace, segments, cycles, "svg"))
+            Path(args.svg).write_bytes(data)
     return EXIT_OK
 
 
