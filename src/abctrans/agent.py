@@ -501,27 +501,30 @@ def _consistent(placed: tuple[tuple[int, int], ...], space: CandidateSpace) -> n
 
 
 def _recompute_working(
-    evidence: Categorical, placed: tuple[tuple[int, int], ...], space: CandidateSpace
+    evidence: Categorical,
+    placed: tuple[tuple[int, int], ...],
+    space: CandidateSpace,
+    consistent: np.ndarray | None = None,
 ) -> Categorical:
-    """Evidence belief with orderings contradicting any placed slot zeroed out."""
+    """Evidence belief with orderings contradicting any placed slot zeroed out.
+
+    consistent, when given, is _consistent(placed, space), already built.
+    """
     if not placed:
         return evidence
-    return bayes_update(evidence, _consistent(placed, space))
+    return bayes_update(evidence, _consistent(placed, space) if consistent is None else consistent)
 
 
-def _evidence_map_index(
-    evidence: Categorical, placed: tuple[tuple[int, int], ...], space: CandidateSpace
-) -> int:
+def _evidence_map_index(evidence: Categorical, consistent: np.ndarray) -> int:
     """Index of the evidence-MAP ordering; exact ties keep the typed buffer.
 
     When several orderings share the maximum evidence mass, an ordering
-    consistent with the current placements wins, so a coin-flip tie never
-    forces a deletion on its own.
+    consistent with the current placements (the _consistent mask) wins, so
+    a coin-flip tie never forces a deletion on its own.
     """
     probs = evidence.probs
     top = max(probs)
     candidates = [i for i, p in enumerate(probs) if p >= top - 1e-12]
-    consistent = _consistent(placed, space)
     return next((i for i in candidates if consistent[i]), candidates[0])
 
 
@@ -632,8 +635,9 @@ def step(
     elif obs.kind == env.PLACEMENT_FEEDBACK and obs.chunk_id is not None:
         placed = tuple(sorted((dict(placed) | {obs.slot: obs.chunk_id}).items()))
 
+    consistent = _consistent(placed, space)
     try:
-        working = _recompute_working(evidence, placed, space)
+        working = _recompute_working(evidence, placed, space, consistent)
     except ContradictionError:
         forced_revision = True
         working = cognitive.belief
@@ -647,7 +651,7 @@ def step(
     # evidence consistent with every placement it contradicts, otherwise a
     # hedged buffer would be torn apart piecemeal and retyped in a loop.
     if placed:
-        map_idx = _evidence_map_index(evidence, placed, space)
+        map_idx = _evidence_map_index(evidence, consistent)
         map_mass = evidence.probs[map_idx]
         offending = [(s, c) for s, c in placed if not placement_row(space, c, s)[map_idx]]
         if offending and not forced_revision:

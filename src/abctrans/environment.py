@@ -8,8 +8,9 @@ cues, placement feedback, target glimpses). CONSULT is a kind of logs only.
 
 from __future__ import annotations
 
+import bisect
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,10 +104,6 @@ class ExternalState:
             cue_script=script,
         )
 
-    @property
-    def placed_chunks(self) -> frozenset[int]:
-        return frozenset(c for c in self.buffer if c is not None)
-
 
 def apply_action(
     state: ExternalState,
@@ -117,18 +114,21 @@ def apply_action(
     """Execute one active state against the environment and emit the sensory echo.
 
     The chunk table and latent ordering never change within an episode; only
-    the target buffer and the cue script cursor move.
+    the target buffer and the cue script cursor move. An unscripted cue is
+    drawn from the evidence model's stored cue CDF with one rng.random():
+    the same label, and the same generator state after, as
+    labels[rng.choice(len(d), p=d)] over d = cue_distribution.
     """
     if action.kind == FIXATE_SOURCE:
         state.space.table.chunk(action.chunk_id)
-        if state.cue_script is not None and state.cue_cursor < len(state.cue_script):
-            cue = state.cue_script[state.cue_cursor]
+        script, cursor = state.cue_script, state.cue_cursor
+        if script is not None and cursor < len(script):
+            cue = script[cursor]
             state.space.index_of(cue)
-            new = replace(state, cue_cursor=state.cue_cursor + 1)
+            new = ExternalState(state.space, state.buffer, state.latent, script, cursor + 1)
         else:
-            dist = evidence.cue_distribution(action.chunk_id, state.latent)
-            idx = int(rng.choice(len(dist), p=dist))
-            cue = state.space.labels[idx]
+            cdf = evidence.cue_cdf(action.chunk_id, state.latent)
+            cue = state.space.labels[bisect.bisect_right(cdf, rng.random())]
             new = state
         return new, Observation(ORDERING_CUE, chunk_id=action.chunk_id, cue=cue)
 
@@ -139,11 +139,11 @@ def apply_action(
             raise TaskError(f"slot {slot} out of range")
         if state.buffer[slot - 1] is not None:
             raise OccupancyError(f"slot {slot} already holds chunk {state.buffer[slot - 1]}")
-        if action.chunk_id in state.placed_chunks:
+        if action.chunk_id in state.buffer:
             raise OccupancyError(f"chunk {action.chunk_id} already placed")
         buf = list(state.buffer)
         buf[slot - 1] = action.chunk_id
-        new = replace(state, buffer=tuple(buf))
+        new = ExternalState(state.space, tuple(buf), state.latent, state.cue_script, state.cue_cursor)
         return new, Observation(PLACEMENT_FEEDBACK, chunk_id=action.chunk_id, slot=slot)
 
     if action.kind == DELETE:
@@ -152,7 +152,7 @@ def apply_action(
             raise TaskError(f"slot {slot} out of range")
         buf = list(state.buffer)
         buf[slot - 1] = None
-        new = replace(state, buffer=tuple(buf))
+        new = ExternalState(state.space, tuple(buf), state.latent, state.cue_script, state.cue_cursor)
         return new, Observation(PLACEMENT_FEEDBACK, chunk_id=None, slot=slot)
 
     if action.kind == FIXATE_TARGET:
@@ -168,7 +168,7 @@ def apply_action(
 
 
 def is_complete(state: ExternalState) -> bool:
-    return all(c is not None for c in state.buffer)
+    return None not in state.buffer
 
 
 def render_target(state: ExternalState) -> str:

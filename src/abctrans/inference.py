@@ -106,7 +106,7 @@ def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categori
     lks = np.asarray(likelihoods, dtype=float)
     if lks.shape != (len(prior),):
         raise ValueError("one likelihood per option required")
-    if not np.all(lks >= 0.0):  # NaN fails too
+    if not (lks >= 0.0).all():  # NaN fails too
         raise ValueError("likelihoods must be non-negative")
     (post,) = posteriors(prior.as_array(), lks[None, :], zeta).tolist()
     return Categorical(tuple(post))

@@ -368,8 +368,10 @@ class ReadingEvidenceModel:
                 raise TaskError(f"reliability for chunk {cid} must lie in [0, 1], got {r}")
         # One [cue, ordering] matrix per chunk, built once and not a field. It
         # depends on the reliability alone: the rollout shares cue channels on it.
+        # Beside it, each column's CDF as a list, the one Generator.choice
+        # builds from P(cue | ordering): cumulative sums renormalised by the last.
         n = len(self.space.orderings)
-        tables = {}
+        tables, cdfs = {}, {}
         for cid, r in self.reliabilities:
             if abs(r - UNINFORMATIVE) < 1e-12 or n == 1:
                 table = np.full((n, n), 1.0 / n)
@@ -377,7 +379,11 @@ class ReadingEvidenceModel:
                 table = np.full((n, n), (1.0 - r) / (n - 1))
                 np.fill_diagonal(table, r)
             tables[cid] = _read_only(table)
+            cdf = table.cumsum(axis=0)
+            cdf /= cdf[-1]
+            cdfs[cid] = cdf.T.tolist()
         object.__setattr__(self, "_likelihood", tables)
+        object.__setattr__(self, "_cue_cdf", cdfs)
         # The selection memo hashes the model on every lookup; the fields are
         # frozen, so their hash (the one dataclass would compute) is taken once.
         object.__setattr__(self, "_hash", hash((self.space, self.reliabilities)))
@@ -414,6 +420,13 @@ class ReadingEvidenceModel:
     def cue_distribution(self, chunk_id: int, true_label: str) -> np.ndarray:
         """P(cue | true ordering) over cue labels, for reading one chunk (read-only)."""
         return self.likelihood_table(chunk_id)[:, self.space.index_of(true_label)]
+
+    def cue_cdf(self, chunk_id: int, true_label: str) -> list[float]:
+        """CDF of cue_distribution, as Generator.choice computes it, over cue labels."""
+        cdfs = self._cue_cdf.get(chunk_id)
+        if cdfs is None:
+            raise UnknownChunkError(f"chunk {chunk_id} not in evidence model")
+        return cdfs[self.space.index_of(true_label)]
 
     def likelihood_row(self, chunk_id: int, cue_label: str) -> np.ndarray:
         """P(cue | ordering) for a fixed observed cue, one entry per candidate (read-only)."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessEvent:
     """One gaze/keystroke/pause event on the process timeline.
 
@@ -25,7 +25,8 @@ class ProcessEvent:
     annotations: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.t_end < self.t_start:
+        # Written as "not valid" so that a NaN time fails too.
+        if not self.t_end >= self.t_start:
             raise ValueError("event must end at or after its start")
 
 

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from abctrans import environment as env
 from abctrans.agent import large_context_planner_config, run_episode
 from abctrans.task import ReadingEvidenceModel, TaskError
+from abctrans.taskfile import bundled_task_path, load_task
 
 from conftest import render_of
+from gentask import generated_space
 
 TT0_TEXT = (
     "その結果、絶対的リーダーや官僚、職人が狩猟採集民族社会から"
@@ -90,6 +94,103 @@ class TestApplyAction:
             state, _ = env.apply_action(state, a, models, rng)
             placed = [c for c in state.buffer if c is not None]
             assert len(placed) == len(set(placed))
+
+
+def _cue_models():
+    bundled = load_task(bundled_task_path()).space
+    for content in (0.3, 0.8, 0.99, 1.0):
+        yield ReadingEvidenceModel.with_defaults(bundled, content=content, punctuation=0.5)
+    yield ReadingEvidenceModel.with_defaults(generated_space(4, 1, 0), content=0.8)
+    yield ReadingEvidenceModel.with_defaults(generated_space(4, 12, 0), content=0.9)
+
+
+class TestCueDraws:
+    @pytest.mark.parametrize("models", list(_cue_models()), ids=[
+        "bundled-0.3", "bundled-0.8", "bundled-0.99", "bundled-1.0", "one-ordering", "gen-12",
+    ])
+    def test_cue_draws_equal_generator_choice(self, models):
+        # A cue drawn from the stored CDF is the one rng.choice draws from
+        # cue_distribution, index for index, and it leaves the generator
+        # where rng.choice leaves it.
+        space = models.space
+        pairs = [(c.id, label) for c in space.table.chunks for label in space.labels]
+        for seed in range(50):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for chunk_id, latent in pairs:
+                state = env.ExternalState.initial(space, latent)
+                dist = models.cue_distribution(chunk_id, latent)
+                for _ in range(3):
+                    new, obs = env.apply_action(state, env.fixate_source(chunk_id), models, rng)
+                    assert new is state
+                    assert obs.cue == space.labels[twin.choice(len(dist), p=dist)], (
+                        seed, chunk_id, latent,
+                    )
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("models", list(_cue_models()), ids=[
+        "bundled-0.3", "bundled-0.8", "bundled-0.99", "bundled-1.0", "one-ordering", "gen-12",
+    ])
+    def test_cue_draws_equal_generator_choice_at_cdf_boundaries(self, models):
+        # Random draws almost never land on a CDF entry, so each uniform
+        # draw one step of 2**-53 below, at and above every entry of the
+        # stored CDF and of the plain cumulative sum, and the largest draw,
+        # is forced through a crafted MT19937 state. Chunks of one
+        # reliability share their distributions, which are checked once.
+        space = models.space
+        rng, twin = np.random.Generator(np.random.MT19937(0)), np.random.Generator(np.random.MT19937(0))
+        seen = set()
+        for chunk in space.table.chunks:
+            for latent in space.labels:
+                dist = models.cue_distribution(chunk.id, latent)
+                if tuple(dist) in seen:
+                    continue
+                seen.add(tuple(dist))
+                entries = set(models.cue_cdf(chunk.id, latent)) | set(dist.cumsum().tolist())
+                ks = {math.floor(x * 2**53) + step for x in entries for step in (-1, 0, 1)}
+                state = env.ExternalState.initial(space, latent)
+                for k in sorted(k for k in ks if 0 <= k < 2**53) + [2**53 - 1]:
+                    _force_next_random(rng, k)
+                    assert rng.random() == k / 2**53
+                    _force_next_random(rng, k)
+                    _force_next_random(twin, k)
+                    _, obs = env.apply_action(state, env.fixate_source(chunk.id), models, rng)
+                    assert obs.cue == space.labels[twin.choice(len(dist), p=dist)], (
+                        chunk.id, latent, k,
+                    )
+                    assert rng.bit_generator.state["state"]["pos"] == 2
+                    assert twin.bit_generator.state["state"]["pos"] == 2
+
+
+def _untempered(y: int) -> int:
+    """The MT19937 state word whose tempered output is y."""
+    def undo_right(y, shift):
+        x = y
+        for _ in range(32 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    def undo_left(y, shift, mask):
+        x = y
+        for _ in range(32 // shift + 1):
+            x = y ^ ((x << shift) & mask)
+        return x & 0xFFFFFFFF
+
+    y = undo_right(y, 18)
+    y = undo_left(y, 15, 0xEFC60000)
+    y = undo_left(y, 7, 0x9D2C5680)
+    return undo_right(y, 11)
+
+
+def _force_next_random(gen: np.random.Generator, k: int) -> None:
+    """Set an MT19937 generator so that its next random() is k / 2**53.
+
+    MT19937's random() joins the top 27 bits of one output and the top 26
+    of the next into the 53-bit numerator.
+    """
+    key = np.zeros(624, dtype=np.uint32)
+    key[0] = _untempered((k >> 26) << 5)
+    key[1] = _untempered((k & (2**26 - 1)) << 6)
+    gen.bit_generator.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
 
 
 class TestCompletionAndRender:
