@@ -10,6 +10,10 @@ CHANGES.md which scores moved and why.
 GENERATED_SHA256 covers the horizon-4 planner opening of a generated task
 (4 content chunks, 12 orderings, 1,686 policies), whose walk levels batch
 far more channels and restrictions than the bundled task's.
+WIDE_SHA256 covers the horizon-5 planner opening of a generated task with
+5 content chunks and 12 orderings, capped at 4,096 policies. Its walk's
+keys are the sparsest seen: on one level the largest key is about 48 times
+the number of keys.
 """
 
 import hashlib
@@ -28,6 +32,7 @@ from gentask import generated_space
 
 EFE_SHA256 = "7d53bbb4be660c8291de3bb37dc0017e5684f8d6808aa476615ebb89cae86666"
 GENERATED_SHA256 = "cdbe700febb558be77f2ffe1504111a30083658c549eb97d0dfe9cbf4b065719"
+WIDE_SHA256 = "022c4ccb49af169f8bf2559a88a27a33750aa9f47b7321cf7935a9fe5ba8558e"
 
 
 def split(scores):
@@ -79,3 +84,17 @@ def test_generated_opening_scores_match_the_golden_digest():
             w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta,
         )))
     assert digest.hexdigest() == GENERATED_SHA256
+
+
+def test_wide_generated_opening_scores_match_the_golden_digest():
+    space = generated_space(5, 12, 1)
+    cfg = large_context_planner_config()
+    start = initial_agent_state(space, cfg).cognitive
+    policies = enumerate_policies(start, space, 5, cfg)
+    assert len(policies) == cfg.max_policies == 4096
+    models = ReadingEvidenceModel.with_defaults(space, content=0.9)
+    scores = score_policies(
+        space.prior, policies, models, cfg.prefs,
+        w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=1.0,
+    )
+    assert hashlib.sha256(split(scores)).hexdigest() == WIDE_SHA256
