@@ -70,10 +70,11 @@ class AffectiveState:
     surprise_ema: float = 0.0
 
     def __post_init__(self):
-        if self.surprise_ema < 0.0:
-            raise ValueError("surprise average cannot be negative")
-        if self.gamma <= 0.0 or self.zeta <= 0.0:
-            raise ValueError("precisions must be strictly positive")
+        # Written as "not valid" so that NaN fails too.
+        if not self.surprise_ema >= 0.0:
+            raise ValueError(f"surprise average must be non-negative, got {self.surprise_ema!r}")
+        if not (0.0 < self.gamma < math.inf and 0.0 < self.zeta < math.inf):
+            raise ValueError(f"precisions must be positive and finite, got {self.gamma!r} and {self.zeta!r}")
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,8 @@ def update_affect(state: AffectiveState, observation_surprisal: float, cfg: Agen
     High running surprise lowers gamma (less trust in predictions, flatter
     policy selection) and raises zeta (more weight on incoming evidence).
     """
-    if observation_surprisal < 0.0:
-        raise ValueError("surprisal cannot be negative")
+    if not observation_surprisal >= 0.0:  # NaN fails too
+        raise ValueError(f"surprisal must be non-negative, got {observation_surprisal!r}")
     ema = (1.0 - cfg.beta) * state.surprise_ema + cfg.beta * observation_surprisal
     gamma = min(cfg.gamma_max, max(GAMMA_MIN, cfg.gamma_max * math.exp(-SURPRISE_GAIN * ema)))
     zeta = min(ZETA_MAX, max(ZETA_MIN, ZETA_BASE * (1.0 + ZETA_GAIN * ema)))

@@ -223,7 +223,25 @@ class Policies:
 
 
 def _distinct(keys: np.ndarray) -> tuple:
-    """(sorted distinct keys, inverse): np.unique(keys, return_inverse=True), less its overhead."""
+    """(sorted distinct keys, inverse): np.unique(keys, return_inverse=True), less its overhead.
+
+    Dense keys, none negative and the largest at most 32 per key plus 1,024,
+    are counted, not sorted: a presence table marks each key, its nonzero
+    entries are the distinct keys in ascending order, and a table of each
+    distinct key's position among them, gathered at the keys, is the
+    inverse. Other keys (none, a negative one, or sparse ones such as ids
+    near 2**40) take one argsort, so the tables, 9 bytes an entry, never
+    hold more than 32 entries a key plus 1,024. Either path gives each key
+    its rank among the distinct keys, so the two return equal arrays
+    element for element, and nothing downstream can tell which ran.
+    """
+    if len(keys) and keys.min() >= 0 and (top := keys.max()) <= 32 * len(keys) + 1024:
+        present = np.zeros(top + 1, dtype=bool)
+        present[keys] = True
+        distinct = present.nonzero()[0]
+        rank = np.empty(len(present), dtype=int)
+        rank[distinct] = np.arange(len(distinct))
+        return distinct.astype(keys.dtype, copy=False), rank[keys]
     order = keys.argsort()
     ordered = keys[order]
     new = np.ones(len(keys), dtype=bool)  # no keys, no distinct ones
@@ -416,9 +434,9 @@ class _Rollout:
 
         A policy's tail at level d is its actions from d on together with
         whether each pays the unread cost. Tails are numbered bottom-up, one
-        sort per level over (action, paid, id of the rest), so equal tails
-        share an id; a tail reads its action, paid bit and rest off a row a
-        scatter picks (np.unique's first rows need a slower, stable sort). A
+        _distinct per level over (action, paid, id of the rest), so equal
+        tails share an id; a tail reads its action, paid bit and rest off a
+        row a scatter picks (np.unique's first rows need a stable sort). A
         state is a (belief id, tail id) pair, and its value depends on the
         pair alone: EFE is a recursion over (belief, remaining plan), and
         equal keys run the same arithmetic on the same numbers. Level 0
@@ -431,7 +449,12 @@ class _Rollout:
         takes its node's terms, less the unread cost where its action pays
         it, then adds w_k * child for k in branch order, one elementwise
         multiply and add at a time: the order and rounding of scoring each
-        policy alone, so every value is bitwise the same.
+        policy alone, so every value is bitwise the same. Tails, states,
+        nodes and continued nodes are all deduplicated by _distinct, whose
+        keys are mixed-radix ids of small ranges: it counts them in a
+        presence table when they are dense, as on every opening seen but one
+        level of the generated 5x12 horizon-5 opening, and sorts them
+        otherwise, with equal arrays either way.
 
         One action per policy, a selection by the width of ids alone: these
         small decisions (every head-starter decision, every planner decision

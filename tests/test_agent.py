@@ -159,6 +159,23 @@ class TestUpdateAffect:
         with pytest.raises(ValueError):
             AffectiveState(1.0, -2.0)
 
+    @pytest.mark.parametrize("surprisal", [math.nan, -math.inf])
+    def test_nan_or_negative_infinite_surprisal_rejected(self, surprisal):
+        with pytest.raises(ValueError, match="surprisal"):
+            update_affect(AffectiveState(8.0, 1.0), surprisal, AgentConfig())
+
+    @pytest.mark.parametrize("gamma, zeta, ema", [
+        (math.nan, 1.0, 0.0),
+        (1.0, math.nan, 0.0),
+        (1.0, 1.0, math.nan),
+        (math.nan, math.nan, math.nan),
+        (math.inf, 1.0, 0.0),
+        (1.0, math.inf, 0.0),
+    ])
+    def test_nan_or_infinite_precision_and_nan_average_rejected(self, gamma, zeta, ema):
+        with pytest.raises(ValueError):
+            AffectiveState(gamma=gamma, zeta=zeta, surprise_ema=ema)
+
 
 class TestPresets:
     def test_head_starter_invariants(self):

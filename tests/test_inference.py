@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -151,6 +152,63 @@ class TestShannonEntropy:
 # Doubles on which np.log2 and math.log2 differ with numpy 2.4.6, enough to
 # change p * log2(p).
 NP_LOG2_DIFFERS = [float.fromhex(h) for h in ("0x1.fe924cfaebfdep-1", "0x1.a3ff621ade4f4p-1")]
+
+
+def at_the_cut(base, past):
+    # base plus one key at the largest _distinct counts for that many keys, or one past it
+    return base + [32 * (len(base) + 1) + 1024 + past]
+
+
+class TestDistinct:
+    # The walk's dedup is np.unique(keys, return_inverse=True), whether it
+    # counts dense keys in a presence table or sorts them.
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 2**40), max_size=1),  # no keys or one
+        st.integers(0, 2**40).flatmap(lambda k: st.lists(st.just(k), min_size=2, max_size=50)),
+        st.lists(st.integers(0, 64), max_size=200),  # dense
+        st.lists(st.integers(0, 40_000), max_size=200),  # either side of the cut
+        st.lists(st.integers(2**39, 2**40), min_size=1, max_size=50),  # sparse
+        st.builds(at_the_cut, st.lists(st.integers(0, 500), max_size=100), st.sampled_from([0, 1])),
+        st.builds(
+            list.__add__,
+            st.lists(st.integers(0, 64), max_size=50),
+            st.lists(st.integers(-2**40, -1), min_size=1, max_size=3),
+        ),
+    ).flatmap(st.permutations))
+    @example([])
+    @example([7])
+    @example([5] * 10)
+    @example([2**40, 0, 2**40])
+    @example(at_the_cut(list(range(99)), 0))
+    @example(at_the_cut(list(range(99)), 1))
+    @example([3, -1, 2, 3])
+    @example(list(range(5000, 0, -3)) * 2)
+    def test_equals_np_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            distinct, inverse = inference._distinct(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected, expected_inverse = np.unique(keys, return_inverse=True)
+        assert distinct.dtype == expected.dtype and inverse.dtype == expected_inverse.dtype
+        assert distinct.tolist() == expected.tolist()
+        assert inverse.tolist() == expected_inverse.tolist()
+        assert peak < 1 << 20  # sparse keys never get a table
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_counts_up_to_the_cut_and_sorts_past_it(self, past):
+        keys = np.array(at_the_cut(list(range(999)), past), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            inference._distinct(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 8 * (keys.max() + 1)  # the rank table alone
+        assert (peak >= table) if past == 0 else (peak < table // 2)
 
 
 class TestRowEntropies:
