@@ -225,15 +225,12 @@ class Policies:
 def _distinct(keys: np.ndarray) -> tuple:
     """(sorted distinct keys, inverse): np.unique(keys, return_inverse=True), less its overhead.
 
-    Dense keys, none negative and the largest at most 32 per key plus 1,024,
-    are counted, not sorted: a presence table marks each key, its nonzero
-    entries are the distinct keys in ascending order, and a table of each
-    distinct key's position among them, gathered at the keys, is the
-    inverse. Other keys (none, a negative one, or sparse ones such as ids
-    near 2**40) take one argsort, so the tables, 9 bytes an entry, never
-    hold more than 32 entries a key plus 1,024. Either path gives each key
-    its rank among the distinct keys, so the two return equal arrays
-    element for element, and nothing downstream can tell which ran.
+    Dense keys (none negative, the largest at most 32 per key plus 1,024)
+    are counted: a presence table marks them, its nonzero entries are the
+    distinct keys in order, and their positions, scattered into a table and
+    gathered at the keys, are the inverse. Other keys take one argsort, so
+    sparse ones never get a table. Both give each key its rank among the
+    distinct keys, so they return equal arrays, element for element.
     """
     if len(keys) and keys.min() >= 0 and (top := keys.max()) <= 32 * len(keys) + 1024:
         present = np.zeros(top + 1, dtype=bool)
@@ -241,7 +238,7 @@ def _distinct(keys: np.ndarray) -> tuple:
         distinct = present.nonzero()[0]
         rank = np.empty(len(present), dtype=int)
         rank[distinct] = np.arange(len(distinct))
-        return distinct.astype(keys.dtype, copy=False), rank[keys]
+        return distinct, rank[keys]
     order = keys.argsort()
     ordered = keys[order]
     new = np.ones(len(keys), dtype=bool)  # no keys, no distinct ones
@@ -450,11 +447,10 @@ class _Rollout:
         it, then adds w_k * child for k in branch order, one elementwise
         multiply and add at a time: the order and rounding of scoring each
         policy alone, so every value is bitwise the same. Tails, states,
-        nodes and continued nodes are all deduplicated by _distinct, whose
-        keys are mixed-radix ids of small ranges: it counts them in a
-        presence table when they are dense, as on every opening seen but one
-        level of the generated 5x12 horizon-5 opening, and sorts them
-        otherwise, with equal arrays either way.
+        nodes and continued nodes are deduplicated by _distinct, which counts
+        dense keys in a presence table (every level seen but one of a
+        generated 5x12 horizon-5 opening) and sorts others; either way each
+        key gets its rank among the distinct keys, so the arrays are equal.
 
         One action per policy, a selection by the width of ids alone: these
         small decisions (every head-starter decision, every planner decision

@@ -159,6 +159,15 @@ def at_the_cut(base, past):
     return base + [32 * (len(base) + 1) + 1024 + past]
 
 
+def traced_distinct(keys):
+    # _distinct's result and the peak it allocated
+    tracemalloc.start()
+    try:
+        return inference._distinct(keys), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDistinct:
     # The walk's dedup is np.unique(keys, return_inverse=True), whether it
     # counts dense keys in a presence table or sorts them.
@@ -186,12 +195,7 @@ class TestDistinct:
     @example(list(range(5000, 0, -3)) * 2)
     def test_equals_np_unique(self, keys):
         keys = np.array(keys, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            distinct, inverse = inference._distinct(keys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (distinct, inverse), peak = traced_distinct(keys)
         expected, expected_inverse = np.unique(keys, return_inverse=True)
         assert distinct.dtype == expected.dtype and inverse.dtype == expected_inverse.dtype
         assert distinct.tolist() == expected.tolist()
@@ -201,12 +205,7 @@ class TestDistinct:
     @pytest.mark.parametrize("past", [0, 1])
     def test_counts_up_to_the_cut_and_sorts_past_it(self, past):
         keys = np.array(at_the_cut(list(range(999)), past), dtype=np.int64)
-        tracemalloc.start()
-        try:
-            inference._distinct(keys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_distinct(keys)
         table = 8 * (keys.max() + 1)  # the rank table alone
         assert (peak >= table) if past == 0 else (peak < table // 2)
 
