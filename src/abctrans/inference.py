@@ -448,8 +448,8 @@ class _Rollout:
         multiply and add at a time: the order and rounding of scoring each
         policy alone, so every value is bitwise the same. Tails, states,
         nodes and continued nodes are deduplicated by _distinct, which counts
-        dense keys in a presence table (every level seen but one of a
-        generated 5x12 horizon-5 opening) and sorts others; either way each
+        dense keys in a presence table (on every opening measured, all calls
+        but one of a generated 5x12 horizon-5 opening) and sorts others; each
         key gets its rank among the distinct keys, so the arrays are equal.
 
         One action per policy, a selection by the width of ids alone: these

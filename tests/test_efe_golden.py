@@ -12,9 +12,9 @@ GENERATED_SHA256 covers the horizon-4 planner opening of a generated task
 far more channels and restrictions than the bundled task's.
 WIDE_SHA256 covers the horizon-5 planner opening of a generated task with
 5 content chunks and 12 orderings, capped at 4,096 policies. Its walk's
-keys are the sparsest seen: on one level the largest key is about 48 times
-the number of keys, so inference._distinct sorts there and counts on every
-other level, and the digest pins both paths.
+keys are the sparsest seen: in one dedup the largest key is about 48 times
+the number of keys, so inference._distinct sorts there and counts in every
+other, and the digest pins both paths.
 """
 
 import hashlib
