@@ -121,6 +121,9 @@ class AgentConfig:
         if self.max_policies < 1:
             raise ValueError(f"max_policies must be at least 1, got {self.max_policies!r}")
         # Written as "not valid" so that NaN fails too.
+        for name in ("w_e", "w_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
         if not 0.0 < self.gamma_max < math.inf:

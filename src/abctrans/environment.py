@@ -119,6 +119,10 @@ def apply_action(
     the same label, and the same generator state after, as
     labels[rng.choice(len(d), p=d)] over d = cue_distribution.
     """
+    slot = action.slot
+    if action.kind in (TYPE, DELETE, FIXATE_TARGET) and not 1 <= slot <= len(state.buffer):
+        raise TaskError(f"slot {slot} out of range")
+
     if action.kind == FIXATE_SOURCE:
         state.space.table.chunk(action.chunk_id)
         script, cursor = state.cue_script, state.cue_cursor
@@ -134,9 +138,6 @@ def apply_action(
 
     if action.kind == TYPE:
         state.space.table.chunk(action.chunk_id)
-        slot = action.slot
-        if not 1 <= slot <= len(state.buffer):
-            raise TaskError(f"slot {slot} out of range")
         if state.buffer[slot - 1] is not None:
             raise OccupancyError(f"slot {slot} already holds chunk {state.buffer[slot - 1]}")
         if action.chunk_id in state.buffer:
@@ -147,18 +148,12 @@ def apply_action(
         return new, Observation(PLACEMENT_FEEDBACK, chunk_id=action.chunk_id, slot=slot)
 
     if action.kind == DELETE:
-        slot = action.slot
-        if not 1 <= slot <= len(state.buffer):
-            raise TaskError(f"slot {slot} out of range")
         buf = list(state.buffer)
         buf[slot - 1] = None
         new = ExternalState(state.space, tuple(buf), state.latent, state.cue_script, state.cue_cursor)
         return new, Observation(PLACEMENT_FEEDBACK, chunk_id=None, slot=slot)
 
     if action.kind == FIXATE_TARGET:
-        slot = action.slot
-        if not 1 <= slot <= len(state.buffer):
-            raise TaskError(f"slot {slot} out of range")
         return state, Observation(TARGET_GLIMPSE, chunk_id=state.buffer[slot - 1], slot=slot)
 
     if action.kind == PAUSE:

@@ -68,6 +68,11 @@ class PreferenceVector:
     inconsistency_penalty: float = -1.0
     unread_cost: float = 0.0
 
+    def __post_init__(self):
+        for name in ("progress_bonus", "inconsistency_penalty", "unread_cost"):
+            if not math.isfinite(getattr(self, name)):  # NaN fails too
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+
 
 class EFEDecomposition(NamedTuple):
     """Expected free energy of a policy, split into its two drives.
@@ -228,9 +233,10 @@ def _distinct(keys: np.ndarray) -> tuple:
     Dense keys (none negative, the largest at most 32 per key plus 1,024)
     are counted: a presence table marks them, its nonzero entries are the
     distinct keys in order, and their positions, scattered into a table and
-    gathered at the keys, are the inverse. Other keys take one argsort, so
-    sparse ones never get a table. Both give each key its rank among the
-    distinct keys, so they return equal arrays, element for element.
+    gathered at the keys, are the inverse. Other keys go to np.unique, which
+    sorts them when asked for the inverse, so sparse ones never get a table.
+    Both give each key its rank among the distinct keys, so they return
+    equal arrays, element for element.
     """
     if len(keys) and keys.min() >= 0 and (top := keys.max()) <= 32 * len(keys) + 1024:
         present = np.zeros(top + 1, dtype=bool)
@@ -239,13 +245,7 @@ def _distinct(keys: np.ndarray) -> tuple:
         rank = np.empty(len(present), dtype=int)
         rank[distinct] = np.arange(len(distinct))
         return distinct, rank[keys]
-    order = keys.argsort()
-    ordered = keys[order]
-    new = np.ones(len(keys), dtype=bool)  # no keys, no distinct ones
-    new[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(keys), dtype=int)
-    inverse[order] = new.cumsum() - 1
-    return ordered[new], inverse
+    return np.unique(keys, return_inverse=True)
 
 
 # The most cue rows one channel batch holds: a level's missing channels are
@@ -262,23 +262,21 @@ class _Rollout:
     """The tables of one score_policies call, as arrays indexed by small integers.
 
     Action ids are those of the Policies table. Per action id, int arrays
-    hold a read's reliability index and a placement's row of fits and
-    factors (-1 for other kinds, so they give the kind too). A belief is
-    interned by the bytes of its probability row after + 0.0 (so -0.0 and
-    0.0 are one belief) to a row of a belief stack; the root is id 0. A
-    read's cue channel is built once per (belief, reliability), as a chunk's
-    table depends on its reliability alone: channel c has gain[c] and
-    count[c] branches, whose weights and child belief ids follow those of
-    the channels before it in two flat arrays, and a dense channel index
-    over belief id x reliability index (key bid * len(tables) + index),
-    grown with the stack, holds each channel's id (-1 for none). Beliefs and
-    channels are all the walk keeps across levels. Each level builds the
-    nodes (one action from one belief) its states need in one batch (build),
-    looking each read's channel up once, and lays out the branches of those
-    some state continues past from that channel column (branches): one
-    _read_branches call per CHANNEL_ROWS slice of missing channels, one
-    _typed_values and one _restrictions call. Nothing refers back to the
-    tables, so they are freed on return.
+    hold the index of a read's table in models.tables (one per reliability)
+    and a placement's row of fits and factors (-1 for other kinds, so they
+    give the kind too). A belief is interned by the bytes of its probability
+    row after + 0.0 (so -0.0 and 0.0 are one belief) to a row of a belief
+    stack; the root is id 0. A read's cue channel is built once per (belief,
+    table): channel c has gain[c] and count[c] branches, whose weights and
+    child belief ids follow those of the channels before it in two flat
+    arrays, and a dense channel index over belief id x table index (key
+    bid * len(tables) + index), grown with the stack, holds each channel's
+    id (-1 for none). Beliefs and channels are all the walk keeps across
+    levels. Each level builds the nodes (one action from one belief) its
+    states need, and on a level some state continues past their branches,
+    in one pass (build): one _read_branches call per CHANNEL_ROWS slice of
+    missing channels, one _typed_values and one _restrictions call. Nothing
+    refers back to the rollout, so its tables are freed on return.
     """
 
     def __init__(self, models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float,
@@ -288,20 +286,16 @@ class _Rollout:
         na = self.n_actions = len(policies.actions)
         # Per action id: a read's or pause's pragmatic term, the unread cost
         # paid as a first action, then (padded for the -1 past a policy's
-        # end) reliability index, placement row, and the small int of the
-        # unread content chunk typed, or -2 less that of the chunk read.
+        # end) table index, placement row, and the small int of the unread
+        # content chunk typed, or -2 less that of the chunk read.
         m = na + 1
         cost, first, rel, row, chunk_of = [-PAUSE_COST] * na, [0.0] * na, [-1] * m, [-1] * m, [-1] * m
-        self.reliabilities: dict = {}  # reliability -> reliability index
-        tables, fits, chunks, reliabilities = [], [], {}, None
+        fits, chunks = [], {}
         for aid, action in enumerate(policies.actions):
             kind, chunk = action.kind, action.chunk_id
             if kind == env.FIXATE_SOURCE:
-                reliabilities = reliabilities or dict(models.reliabilities)
                 cost[aid] = -READ_COST
-                rel[aid] = self.reliabilities.setdefault(reliabilities[chunk], len(tables))
-                if rel[aid] == len(tables):
-                    tables.append(models.likelihood_table(chunk))
+                rel[aid] = models.table_of[chunk]
                 chunk_of[aid] = -2 - chunks.setdefault(chunk, len(chunks))
             elif kind == env.TYPE:
                 row[aid] = len(fits)
@@ -321,8 +315,8 @@ class _Rollout:
         self.factors = np.where(self.fits > 0.0, prefs.progress_bonus, prefs.inconsistency_penalty)
         self.stack = np.array([belief.probs]) + 0.0  # belief id -> probabilities; the root is 0
         self.belief_ids = {self.stack.tobytes(): 0}  # row bytes (see intern) -> belief id
-        # Reliability index -> likelihood table; the dense channel index.
-        self.tables, self.channel = (np.array(tables), np.array([-1] * len(tables))) if tables else ((), ())
+        # Table index -> likelihood table and the dense channel index, if some action reads.
+        self.tables, self.channel = (models.tables, np.full(len(models.tables), -1)) if max(rel) >= 0 else ((), ())
         self.gain, self.count, self.weights, self.beliefs = _NO_FLOATS, _NO_INTS, _NO_FLOATS, _NO_INTS
         self.states = 0  # states the level walk visited, over all levels
 
@@ -341,7 +335,7 @@ class _Rollout:
         return bids[1:]
 
     def channels(self, bids: np.ndarray, rels: np.ndarray, laid: bool) -> np.ndarray:
-        """Channel ids of the (belief id, reliability index) pairs; missing ones are built first."""
+        """Channel ids of the (belief id, table index) pairs; missing ones are built first."""
         n_rel = len(self.tables)
         grow = len(self.stack) * n_rel - len(self.channel)
         if grow:
@@ -367,51 +361,44 @@ class _Rollout:
         return self.channel[keys]
 
     def build(self, bids: np.ndarray, aids: np.ndarray, laid: bool) -> tuple:
-        """(epistemic, pragmatic, channel) arrays of the nodes (bids[i], aids[i]).
+        """(epistemic, pragmatic, branches) of the nodes (bids[i], aids[i]).
 
-        A read takes its channel's gain and id (-1 for other nodes); the
-        placements take theirs from one _typed_values call. Unless laid (a
-        walk's last level), new channels keep no branches and count 0.
+        A read takes its channel's gain; the placements take theirs from one
+        _typed_values call. Unless laid (a walk's last level), new channels
+        keep no branches and count 0, and branches is None. If laid, branches
+        is (counts, weights, belief ids) of every node's branches, node by
+        node: a read has its channel's, in cue order. A pause has one branch
+        of weight 1.0 to its belief, a placement one to its belief restricted
+        to the orderings it fits, or to its belief if it contradicts them all
+        (the penalty has scored it); one batch restricts them all.
         """
         epistemic, pragmatic, channel = np.zeros(len(aids)), self.cost[aids], self.rel[aids]
-        reads = (channel >= 0).nonzero()[0] if len(self.tables) else ()  # no table, no read
+        reads = (channel >= 0).nonzero()[0] if len(self.tables) else _NO_INTS  # no table, no read
         if len(reads):
             channel[reads] = found = self.channels(bids[reads], channel[reads], laid)
             epistemic[reads] = self.gain[found]
         rows = self.row[aids]
         typed = (rows >= 0).nonzero()[0]
+        targets = bids
         if len(typed):
-            beliefs = self.stack.take(bids[typed], axis=0)
-            pragmatic[typed] = _typed_values(beliefs, self.factors.take(rows[typed], axis=0))
-        return epistemic, pragmatic, channel
-
-    def branches(self, bids: np.ndarray, aids: np.ndarray, channel: np.ndarray) -> tuple:
-        """(counts, weights, belief ids) of the branches of the nodes (bids[i], aids[i]), node by node.
-
-        channel is build's column for these nodes; a read has its channel's
-        branches, in cue order. A pause has one branch of weight 1.0 to its
-        belief, a placement one to its belief restricted to the orderings it
-        fits, or to its belief if it contradicts them all (the penalty has
-        scored it); one batch restricts them all.
-        """
-        counts, offsets, targets = np.ones(len(aids), dtype=int), np.full(len(aids), -1), bids.copy()
-        reads = (channel >= 0).nonzero()[0]
+            beliefs, rows = self.stack.take(bids[typed], axis=0), rows[typed]
+            pragmatic[typed] = _typed_values(beliefs, self.factors.take(rows, axis=0))
+            if laid:
+                live, posts = _restrictions(beliefs, self.fits.take(rows, axis=0))
+                targets = bids.copy()
+                targets[typed[live]] = self.intern(posts)
+        if not laid:
+            return epistemic, pragmatic, None
+        counts, offsets = np.ones(len(aids), dtype=int), np.full(len(aids), -1)
         counts[reads] = self.count[channel[reads]]
         offsets[reads] = (self.count.cumsum() - self.count)[channel[reads]]
-        rows = self.row[aids]
-        typed = (rows >= 0).nonzero()[0]
-        if len(typed):
-            beliefs = self.stack.take(bids[typed], axis=0)
-            live, posts = _restrictions(beliefs, self.fits.take(rows[typed], axis=0))
-            targets[typed[live]] = self.intern(posts)
-        # Branch j of node i is channel entry offsets[i] + j, or -1 for a
-        # node's one branch of weight 1.0 to its target.
-        j = np.arange(counts.sum()) - np.repeat(counts.cumsum() - counts, counts)
-        at = np.repeat(offsets, counts) + j
+        # Branch j of node i, entry counts[:i].sum() + j, is channel entry
+        # offsets[i] + j, or -1 for a node's one branch of weight 1.0 to its target.
+        at = np.repeat(offsets - (counts.cumsum() - counts), counts) + np.arange(counts.sum())
         weights, beliefs = np.ones(len(at)), np.repeat(targets, counts)
         read = at >= 0
         weights[read], beliefs[read] = self.weights[at[read]], self.beliefs[at[read]]
-        return counts, weights, beliefs
+        return epistemic, pragmatic, (counts, weights, beliefs)
 
     def unread(self, columns: np.ndarray) -> np.ndarray:
         """Per entry of columns (the policies' ids, one row per column): whether it pays the unread cost.
@@ -438,19 +425,19 @@ class _Rollout:
         pair alone: EFE is a recursion over (belief, remaining plan), and
         equal keys run the same arithmetic on the same numbers. Level 0
         holds one state per distinct policy, at the root belief. Each level
-        builds the nodes its states need, lays out the branches of those
-        some state continues past, and gives each such state one child per
-        branch position k, parents with most children first by a stable
+        builds its states' nodes and, if some state goes on, their branches
+        in the same pass, and gives each such state one child per branch of
+        its node, k by k, parents with most children first by a stable
         sort of their counts in a small int dtype (a radix sort); the next
         level holds the children's distinct states. Bottom-up, each state
         takes its node's terms, less the unread cost where its action pays
         it, then adds w_k * child for k in branch order, one elementwise
         multiply and add at a time: the order and rounding of scoring each
-        policy alone, so every value is bitwise the same. Tails, states,
-        nodes and continued nodes are deduplicated by _distinct, which counts
-        dense keys in a presence table (on every opening measured, all calls
-        but one of a generated 5x12 horizon-5 opening) and sorts others; each
-        key gets its rank among the distinct keys, so the arrays are equal.
+        policy alone, so every value is bitwise the same. Tails, states and
+        nodes are deduplicated by _distinct, which counts dense keys in a
+        presence table (on every opening measured, all calls but one of a
+        generated 5x12 horizon-5 opening) and sorts others; each key gets
+        its rank among the distinct keys, so the arrays are equal.
 
         One action per policy, a selection by the width of ids alone: these
         small decisions (every head-starter decision, every planner decision
@@ -495,14 +482,14 @@ class _Rollout:
             nodes, at = _distinct(bel * na + action[tail])
             node_bel, node_aid = np.divmod(nodes, na)
             parents = goes_on[tail].nonzero()[0]
-            epistemic, pragmatic, channel = self.build(node_bel, node_aid, len(parents) > 0)
+            epistemic, pragmatic, branches = self.build(node_bel, node_aid, len(parents) > 0)
             epistemic, pragmatic = epistemic[at], pragmatic[at]
             pragmatic[paid[tail]] -= self.prefs.unread_cost
             levels.append((up, epistemic, pragmatic))
             if not len(parents):
                 break
-            used, at = _distinct(at[parents])
-            counts, weights, beliefs = self.branches(node_bel[used], node_aid[used], channel[used])
+            counts, weights, beliefs = branches
+            at = at[parents]
             n_children, first = counts[at], (counts.cumsum() - counts)[at]
             # Parents with most children first: the parents of the k-th
             # children are a prefix, m[k] long, and the children are laid

@@ -366,23 +366,26 @@ class ReadingEvidenceModel:
         for cid, r in self.reliabilities:
             if not 0.0 <= r <= 1.0:
                 raise TaskError(f"reliability for chunk {cid} must lie in [0, 1], got {r}")
-        # One [cue, ordering] matrix per chunk, built once and not a field. It
-        # depends on the reliability alone: the rollout shares cue channels on it.
-        # Beside it, each column's CDF as a list, the one Generator.choice
-        # builds from P(cue | ordering): cumulative sums renormalised by the last.
+        # One read-only [cue, ordering] table per distinct reliability, which
+        # alone decides it, stacked as tables and built once; table_of maps
+        # each chunk to its table's index, and the rollout shares cue channels
+        # on it. Beside each table, each column's CDF as a list, the one
+        # Generator.choice builds from P(cue | ordering): cumulative sums
+        # renormalised by the last. None of these is a field.
         n = len(self.space.orderings)
-        tables, cdfs = {}, {}
-        for cid, r in self.reliabilities:
+        distinct, tables, cdfs = list(dict.fromkeys(r for _, r in self.reliabilities)), [], []
+        for r in distinct:
             if abs(r - UNINFORMATIVE) < 1e-12 or n == 1:
                 table = np.full((n, n), 1.0 / n)
             else:
                 table = np.full((n, n), (1.0 - r) / (n - 1))
                 np.fill_diagonal(table, r)
-            tables[cid] = _read_only(table)
+            tables.append(table)
             cdf = table.cumsum(axis=0)
             cdf /= cdf[-1]
-            cdfs[cid] = cdf.T.tolist()
-        object.__setattr__(self, "_likelihood", tables)
+            cdfs.append(cdf.T.tolist())
+        object.__setattr__(self, "tables", _read_only(np.array(tables)))
+        object.__setattr__(self, "table_of", {cid: distinct.index(r) for cid, r in self.reliabilities})
         object.__setattr__(self, "_cue_cdf", cdfs)
         # The selection memo hashes the model on every lookup; the fields are
         # frozen, so their hash (the one dataclass would compute) is taken once.
@@ -412,10 +415,7 @@ class ReadingEvidenceModel:
 
     def likelihood_table(self, chunk_id: int) -> np.ndarray:
         """P(cue | ordering) for reading one chunk, one row per cue label (read-only)."""
-        table = self._likelihood.get(chunk_id)
-        if table is None:
-            raise UnknownChunkError(f"chunk {chunk_id} not in evidence model")
-        return table
+        return self.tables[self._table_index(chunk_id)]
 
     def cue_distribution(self, chunk_id: int, true_label: str) -> np.ndarray:
         """P(cue | true ordering) over cue labels, for reading one chunk (read-only)."""
@@ -423,10 +423,13 @@ class ReadingEvidenceModel:
 
     def cue_cdf(self, chunk_id: int, true_label: str) -> list[float]:
         """CDF of cue_distribution, as Generator.choice computes it, over cue labels."""
-        cdfs = self._cue_cdf.get(chunk_id)
-        if cdfs is None:
+        return self._cue_cdf[self._table_index(chunk_id)][self.space.index_of(true_label)]
+
+    def _table_index(self, chunk_id: int) -> int:
+        index = self.table_of.get(chunk_id)
+        if index is None:
             raise UnknownChunkError(f"chunk {chunk_id} not in evidence model")
-        return cdfs[self.space.index_of(true_label)]
+        return index
 
     def likelihood_row(self, chunk_id: int, cue_label: str) -> np.ndarray:
         """P(cue | ordering) for a fixed observed cue, one entry per candidate (read-only)."""

@@ -28,7 +28,13 @@ from abctrans.agent import (
     step,
     update_affect,
 )
-from abctrans.inference import EFEDecomposition, PreferenceVector, bayes_update, expected_free_energy
+from abctrans.inference import (
+    ContradictionError,
+    EFEDecomposition,
+    PreferenceVector,
+    bayes_update,
+    expected_free_energy,
+)
 from abctrans.task import Categorical, ReadingEvidenceModel
 
 from conftest import render_of
@@ -196,12 +202,22 @@ class TestAgentConfig:
         "field, value",
         [("beta", -0.1), ("beta", 1.5), ("beta", float("nan")), ("gamma_max", 0.0),
          ("gamma_max", -4.0), ("gamma_max", float("inf")), ("gamma_max", float("nan")),
-         ("max_policies", 0), ("max_policies", -3)],
+         ("max_policies", 0), ("max_policies", -3), ("w_e", float("nan")),
+         ("w_e", float("inf")), ("w_p", float("inf")), ("w_p", float("-inf")), ("w_p", float("nan"))],
     )
     def test_out_of_range_values_are_rejected_by_name(self, field, value):
         for make in (AgentConfig, head_starter_config, large_context_planner_config):
             with pytest.raises(ValueError, match=f"^{field} must"):
                 make(**{field: value})
+
+    @pytest.mark.parametrize("field", ["progress_bonus", "inconsistency_penalty", "unread_cost"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_preferences_are_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            AgentConfig(prefs=PreferenceVector(**{field: value}))
+
+    def test_a_finite_negative_weight_is_allowed(self, models):
+        assert run_episode(AgentConfig(w_e=-1.0), models, seed=0).stop_reason == "complete"
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_beta_may_take_its_bounds(self, beta):
@@ -699,6 +715,49 @@ class TestStep:
         assert got == want
         assert trace.complete
         assert trace.final_target == render_of(space, "TT5")
+
+    def test_deletions_that_leave_a_contradiction_go_on(self, space, monkeypatch):
+        # The working belief says TT0 and the evidence belief TT5, which
+        # disagrees with slots 1-3 once 2@3 is typed: the step's restriction
+        # contradicts, so the revision is forced, and deleting slots 1 and 2
+        # still leaves a placement TT5 rules out. Both contradictions are
+        # passed over; deleting slot 3 leaves the buffer empty.
+        models = ReadingEvidenceModel.with_defaults(space, content=0.8)
+        cfg = head_starter_config()
+        n = len(space.orderings)
+        start = initial_agent_state(space, cfg)
+        cognitive = CognitiveState(
+            Categorical.point_mass(n, space.index_of("TT0")),
+            Categorical.point_mass(n, space.index_of("TT5")),
+            placed=((1, 1), (2, 0)),
+            read_set=frozenset({1}),
+        )
+        agent = dataclasses.replace(start, cognitive=cognitive)
+        state = env.ExternalState(space, (1, 0, None, None, None), "TT5")
+        contradicted = []
+
+        def watched(evidence, placed, space, consistent=None):
+            try:
+                return _recompute_working(evidence, placed, space, consistent)
+            except ContradictionError:
+                contradicted.append(placed)
+                raise
+
+        monkeypatch.setattr("abctrans.agent._recompute_working", watched)
+        agent, state, events = step(agent, state, models, cfg, np.random.default_rng(0))
+        forced = ("revision", "forced")
+        assert [(e.kind, e.chunk_id, e.slot, e.annotations) for e in events] == [
+            (env.TYPE, 2, 3, ("policy_switch",)),
+            (env.FIXATE_TARGET, None, 1, ("revision",)),
+            (env.DELETE, 1, 1, forced),
+            (env.FIXATE_TARGET, None, 2, ("revision",)),
+            (env.DELETE, 0, 2, forced),
+            (env.FIXATE_TARGET, None, 3, ("revision",)),
+            (env.DELETE, 2, 3, forced),
+        ]
+        # the step's restriction, then the two deletions the handler passes over
+        assert contradicted == [((1, 1), (2, 0), (3, 2)), ((2, 0), (3, 2)), ((3, 2),)]
+        assert agent.cognitive.placed == () and state.buffer == (None,) * 5
 
     def test_revision_scenario_deletes_and_retypes(self, space):
         trace = revising_episode(space)

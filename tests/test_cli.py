@@ -146,6 +146,20 @@ class TestSimulateCommand:
             b = (tmp_path / "b" / f"{name}.{ext}").read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_sampling_option_reaches_the_episode(self, sampling, capsys, monkeypatch):
+        configs, run = [], cli.run_episode
+
+        def recorded(cfg, *args, **kwargs):
+            configs.append(cfg)
+            return run(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_episode", recorded)
+        args = ["simulate", "--preset", "head_starter", "--seed", "0", "1"]
+        code, _, _ = run_cli(args + ["--sampling"] * sampling, capsys)
+        assert code == EXIT_OK
+        assert [cfg.sample_policies for cfg in configs] == [sampling, sampling]
+
     def test_exhausted_step_budget_is_incomplete_exit(self, capsys):
         code, _, _ = run_cli(
             ["simulate", "--preset", "large_context_planner", "--seed", "0",

@@ -80,6 +80,15 @@ class TestApplyAction:
         state, obs2 = env.apply_action(state, env.fixate_source(2), models, rng)
         assert (obs1.cue, obs2.cue) == ("TT5", "TT1")
 
+    @pytest.mark.parametrize(
+        "make", [lambda slot: env.type_chunk(1, slot), env.delete, env.fixate_target],
+        ids=["type", "delete", "fixate_target"],
+    )
+    def test_slot_out_of_range_rejected(self, make, state, models, rng):
+        for slot in (0, state.space.n_slots + 1):
+            with pytest.raises(TaskError, match=f"^slot {slot} out of range$"):
+                env.apply_action(state, make(slot), models, rng)
+
     def test_buffer_stays_a_partial_permutation(self, state, models, rng):
         actions = [
             env.type_chunk(1, 1),

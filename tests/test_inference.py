@@ -479,10 +479,10 @@ class TestExpectedFreeEnergy:
         shared = decompositions(score_policies(space.prior, policies, models, cfg.prefs, **kwargs))
         (rollout,) = rollouts
         kinds = [policies.actions[aid].kind for _, aid in rollout.built]
-        # The dense channel index is keyed belief id * len(tables) + reliability index.
-        reliabilities = list(rollout.reliabilities)
+        # The dense channel index is keyed belief id * len(tables) + table index.
+        reliability_of = {models.table_of[cid]: r for cid, r in models.reliabilities}
         keys = (rollout.channel >= 0).nonzero()[0]
-        assert {reliabilities[r] for r in keys % len(rollout.tables)} == {0.7, 0.8, 0.9}
+        assert {reliability_of[t] for t in keys % len(rollout.tables)} == {0.7, 0.8, 0.9}
         assert len(rollout.gain) == len(keys) < kinds.count(env.FIXATE_SOURCE)
         alone = tuple(
             expected_free_energy(space.prior, policy, models, cfg.prefs, **kwargs)
@@ -602,8 +602,8 @@ class TestGeneratedTasks:
 class TestBatchedNodes:
     # The rollout builds each walk level's nodes, and their branches, in
     # batches. After scoring a generated opening, every read channel it
-    # keeps, and every node term and branch that build and branches
-    # returned, equals the per-node rule above bitwise. Reliability
+    # keeps, and every node term and branch that build returned, equals
+    # the per-node rule above bitwise. Reliability
     # 1.0 leaves cues without mass once a read has pinned the belief, and
     # each decision also scores one policy that types a chunk at two slots,
     # whose second restriction contradicts every ordering.
@@ -629,24 +629,22 @@ class TestBatchedNodes:
         rollouts = []
 
         class Watched(inference._Rollout):
-            # Records (belief id, action id, epistemic, pragmatic, channel id)
-            # per node built and (belief id, action id, channel id, weights,
-            # belief ids) per node whose branches were laid out.
+            # Records (belief id, action id, epistemic, pragmatic) per node
+            # built and (belief id, action id, weights, belief ids) per node
+            # whose branches were laid out.
             def __init__(self, *args):
                 super().__init__(*args)
                 self.built, self.laid = [], []
                 rollouts.append(self)
 
             def build(self, bids, aids, laid):
-                epistemic, pragmatic, channel = super().build(bids, aids, laid)
-                self.built += zip(bids, aids, epistemic, pragmatic, channel)
-                return epistemic, pragmatic, channel
-
-            def branches(self, bids, aids, channel):
-                counts, weights, beliefs = super().branches(bids, aids, channel)
-                ends = counts.cumsum()[:-1]
-                self.laid += zip(bids, aids, channel, np.split(weights, ends), np.split(beliefs, ends))
-                return counts, weights, beliefs
+                epistemic, pragmatic, branches = super().build(bids, aids, laid)
+                self.built += zip(bids, aids, epistemic, pragmatic)
+                if laid:
+                    counts, weights, beliefs = branches
+                    ends = counts.cumsum()[:-1]
+                    self.laid += zip(bids, aids, np.split(weights, ends), np.split(beliefs, ends))
+                return epistemic, pragmatic, branches
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(inference, "_Rollout", Watched)
@@ -656,7 +654,7 @@ class TestBatchedNodes:
         actions = inference.Policies.of(policies).actions
 
         # Channel c's branches follow those of the channels before it; the
-        # dense index maps belief id * len(tables) + reliability index to c.
+        # dense index maps belief id * len(tables) + table index to c.
         offsets = rollout.count.cumsum() - rollout.count
 
         def channel_of(bid, aid):
@@ -667,10 +665,10 @@ class TestBatchedNodes:
         keys = (rollout.channel >= 0).nonzero()[0]
         assert len(keys) and sorted(rollout.channel[keys]) == list(range(len(rollout.gain)))
         assert (rollout.count > 0).any()
-        for bid, reliability in zip(*np.divmod(keys, len(rollout.tables))):
-            c = rollout.channel[bid * len(rollout.tables) + reliability]
+        for bid, table in zip(*np.divmod(keys, len(rollout.tables))):
+            c = rollout.channel[bid * len(rollout.tables) + table]
             gain, count, offset = rollout.gain[c], rollout.count[c], offsets[c]
-            want = oracle_read_branches(stack[bid], rollout.tables[reliability], zeta)
+            want = oracle_read_branches(stack[bid], rollout.tables[table], zeta)
             h = oracle_information_gain(
                 entropy_bits(stack[bid].tolist()), [(w, entropy_bits(post)) for w, post in want]
             )
@@ -682,14 +680,15 @@ class TestBatchedNodes:
             for child, (_, post) in zip(children, want, strict=True):
                 assert bits(stack[child]) == bits(post)
 
-        for bid, aid, epistemic, pragmatic, channel in rollout.built:
+        for bid, aid, epistemic, pragmatic in rollout.built:
             action = actions[aid]
             if action.kind == env.FIXATE_SOURCE:
-                assert channel == channel_of(bid, aid) >= 0
+                channel = channel_of(bid, aid)
+                assert channel >= 0
                 gain = rollout.gain[channel]
                 assert (bits([epistemic]), pragmatic) == (bits([gain]), -inference.READ_COST)
                 continue
-            assert channel == -1
+            assert rollout.rel[aid] == -1
             if action.kind == env.TYPE:
                 row = placement_row(space, action.chunk_id, action.slot)
                 value = oracle_typed_value(stack[bid].tolist(), row.tolist(), prefs)
@@ -698,10 +697,10 @@ class TestBatchedNodes:
                 assert (epistemic, pragmatic) == (0.0, -inference.PAUSE_COST)
 
         contradictions = 0
-        for bid, aid, channel, weights, children in rollout.laid:
+        for bid, aid, weights, children in rollout.laid:
             action = actions[aid]
             if action.kind == env.FIXATE_SOURCE:
-                assert channel == channel_of(bid, aid)
+                channel = channel_of(bid, aid)
                 count, offset = rollout.count[channel], offsets[channel]
                 assert count > 0
                 assert bits(weights) == bits(rollout.weights[offset:offset + count])
