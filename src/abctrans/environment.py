@@ -122,7 +122,6 @@ def apply_action(
     slot = action.slot
     if action.kind in (TYPE, DELETE, FIXATE_TARGET) and not 1 <= slot <= len(state.buffer):
         raise TaskError(f"slot {slot} out of range")
-
     if action.kind == FIXATE_SOURCE:
         state.space.table.chunk(action.chunk_id)
         script, cursor = state.cue_script, state.cue_cursor

@@ -253,7 +253,7 @@ def _distinct(keys: np.ndarray) -> tuple:
 # give bitwise what one batch gives. The bundled opening's largest has 1,512.
 CHANNEL_ROWS = 1 << 13
 
-# Read-only empty starts of every rollout's channel arrays, which grow by concatenation.
+# Read-only empty starts of every rollout's channel arrays, which grow by concatenation, and no reads.
 _NO_FLOATS, _NO_INTS = np.empty(0), np.empty(0, dtype=int)
 _NO_FLOATS.flags.writeable = _NO_INTS.flags.writeable = False
 
@@ -392,9 +392,10 @@ class _Rollout:
         counts, offsets = np.ones(len(aids), dtype=int), np.full(len(aids), -1)
         counts[reads] = self.count[channel[reads]]
         offsets[reads] = (self.count.cumsum() - self.count)[channel[reads]]
-        # Branch j of node i, entry counts[:i].sum() + j, is channel entry
-        # offsets[i] + j, or -1 for a node's one branch of weight 1.0 to its target.
-        at = np.repeat(offsets - (counts.cumsum() - counts), counts) + np.arange(counts.sum())
+        # Branch j of node i is channel entry offsets[i] + j, or -1 for a
+        # node's one branch of weight 1.0 to its target.
+        j = np.arange(counts.sum()) - np.repeat(counts.cumsum() - counts, counts)
+        at = np.repeat(offsets, counts) + j
         weights, beliefs = np.ones(len(at)), np.repeat(targets, counts)
         read = at >= 0
         weights[read], beliefs[read] = self.weights[at[read]], self.beliefs[at[read]]
