@@ -11,7 +11,6 @@ from .task import (
     ReadingEvidenceModel,
     build_candidate_space,
     lexical_entropy,
-    placement_likelihood,
     positional_entropy,
 )
 from .inference import (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -368,53 +368,44 @@ def enumerate_policies(
     return Policies([actions[a] for a in used], ids, truncated)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScoredDecision:
-    """One decision's policies, their EFE split as arrays, and its selections per gamma.
+    """One decision's policies, their EFE split as read-only arrays, and its policy posterior.
 
-    The selection memo's value. Under a gamma first seen here, selection
-    computes the policy posterior, its read-only array, MAP index and
-    entropy once and keeps them in by_gamma, so a repeated (decision,
-    gamma) costs lookups only.
+    The selection memo's value for one (decision, gamma): the posterior is
+    policy_posterior of the totals under that gamma, with its MAP index and
+    its entropy in bits.
     """
 
     policies: Policies
     epistemic: np.ndarray
     pragmatic: np.ndarray
     totals: np.ndarray
-    by_gamma: dict[float, tuple[Categorical, np.ndarray, int, float]] = field(default_factory=dict)
-
-    def under(self, gamma: float) -> tuple[Categorical, np.ndarray, int, float]:
-        """(posterior, its read-only array, MAP index, entropy in bits) under gamma."""
-        selection = self.by_gamma.get(gamma)
-        if selection is None:
-            posterior = policy_posterior(self.totals, gamma=gamma)
-            probs = posterior.as_array()
-            probs.flags.writeable = False
-            selection = (posterior, probs, posterior.map_index, shannon_entropy(posterior))
-            self.by_gamma[gamma] = selection
-        return selection
+    posterior: Categorical
+    map_index: int
+    posterior_entropy: float
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     decision: ScoredDecision
-    posterior: Categorical
     choice_index: int
-    posterior_entropy: float
 
     @property
     def policies(self) -> Policies:
         return self.decision.policies
 
     @property
+    def posterior(self) -> Categorical:
+        return self.decision.posterior
+
+    @property
+    def posterior_entropy(self) -> float:
+        return self.decision.posterior_entropy
+
+    @property
     def policy(self) -> tuple[env.Action, ...]:
         return self.policies[self.choice_index]
-
-
-def _dynamic_horizon(cognitive: CognitiveState, space: CandidateSpace) -> int:
-    unread = [c for c in space.table.source_order if c not in cognitive.read_set]
-    return max(1, len(unread))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -424,24 +415,32 @@ def _scored_policies(
     belief: Categorical,
     placed: tuple[tuple[int, int], ...],
     read_set: frozenset[int],
-    horizon: int,
     last_was_pause: bool,
     zeta: float,
+    gamma: float,
 ) -> ScoredDecision:
-    """Every admissible policy with its EFE arrays, as a ScoredDecision.
+    """Every admissible policy with its EFE arrays and its posterior under gamma, as a ScoredDecision.
 
-    A pure function of exactly what enumeration and scoring read, memoised
-    on those arguments: a repeated decision costs one lookup and can never
-    see another decision's result. What the entry keeps per gamma is a pure
-    function of its scores and that gamma.
+    A pure function of exactly what enumeration, scoring and the posterior
+    read, memoised on those arguments: a repeated (decision, gamma) costs
+    one lookup and can never see another decision's result. The horizon is
+    cfg.horizon or, when that is None, the number of unread content chunks,
+    floored at 1.
     """
+    horizon = cfg.horizon
+    if horizon is None:
+        horizon = max(1, sum(c not in read_set for c in models.space.table.source_order))
     # Enumeration reads the working belief, never the evidence belief.
     cognitive = CognitiveState(belief, belief, placed, read_set)
     policies = enumerate_policies(cognitive, models.space, horizon, cfg, last_was_pause)
-    return ScoredDecision(policies, *score_policies(
+    if not policies:
+        raise ValueError("no admissible policy: translation already complete")
+    scores = score_policies(
         belief, policies, models, cfg.prefs,
         w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read_set, zeta=zeta,
-    ))
+    )
+    posterior = policy_posterior(scores[2], gamma=gamma)
+    return ScoredDecision(policies, *scores, posterior, posterior.map_index, shannon_entropy(posterior))
 
 
 clear_selection_cache = _scored_policies.cache_clear
@@ -457,25 +456,21 @@ def select_policy(
 ) -> SelectionResult:
     """Score every admissible policy by EFE and pick one under the current gamma.
 
-    Selection is argmax of the precision-weighted posterior by default
+    The memoised ScoredDecision of (decision, gamma) holds the policies,
+    their scores and the posterior. Selection is its argmax by default
     (deterministic, ties to the enumeration order); with sample_policies the
     posterior is sampled through the episode generator. Only the agent's own
     states enter: the external state, latent ordering included, never does.
     """
-    horizon = cfg.horizon if cfg.horizon is not None else _dynamic_horizon(cognitive, models.space)
     decision = _scored_policies(
         models, cfg, cognitive.belief, cognitive.placed, cognitive.read_set,
-        horizon, last_was_pause, affective.zeta,
+        last_was_pause, affective.zeta, affective.gamma,
     )
-    if not decision.policies:
-        raise ValueError("no admissible policy: translation already complete")
-
-    posterior, probs, map_index, entropy = decision.under(affective.gamma)
     if cfg.sample_policies and rng is not None:
-        choice = int(rng.choice(len(probs), p=probs))
+        choice = int(rng.choice(len(decision.policies), p=decision.posterior.probs))
     else:
-        choice = map_index
-    return SelectionResult(decision, posterior, choice, entropy)
+        choice = decision.map_index
+    return SelectionResult(decision, choice)
 
 
 def _action_duration(action: env.Action, state: env.ExternalState) -> float:

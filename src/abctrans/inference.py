@@ -97,7 +97,7 @@ def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) ->
     The one conditioning rule, for non-negative 2-D likelihoods; zeta = 1 is
     exact Bayes. Raises ContradictionError when some row leaves no mass,
     rather than silently renormalizing an impossible observation. No rows
-    give no posteriors.
+    give no posteriors. zeta is unchecked here: its callers check it.
     """
     weighted = prior * np.power(likelihoods, zeta)
     totals = weighted.sum(axis=1, keepdims=True)
@@ -108,6 +108,8 @@ def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) ->
 
 def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categorical:
     """Posterior proportional to prior * likelihood**zeta: posteriors for one row."""
+    if not 0.0 < zeta < math.inf:  # NaN fails too
+        raise ValueError(f"zeta must be positive and finite, got {zeta!r}")
     lks = np.asarray(likelihoods, dtype=float)
     if lks.shape != (len(prior),):
         raise ValueError("one likelihood per option required")
@@ -151,6 +153,8 @@ def expected_information_gain(
     fixations have a channel that depends on the latent ordering; every other
     action yields one observation with probability one.
     """
+    if not 0.0 < zeta < math.inf:  # NaN fails too
+        raise ValueError(f"zeta must be positive and finite, got {zeta!r}")
     if action.kind != env.FIXATE_SOURCE:
         return 0.0
     table = models.likelihood_table(action.chunk_id)
@@ -537,6 +541,8 @@ def score_policies(
     fixated before the policies start (defaults to all, so unread costs
     never apply). The totals are -(w_e * epistemic) - (w_p * pragmatic).
     """
+    if not 0.0 < zeta < math.inf:  # NaN fails too
+        raise ValueError(f"zeta must be positive and finite, got {zeta!r}")
     policies = Policies.of(policies)
     epistemic, pragmatic = _Rollout(models, prefs, zeta, policies, read_chunks, belief).walk(policies.ids)
     totals = -(w_e * epistemic) - (w_p * pragmatic)
@@ -562,8 +568,8 @@ def expected_free_energy(
 
 def policy_posterior(totals, gamma: float) -> Categorical:
     """Softmax over -gamma * EFE totals, shifted by the max for numerical stability."""
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    if not 0.0 <= gamma < math.inf:  # NaN fails too
+        raise ValueError(f"gamma must be non-negative and finite, got {gamma!r}")
     totals = np.asarray(totals, dtype=float)
     if totals.size == 0:
         raise ValueError("need at least one policy")

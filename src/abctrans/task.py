@@ -162,12 +162,6 @@ class Categorical:
         return cls((1.0 / n,) * n)
 
     @classmethod
-    def point_mass(cls, n: int, index: int) -> "Categorical":
-        probs = [0.0] * n
-        probs[index] = 1.0
-        return cls(tuple(probs))
-
-    @classmethod
     def from_weights(cls, weights) -> "Categorical":
         w = [float(x) for x in weights]
         z = sum(w)
@@ -325,13 +319,6 @@ def lexical_entropy(space: CandidateSpace, chunk_id: int) -> float:
     for _, p in zip(space.orderings, space.prior.probs):
         by_text[chunk.target_text] = by_text.get(chunk.target_text, 0.0) + p
     return _histogram_entropy(by_text.values())
-
-
-def placement_likelihood(ordering: CandidateOrdering, chunk_id: int, slot: int) -> float:
-    """1.0 if the ordering places the chunk at the slot, else 0.0."""
-    if not 1 <= slot <= len(ordering.slots):
-        raise TaskError(f"slot {slot} out of range 1..{len(ordering.slots)}")
-    return 1.0 if ordering.chunk_at(slot) == chunk_id else 0.0
 
 
 def placement_row(space: CandidateSpace, chunk_id: int, slot: int) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from abctrans.task import Chunk, ChunkTable, ReadingEvidenceModel, build_candidate_space
+from abctrans.task import Categorical, Chunk, ChunkTable, ReadingEvidenceModel, build_candidate_space
 
 CHUNK_TEXTS = {
     1: ("As a result,", "その結果"),
@@ -47,6 +47,13 @@ def render_of(space, label: str) -> str:
     """Expected target string for one candidate ordering."""
     ordering = space.ordering(label)
     return "".join(space.table.chunk(c).target_text for c in ordering.slots)
+
+
+def point_mass(n: int, index: int) -> Categorical:
+    """A belief with all its mass on one ordering."""
+    probs = [0.0] * n
+    probs[index] = 1.0
+    return Categorical(tuple(probs))
 
 
 def entropy_of_counts(counts) -> float:

@@ -37,7 +37,7 @@ from abctrans.inference import (
 )
 from abctrans.task import Categorical, ReadingEvidenceModel
 
-from conftest import render_of
+from conftest import point_mass, render_of
 from gentask import generated_space
 from perfbench.workloads import round_trip_problems
 
@@ -230,8 +230,8 @@ class TestEnumeratePolicies:
             sorted((s, c) for s, c in enumerate(space.ordering("TT0").slots, start=1))
         )
         cognitive = CognitiveState(
-            belief=Categorical.point_mass(6, 0),
-            evidence_belief=Categorical.point_mass(6, 0),
+            belief=point_mass(6, 0),
+            evidence_belief=point_mass(6, 0),
             placed=placed,
             read_set=frozenset({1, 2, 3, 4}),
         )
@@ -248,7 +248,7 @@ class TestEnumeratePolicies:
 
     def test_point_mass_belief_filters_typing(self, space, models):
         cfg = head_starter_config()
-        b = Categorical.point_mass(6, space.index_of("TT3"))
+        b = point_mass(6, space.index_of("TT3"))
         cognitive = CognitiveState(belief=b, evidence_belief=b, read_set=frozenset({1, 2, 3, 4}))
         policies = enumerate_policies(cognitive, space, 1, cfg)
         typing = [p[0] for p in policies if p[0].kind == env.TYPE]
@@ -501,11 +501,11 @@ def float_bits(values) -> bytes:
 
 
 class TestSelectionMemo:
-    """The memo keeps each decision's posterior, MAP and entropy per gamma beside its scores."""
+    """The memo keeps one frozen record per (decision, gamma): scores, posterior, MAP and entropy."""
 
     def test_memoised_selections_equal_a_fresh_posterior(self, space, monkeypatch):
         # Each episode runs twice, so the second run's decisions are served
-        # from the per-gamma selections the first run stored. Every
+        # from the records the first run stored. Every
         # decision's posterior, choice and entropy must be bitwise what
         # policy_posterior and shannon_entropy give afresh from its totals,
         # and a sampled choice must leave the generator where a fresh draw
@@ -544,17 +544,25 @@ class TestSelectionMemo:
         assert len(computed) <= len(selections) // 2
 
     def test_one_decision_keeps_a_posterior_per_gamma(self, space, models):
+        # The same (decision, gamma) returns the identical frozen record;
+        # another gamma gives a new record whose policies and scores are
+        # bitwise the first one's, and whose posterior is its own.
         cfg = head_starter_config()
         _, cognitive = agent_after_cue(space, models, cfg, "TT0")
         sharp = select_policy(cognitive, AffectiveState(gamma=8.0, zeta=1.0), models, cfg)
         flat = select_policy(cognitive, AffectiveState(gamma=0.5, zeta=1.0), models, cfg)
         again = select_policy(cognitive, AffectiveState(gamma=8.0, zeta=1.0), models, cfg)
-        assert sharp.decision is flat.decision is again.decision
-        for sel, gamma in ((sharp, 8.0), (flat, 0.5), (again, 8.0)):
+        assert again.decision is sharp.decision
+        assert flat.decision is not sharp.decision
+        assert flat.policies.actions == sharp.policies.actions
+        assert flat.policies.ids.tobytes() == sharp.policies.ids.tobytes()
+        for name in ("epistemic", "pragmatic", "totals"):
+            assert float_bits(getattr(flat.decision, name)) == float_bits(getattr(sharp.decision, name))
+        for sel, gamma in ((sharp, 8.0), (flat, 0.5)):
             assert sel.posterior == inference.policy_posterior(sel.decision.totals, gamma)
-        assert sharp.posterior != flat.posterior
         assert sharp.posterior_entropy < flat.posterior_entropy
-        assert again.posterior is sharp.posterior
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sharp.decision.posterior = flat.posterior
 
     def test_clearing_the_memo_drops_its_posteriors(self, space, models, monkeypatch):
         # A private memo built as agent's is, so the shared one stays warm
@@ -727,8 +735,8 @@ class TestStep:
         n = len(space.orderings)
         start = initial_agent_state(space, cfg)
         cognitive = CognitiveState(
-            Categorical.point_mass(n, space.index_of("TT0")),
-            Categorical.point_mass(n, space.index_of("TT5")),
+            point_mass(n, space.index_of("TT0")),
+            point_mass(n, space.index_of("TT5")),
             placed=((1, 1), (2, 0)),
             read_set=frozenset({1}),
         )
@@ -851,7 +859,7 @@ class TestRunEpisode:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="livelock (ROADMAP item 3): the planner deletes and retypes a "
+        reason="livelock (ROADMAP item 2): the planner deletes and retypes a "
         "placement until max_steps and ends incomplete after 117 events",
     )
     @pytest.mark.parametrize("latent", ["TT1", "TT5"])

@@ -30,6 +30,7 @@ from abctrans.inference import (
 )
 from abctrans.task import Categorical, ReadingEvidenceModel, entropy_bits, placement_row, row_entropies
 
+from conftest import point_mass
 from gentask import generated_space
 
 PREFS = PreferenceVector(progress_bonus=0.5, inconsistency_penalty=-2.0)
@@ -143,7 +144,7 @@ class TestShannonEntropy:
         assert abs(shannon_entropy(Categorical.uniform(6)) - 2.584963) <= 1e-6
 
     def test_point_mass(self):
-        assert shannon_entropy(Categorical.point_mass(5, 0)) == 0.0
+        assert shannon_entropy(point_mass(5, 0)) == 0.0
 
     def test_half_half(self):
         assert shannon_entropy(Categorical((0.5, 0.5, 0.0, 0.0))) == 1.0
@@ -235,7 +236,7 @@ class TestRowEntropies:
         assert bits(row_entropies(np.array(rows))) == bits(map(entropy_bits, rows))
 
     def test_bundled_beliefs(self, space, models):
-        rows = [space.prior.probs, Categorical.point_mass(6, 2).probs, (0.5, -0.0, 0.5, 0, 0, 0)]
+        rows = [space.prior.probs, point_mass(6, 2).probs, (0.5, -0.0, 0.5, 0, 0, 0)]
         rows += bayes_update(space.prior, models.likelihood_row(1, "TT0")).probs, NP_LOG2_DIFFERS * 3
         assert bits(row_entropies(np.array(rows))) == bits(map(entropy_bits, rows))
 
@@ -262,7 +263,7 @@ class TestBayesUpdate:
         assert np.allclose(post.probs, prior.probs, atol=1e-15)
 
     def test_contradiction_raises(self, space):
-        prior = Categorical.point_mass(6, 0)
+        prior = point_mass(6, 0)
         row = placement_row(space, 4, 1)  # only TT5 allows this
         with pytest.raises(ContradictionError):
             bayes_update(prior, row)
@@ -289,6 +290,16 @@ class TestBayesUpdate:
                 assert posteriors(b, table, zeta).tolist() == rows
                 assert [list(bayes_update(belief, row, zeta).probs) for row in table] == rows
 
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf, -1.0, 0.0])
+    def test_invalid_zeta_rejected_by_name(self, space, models, zeta):
+        # A NaN or infinite zeta raised ContradictionError, the error step
+        # takes to mean an impossible cue, and a negative one inverted the
+        # evidence: (0.5, 0.5) with row (0.2, 0.8) gave (0.8, 0.2).
+        with pytest.raises(ValueError, match=f"zeta must be positive and finite, got {zeta!r}"):
+            bayes_update(Categorical((0.5, 0.5)), [0.2, 0.8], zeta=zeta)
+        with pytest.raises(ValueError, match=f"got {zeta!r}"):
+            bayes_update(space.prior, models.likelihood_row(1, "TT3"), zeta=zeta)
+
     def test_zeta_tempers_the_likelihood(self, space, models):
         row = models.likelihood_row(1, "TT3")
         sharp = bayes_update(space.prior, row, zeta=2.0)
@@ -309,9 +320,15 @@ class TestBayesUpdate:
 
 class TestExpectedInformationGain:
     def test_point_mass_learns_nothing(self, space, models):
-        b = Categorical.point_mass(6, 2)
+        b = point_mass(6, 2)
         for action in all_start_actions(space):
             assert expected_information_gain(b, action, models) <= 1e-12
+
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("chunk", [0, 1])
+    def test_invalid_zeta_rejected_by_name(self, space, models, zeta, chunk):
+        with pytest.raises(ValueError, match=f"zeta must be positive and finite, got {zeta!r}"):
+            expected_information_gain(space.prior, env.fixate_source(chunk), models, zeta=zeta)
 
     def test_uninformative_channel(self, space, models):
         # the comma read keeps the designated uninformative reliability
@@ -355,7 +372,7 @@ def pragmatic(belief, action, models, prefs=PREFS, read_chunks=None):
 
 class TestPragmaticValue:
     def test_consistent_typing_earns_bonus(self, space, models):
-        b = Categorical.point_mass(6, space.index_of("TT3"))
+        b = point_mass(6, space.index_of("TT3"))
         val = pragmatic(b, env.type_chunk(4, 3), models)
         assert abs(val - PREFS.progress_bonus) <= 1e-12
 
@@ -381,7 +398,7 @@ class TestPragmaticValue:
 
     def test_unread_chunk_costs_extra(self, space, models):
         prefs = PreferenceVector(progress_bonus=0.5, unread_cost=0.7)
-        b = Categorical.point_mass(6, space.index_of("TT3"))
+        b = point_mass(6, space.index_of("TT3"))
         read = pragmatic(b, env.type_chunk(4, 3), models, prefs, read_chunks=frozenset({4}))
         unread = pragmatic(b, env.type_chunk(4, 3), models, prefs, read_chunks=frozenset())
         assert abs((read - unread) - 0.7) <= 1e-12
@@ -391,6 +408,16 @@ class TestExpectedFreeEnergy:
     def test_empty_policy_rejected(self, space, models):
         with pytest.raises(ValueError):
             expected_free_energy(space.prior, (), models, PREFS)
+
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf, -1.0, 0.0])
+    def test_invalid_zeta_rejected_by_name(self, space, models, zeta):
+        # zeta -1 scored reading chunk 1 from the bundled prior at epistemic
+        # 0.206 instead of 1.399; a NaN or infinite one raised ContradictionError.
+        for policy in ((env.fixate_source(1),), (env.pause(),)):
+            with pytest.raises(ValueError, match=f"zeta must be positive and finite, got {zeta!r}"):
+                score_policies(space.prior, (policy,), models, PREFS, zeta=zeta)
+            with pytest.raises(ValueError, match=f"got {zeta!r}"):
+                expected_free_energy(space.prior, policy, models, PREFS, zeta=zeta)
 
     def test_single_step_composes_the_two_terms(self, space, models):
         for action in all_start_actions(space):
@@ -598,6 +625,31 @@ class TestGeneratedTasks:
         cognitive = CognitiveState(belief, belief, placed, frozenset({1}))
         self.check_decision(space, models, cognitive, horizon, zeta)
 
+    def test_capped_horizon_five_opening_matches_the_oracle(self):
+        # The planner's own horizon on a task with 5 content chunks: the
+        # capped opening that WIDE_SHA256 pins, scored in one walk. The
+        # first policy with each read count from 1 to 4 is checked against
+        # the outcome tree; the one 5-read policy takes seconds and is left out.
+        space = generated_space(5, 12, 1)
+        models = ReadingEvidenceModel.with_defaults(space, content=0.9)
+        cfg = large_context_planner_config()
+        start = initial_agent_state(space, cfg).cognitive
+        policies = enumerate_policies(start, space, 5, cfg)
+        assert len(policies) == 4096
+        scores = decompositions(score_policies(
+            space.prior, policies, models, cfg.prefs,
+            w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(),
+        ))
+        first = {}
+        for policy, dec in zip(policies, scores):
+            first.setdefault(sum(a.kind == env.FIXATE_SOURCE for a in policy), (policy, dec))
+        for reads in (1, 2, 3, 4):
+            policy, dec = first[reads]
+            oe, op = oracle_efe(space.prior, policy, models, cfg.prefs, frozenset())
+            assert abs(dec.epistemic - oe) <= 1e-9
+            assert abs(dec.pragmatic - op) <= 1e-9
+            assert abs(dec.total - (-(cfg.w_e * oe) - (cfg.w_p * op))) <= 1e-9
+
 
 class TestBatchedNodes:
     # The rollout builds each walk level's nodes, and their branches, in
@@ -795,7 +847,7 @@ class TestBatchedNodes:
     def test_restriction_batch_keeps_contradicted_rows_out(self, space):
         # one batch of placements from a point mass on TT0: those that fit it
         # restrict it, the one that fits no ordering the belief holds has none
-        belief = np.array(Categorical.point_mass(len(space.orderings), 0).probs)
+        belief = np.array(point_mass(len(space.orderings), 0).probs)
         rows = [placement_row(space, chunk, slot) for chunk, slot in ((1, 1), (2, 1), (0, 2), (4, 4))]
         live, posts = inference._restrictions(np.array([belief] * len(rows)), np.array(rows))
         want = [oracle_restriction(belief, row) for row in rows]
@@ -833,6 +885,13 @@ class TestPolicyPosterior:
     def test_zero_gamma_is_uniform(self):
         post = policy_posterior([0.3, -2.0, 5.0], gamma=0.0)
         assert np.allclose(post.probs, 1 / 3, atol=1e-15)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_invalid_gamma_rejected_by_name(self, gamma):
+        # NaN failed as "probabilities must be non-negative", and inf with a
+        # RuntimeWarning from the shifted scores.
+        with pytest.raises(ValueError, match=f"gamma must be non-negative and finite, got {gamma!r}"):
+            policy_posterior([0.3, -2.0, 5.0], gamma=gamma)
 
     def test_reference_softmax_values(self):
         post = policy_posterior([1.0, 2.0], gamma=1.0)
