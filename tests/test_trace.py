@@ -89,3 +89,103 @@ class TestProcessEventContract:
         by_keyword = ProcessEvent(**dict(zip(names, FIELDS)))
         assert by_keyword == event and repr(by_keyword) == repr(event)
         assert ProcessEvent(0.0, 1.0, "pause") == ProcessEvent(t_start=0.0, t_end=1.0, kind="pause")
+
+
+LOG = (
+    b"time_ms\tevent_kind\tchunk_or_slot\n"
+    b"0\tfixate_source\t1\n250\ttype\t1@1\n400\tfixate_target\t@1\n1600.5\tdelete\t1\n1700\tpause\t\n"
+)
+CONTEXT = ("complete", "final_target", "seed", "strategy", "latent", "prior_entropy")
+
+
+def ingested_trace():
+    from abctrans.analysis import ingest_tsv
+
+    return ingest_tsv(LOG)
+
+
+def simulated_trace(models):
+    from abctrans.agent import head_starter_config, run_episode
+
+    return run_episode(head_starter_config(), models, latent="TT3", seed=0)
+
+
+@pytest.fixture(params=["ingested", "simulated"])
+def trace(request, models):
+    return ingested_trace() if request.param == "ingested" else simulated_trace(models)
+
+
+class TestTraceContract:
+    """What a Trace promises whichever way it was made: from a log or from an episode."""
+
+    def test_keyword_construction(self, trace):
+        rebuilt = Trace(events=trace.events, **{name: getattr(trace, name) for name in CONTEXT})
+        assert rebuilt == trace and repr(rebuilt) == repr(trace)
+        assert Trace(events=()) == Trace(events=[], complete=True, final_target="", seed=None,
+                                         strategy="", latent=None, prior_entropy=None)
+
+    def test_ingested_repr(self):
+        text = repr(ingested_trace())
+        assert text.startswith(
+            "Trace(events=(ProcessEvent(t_start=0.0, t_end=250.0, kind='fixate_source',"
+            " chunk_id=1, slot=None, cue=None, belief_entropy=None, gamma=None, zeta=None,"
+            " annotations=()), ProcessEvent(t_start=250.0, t_end=400.0, kind='type',"
+        )
+        assert text.endswith(
+            "ProcessEvent(t_start=1700.0, t_end=1700.0, kind='pause', chunk_id=None, slot=None,"
+            " cue=None, belief_entropy=None, gamma=None, zeta=None, annotations=())),"
+            " complete=True, final_target='', seed=None, strategy='ingested', latent=None,"
+            " prior_entropy=None)"
+        )
+
+    def test_repr_lists_events_then_context(self, trace):
+        context = ", ".join(f"{name}={getattr(trace, name)!r}" for name in CONTEXT)
+        assert repr(trace) == f"Trace(events={trace.events!r}, {context})"
+
+    def test_equal_traces_are_equal_and_hash_equally(self, trace, models):
+        twin = ingested_trace() if trace.strategy == "ingested" else simulated_trace(models)
+        assert twin is not trace
+        assert twin == trace and hash(twin) == hash(trace)
+        assert len({trace, twin}) == 1
+        kw = {name: getattr(trace, name) for name in CONTEXT}
+        assert Trace(events=trace.events[:-1], **kw) != trace
+        assert Trace(events=trace.events, **dict(kw, seed=99)) != trace
+        assert trace != trace.events and trace.__eq__(trace.events) is NotImplemented
+
+    def test_pickle_round_trips(self, trace):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(trace, protocol))
+            assert back == trace and repr(back) == repr(trace) and hash(back) == hash(trace)
+            assert back.events == trace.events
+
+    def test_assignment_raises(self, trace):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.complete = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.events = ()
+
+    def test_derived_properties(self, trace):
+        if trace.strategy == "ingested":
+            assert trace.total_time_ms == 1700.0
+            assert not trace.has_belief_fields
+        else:
+            assert trace.total_time_ms == 6200.0
+            assert trace.has_belief_fields
+        assert trace.stop_reason == "complete"
+        kw = {name: getattr(trace, name) for name in CONTEXT}
+        assert Trace(events=trace.events, **dict(kw, complete=False)).stop_reason == "max_steps"
+        empty = Trace(events=())
+        assert empty.total_time_ms == 0.0 and not empty.has_belief_fields
+
+    def test_overlapping_events_are_rejected(self, trace):
+        end = trace.events[-1].t_end
+        with pytest.raises(ValueError, match="ordered and non-overlapping"):
+            Trace(events=(*trace.events, ProcessEvent(end - 0.5, end + 1.0, "pause")))
+        # a start within 1e-9 ms before the last end is no overlap
+        touching = ProcessEvent(end - 1e-10, end + 1.0, "pause")
+        assert Trace(events=(*trace.events, touching)).events[-1] == touching
+
+    def test_events_is_one_tuple(self, trace):
+        events = trace.events
+        assert isinstance(events, tuple) and all(isinstance(e, ProcessEvent) for e in events)
+        assert trace.events is events
