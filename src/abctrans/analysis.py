@@ -4,16 +4,19 @@ Segmentation is rule based. Source fixations mark orientation, pauses mark
 hesitation, deletions and retypes mark revision, and uninterrupted typing is
 flow; target fixations side with an adjacent revision, with a long
 inter-keystroke gap, or otherwise with flow. Adjacent same-state runs merge.
+
+Everything here reads a trace's columns (``Trace.columns``), and ingestion
+parses a log straight into them, so analysing an ingested log builds no
+ProcessEvent objects; ``trace.events`` builds them if a caller asks.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 from . import environment as env
-from .trace import ProcessEvent, Trace
+from .trace import ProcessEvent, Trace, event_columns
 
 O, H, R, F = "O", "H", "R", "F"
 
@@ -63,31 +66,33 @@ class PolicyCycle:
     implicit_orientation: bool = False
 
 
-def _base_label(event: ProcessEvent, deleted_slots: set[int]) -> str | None:
-    if event.kind in (env.FIXATE_SOURCE, env.CONSULT):
-        return O
-    if event.kind == env.PAUSE:
-        return H
-    if event.kind == env.DELETE:
-        if event.slot is not None:
-            deleted_slots.add(event.slot)
-        return R
-    if event.kind == env.TYPE:
-        if event.slot in deleted_slots:
-            deleted_slots.discard(event.slot)
-            return R
-        return F
-    if event.kind == env.FIXATE_TARGET:
-        return None  # resolved against context below
-    raise AnalysisError(f"unknown event kind {event.kind!r}")
+# The state a kind of event takes whatever surrounds it; a target
+# fixation's (None) is resolved against its neighbours.
+_KIND_STATES = {env.FIXATE_SOURCE: O, env.CONSULT: O, env.PAUSE: H, env.FIXATE_TARGET: None}
 
 
-def _resolve_target_fixations(
-    events: tuple[ProcessEvent, ...], labels: list[str | None], theta_pause: float
-) -> None:
+def _base_labels(kinds, slots) -> list[str | None]:
+    labels: list[str | None] = []
+    deleted: set[int] = set()
+    for kind, slot in zip(kinds, slots):
+        if kind == env.TYPE:  # a retype of a deleted slot is revision
+            labels.append(R if slot in deleted else F)
+            deleted.discard(slot)
+        elif kind == env.DELETE:
+            if slot is not None:
+                deleted.add(slot)
+            labels.append(R)
+        elif kind in _KIND_STATES:
+            labels.append(_KIND_STATES[kind])
+        else:
+            raise AnalysisError(f"unknown event kind {kind!r}")
+    return labels
+
+
+def _resolve_target_fixations(starts, ends, labels: list[str | None], theta_pause: float) -> None:
     # Every event before i is labelled by the time i is reached, so its left
     # neighbour is i - 1; its right one, the next base label k, only moves on.
-    n = len(events)
+    n = len(labels)
     k = 0
     for i, lab in enumerate(labels):
         if lab is not None:
@@ -102,8 +107,8 @@ def _resolve_target_fixations(
         elif H in neighbors:
             labels[i] = H
         else:
-            gap_start = events[i - 1].t_end if i else events[i].t_start
-            gap_end = events[k].t_start if k < n else events[i].t_end
+            gap_start = ends[i - 1] if i else starts[i]
+            gap_end = starts[k] if k < n else ends[i]
             labels[i] = H if gap_end - gap_start > theta_pause else F
 
 
@@ -119,20 +124,20 @@ def segment_ohrf(
     """
     if not theta_pause_ms >= 0.0:  # NaN fails too
         raise ValueError(f"theta_pause_ms must be non-negative, got {theta_pause_ms!r}")
-    events = trace.events if isinstance(trace, Trace) else tuple(trace)
-    if not events:
+    cols = trace.columns if isinstance(trace, Trace) else event_columns(trace)
+    starts, ends = cols.t_start, cols.t_end
+    if not starts:
         return []
-    deleted: set[int] = set()
-    labels: list[str | None] = [_base_label(e, deleted) for e in events]
-    _resolve_target_fixations(events, labels, theta_pause_ms)
+    labels = _base_labels(cols.kind, cols.slot)
+    _resolve_target_fixations(starts, ends, labels, theta_pause_ms)
 
     # A typing run broken by a long silent gap resumes as hesitation-adjacent
     # flow; the gap itself carries no events, so only flanking target
     # fixations (already handled) can surface it. Merge adjacent same labels.
-    cuts = [i for i in range(1, len(events)) if labels[i] != labels[i - 1]]
+    cuts = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
     return [
-        Segment(labels[a], events[a].t_start, events[b - 1].t_end, tuple(range(a, b)))
-        for a, b in zip([0, *cuts], [*cuts, len(events)])
+        Segment(labels[a], starts[a], ends[b - 1], tuple(range(a, b)))
+        for a, b in zip([0, *cuts], [*cuts, len(labels)])
     ]
 
 
@@ -176,12 +181,13 @@ def typing_drops(trace: Trace) -> list[tuple[int, float]]:
     """
     if not trace.has_belief_fields:
         raise AnalysisError("trace carries no belief entropies (ingested log?)")
+    cols = trace.columns
     out: list[tuple[int, float]] = []
-    prev = trace.prior_entropy if trace.prior_entropy is not None else trace.events[0].belief_entropy
-    for e in trace.events:
-        if e.kind == env.TYPE:
-            out.append((e.chunk_id, prev - e.belief_entropy))
-        prev = e.belief_entropy
+    prev = trace.prior_entropy if trace.prior_entropy is not None else cols.belief_entropy[0]
+    for kind, chunk, entropy in zip(cols.kind, cols.chunk_id, cols.belief_entropy):
+        if kind == env.TYPE:
+            out.append((chunk, prev - entropy))
+        prev = entropy
     return out
 
 
@@ -203,8 +209,8 @@ class TraceSummary:
 
 def summarize(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]) -> TraceSummary:
     """Key process metrics for one trace; an empty trace yields the zero record."""
-    first_type = next((e for e in trace.events if e.kind == env.TYPE), None)
-    t0 = trace.events[0].t_start if trace.events else 0.0
+    starts, kinds = trace.columns.t_start, trace.columns.kind
+    latency = starts[kinds.index(env.TYPE)] - starts[0] if env.TYPE in kinds else 0.0
     initial_o = 0.0
     if segments and segments[0].state == O:
         initial_o = segments[0].t_end - segments[0].t_start
@@ -212,25 +218,25 @@ def summarize(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]) 
     for seg in segments:
         counts[seg.state] += 1
     return TraceSummary(
-        first_keystroke_latency_ms=(first_type.t_start - t0) if first_type else 0.0,
+        first_keystroke_latency_ms=latency,
         initial_orientation_ms=initial_o,
         state_counts=tuple(sorted(counts.items())),
         cycle_labels=tuple(c.label for c in cycles),
         total_time_ms=trace.total_time_ms,
-        revision_count=sum(1 for e in trace.events if e.kind == env.DELETE),
+        revision_count=kinds.count(env.DELETE),
         hesitation_count=counts[H],
         final_target=trace.final_target,
         complete=trace.complete,
     )
 
 
-def _target_field(e: ProcessEvent) -> str:
-    if e.kind == env.TYPE:
-        return f"{e.chunk_id}@{e.slot}"
-    if e.kind == env.FIXATE_SOURCE:
-        return f"{e.chunk_id}" if e.chunk_id is not None else ""
-    if e.kind in (env.FIXATE_TARGET, env.DELETE):
-        return f"@{e.slot}" if e.slot is not None else ""
+def _target_field(kind: str, chunk: int | None, slot: int | None) -> str:
+    if kind == env.TYPE:
+        return f"{chunk}@{slot}"
+    if kind == env.FIXATE_SOURCE:
+        return f"{chunk}" if chunk is not None else ""
+    if kind in (env.FIXATE_TARGET, env.DELETE):
+        return f"@{slot}" if slot is not None else ""
     return ""
 
 
@@ -247,38 +253,41 @@ def export_progression(
 
 
 def _export_tsv(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]) -> bytes:
-    out = io.StringIO()
-    out.write("\t".join(TSV_COLUMNS) + "\n")
     cycle_of_segment: dict[int, int] = {}
     for c_idx, cyc in enumerate(cycles):
         for seg_idx in cyc.segments:
             cycle_of_segment.setdefault(seg_idx, c_idx)
     state_of, cycle_of = {}, {}
     for seg_idx, seg in enumerate(segments):
+        c_idx = cycle_of_segment.get(seg_idx)
         for i in seg.events:
             state_of[i] = seg.state
-            if seg_idx in cycle_of_segment:
-                cycle_of.setdefault(i, cycle_of_segment[seg_idx])
-    for i, e in enumerate(trace.events):
-        entropy = f"{e.belief_entropy:.9f}" if e.belief_entropy is not None else ""
-        gamma = f"{e.gamma:.9f}" if e.gamma is not None else ""
-        out.write(
-            f"{e.t_start:.3f}\t{e.kind}\t{_target_field(e)}\t{state_of.get(i, '')}\t"
+            if c_idx is not None:
+                cycle_of.setdefault(i, c_idx)
+    lines = ["\t".join(TSV_COLUMNS) + "\n"]
+    cols = trace.columns
+    rows = zip(cols.t_start, cols.kind, cols.chunk_id, cols.slot, cols.belief_entropy, cols.gamma)
+    for i, (t, kind, chunk, slot, entropy, gamma) in enumerate(rows):
+        entropy = f"{entropy:.9f}" if entropy is not None else ""
+        gamma = f"{gamma:.9f}" if gamma is not None else ""
+        lines.append(
+            f"{t:.3f}\t{kind}\t{_target_field(kind, chunk, slot)}\t{state_of.get(i, '')}\t"
             f"{cycle_of.get(i, -1)}\t{entropy}\t{gamma}\n"
         )
-    return out.getvalue().encode("utf-8")
+    return "".join(lines).encode("utf-8")
 
 
 def _export_svg(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]) -> bytes:
     width, height = 960.0, 320.0
     pad = 40.0
     inner = width - 2 * pad  # time t sits at x = pad + (t - t0) / span * inner
-    t0 = trace.events[0].t_start if trace.events else 0.0
-    t1 = trace.events[-1].t_end if trace.events else 1.0
+    cols = trace.columns
+    t0 = cols.t_start[0] if cols.t_start else 0.0
+    t1 = cols.t_end[-1] if cols.t_start else 1.0
     span = max(t1 - t0, 1.0)
 
     chunk_rows: dict[int, float] = {}
-    for k, cid in enumerate(sorted({e.chunk_id for e in trace.events if e.chunk_id is not None})):
+    for k, cid in enumerate(sorted(set(cols.chunk_id) - {None})):
         chunk_rows[cid] = pad + 30.0 + 28.0 * k
 
     parts = [
@@ -310,22 +319,22 @@ def _export_svg(trace: Trace, segments: list[Segment], cycles: list[PolicyCycle]
             f'<text x="{x0 + 2:.2f}" {cycle_label} font-size="10">{cyc.label}</text>'
         )
     target_cy, delete_y = f'cy="{band_y - 12:.2f}"', f'y="{band_y - 18:.2f}"'
-    for e in trace.events:
-        x = pad + (e.t_start - t0) / span * inner
-        if e.kind == env.FIXATE_SOURCE and e.chunk_id in chunk_rows:
+    for t, kind, chunk, slot in zip(cols.t_start, cols.kind, cols.chunk_id, cols.slot):
+        x = pad + (t - t0) / span * inner
+        if kind == env.FIXATE_SOURCE and chunk in chunk_rows:
             parts.append(
-                f'<circle cx="{x:.2f}" cy="{chunk_rows[e.chunk_id]:.2f}" r="4" fill="#2b6cb0"/>'
+                f'<circle cx="{x:.2f}" cy="{chunk_rows[chunk]:.2f}" r="4" fill="#2b6cb0"/>'
             )
-        elif e.kind == env.FIXATE_TARGET:
+        elif kind == env.FIXATE_TARGET:
             parts.append(f'<circle cx="{x:.2f}" {target_cy} r="4" fill="#2f855a"/>')
-        elif e.kind == env.TYPE and e.chunk_id in chunk_rows:
+        elif kind == env.TYPE and chunk in chunk_rows:
             parts.append(
-                f'<text x="{x:.2f}" y="{chunk_rows[e.chunk_id] + 4:.2f}" '
-                f'font-size="12" fill="#1a202c">+{e.chunk_id}@{e.slot}</text>'
+                f'<text x="{x:.2f}" y="{chunk_rows[chunk] + 4:.2f}" '
+                f'font-size="12" fill="#1a202c">+{chunk}@{slot}</text>'
             )
-        elif e.kind == env.DELETE:
+        elif kind == env.DELETE:
             parts.append(
-                f'<text x="{x:.2f}" {delete_y} font-size="12" fill="#c53030">x@{e.slot}</text>'
+                f'<text x="{x:.2f}" {delete_y} font-size="12" fill="#c53030">x@{slot}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts).encode("utf-8")
@@ -369,7 +378,15 @@ def ingest_tsv(data: bytes, column_map: dict[str, str] | None = None) -> Trace:
     kind, and the chunk/slot target. Event end times are reconstructed from
     the next event's start.
     """
+    unknown = sorted(set(column_map or ()) - set(DEFAULT_COLUMN_MAP))
+    if unknown:
+        raise ValueError(f"unknown column map key {unknown[0]!r}; keys are time, kind, target")
     column_map = dict(DEFAULT_COLUMN_MAP, **(column_map or {}))
+    roles: dict[str, str] = {}
+    for role, name in column_map.items():
+        if name in roles:
+            raise IngestError(1, f"{roles[name]} and {role} both name column {name!r}")
+        roles[name] = role
     # A leading byte-order mark, and the \r of CRLF line endings, are not data.
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
@@ -390,7 +407,7 @@ def ingest_tsv(data: bytes, column_map: dict[str, str] | None = None) -> Trace:
     t_col, kind_col, target_col = columns
     width = max(columns) + 1
 
-    raw: list[tuple[float, str, int | None, int | None]] = []
+    starts, kinds, chunks, slots = [], [], [], []  # the columns of the leading fields
     for row_no, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
         if len(cells) < width:
@@ -405,12 +422,15 @@ def ingest_tsv(data: bytes, column_map: dict[str, str] | None = None) -> Trace:
         if kind not in _TARGET_FORMS:
             raise IngestError(row_no, f"unknown event kind {kind!r}")
         chunk, slot = _parse_target(cells[target_col], kind, row_no)
-        raw.append((t, kind, chunk, slot))
-
-    events = []
-    for i, (t, kind, chunk, slot) in enumerate(raw):
-        t_end = raw[i + 1][0] if i + 1 < len(raw) else t
-        if t_end < t:
-            raise IngestError(i + 2, "event times must be non-decreasing")
-        events.append(ProcessEvent(t, t_end, kind, chunk, slot))
-    return Trace(events=tuple(events), complete=True, strategy="ingested")
+        starts.append(t)
+        kinds.append(kind)
+        chunks.append(chunk)
+        slots.append(slot)
+    # Every row is parsed before times are compared: from_columns rejects an
+    # event that ends, where the next begins, before it starts.
+    ends = starts[1:] + starts[-1:]
+    try:
+        return Trace.from_columns((starts, ends, kinds, chunks, slots), strategy="ingested")
+    except ValueError:
+        i = next(i for i, (t, t_end) in enumerate(zip(starts, ends)) if t_end < t)
+        raise IngestError(i + 2, "event times must be non-decreasing") from None

@@ -166,9 +166,8 @@ def cmd_compare(args) -> int:
                 tr = run_episode(
                     cfg, bundle.evidence, latent=latent, seed=seed, max_steps=args.max_steps
                 )
-                reads = sum(1 for e in tr.events if e.kind == "fixate_source")
-                pauses = sum(1 for e in tr.events if e.kind == "pause")
-                tot.append(reads + pauses)
+                kinds = tr.columns.kind
+                tot.append(kinds.count("fixate_source") + kinds.count("pause"))
             means.append(float(np.mean(tot)))
             print(f"  gamma_max {g:>6.2f}: mean epistemic actions {means[-1]:.3f}")
         if len(set(means)) < 2:
@@ -220,7 +219,7 @@ def cmd_segment(args) -> int:
     trace = analysis.ingest_tsv(data, column_map)
     segments = analysis.segment_ohrf(trace, theta_pause_ms=args.theta_pause)
     cycles = analysis.group_policies(segments)
-    print(f"{len(trace.events)} events, {len(segments)} segments, {len(cycles)} cycles")
+    print(f"{len(trace.columns.kind)} events, {len(segments)} segments, {len(cycles)} cycles")
     for seg in segments:
         print(f"  {seg.state}  {seg.t_start:9.1f} .. {seg.t_end:9.1f}  events {list(seg.events)}")
     print("cycles:", " ".join(c.label for c in cycles))

@@ -573,6 +573,8 @@ def policy_posterior(totals, gamma: float) -> Categorical:
     totals = np.asarray(totals, dtype=float)
     if totals.size == 0:
         raise ValueError("need at least one policy")
+    if not np.isfinite(totals).all():
+        raise ValueError(f"totals must be finite, got {totals.tolist()!r}")
     scores = -gamma * totals
     scores -= scores.max()
     weights = np.exp(scores)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from abctrans.task import Categorical, Chunk, ChunkTable, ReadingEvidenceModel, build_candidate_space
+from abctrans.trace import ProcessEvent
 
 CHUNK_TEXTS = {
     1: ("As a result,", "その結果"),
@@ -41,6 +42,20 @@ def space(table):
 @pytest.fixture(scope="session")
 def models(space):
     return ReadingEvidenceModel.with_defaults(space)
+
+
+@pytest.fixture
+def event_builds(monkeypatch):
+    """A one-item list counting the ProcessEvents constructed while the test runs."""
+    built = [0]
+    check = ProcessEvent.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        check(self)
+
+    monkeypatch.setattr(ProcessEvent, "__post_init__", counting)
+    return built
 
 
 def render_of(space, label: str) -> str:

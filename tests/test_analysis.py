@@ -1,7 +1,9 @@
+import random
 import time
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abctrans import environment as env
 from abctrans.agent import head_starter_config, large_context_planner_config, run_episode
@@ -20,6 +22,7 @@ from abctrans.analysis import (
 from abctrans.inference import PreferenceVector, shannon_entropy
 from abctrans.task import ReadingEvidenceModel
 from abctrans.trace import ProcessEvent, Trace
+from perfbench.workloads import generate_log
 
 
 def make_events(specs):
@@ -604,3 +607,66 @@ class TestExportAndIngest:
         tr = make_events([(env.TYPE, 1, 1)])
         with pytest.raises(AnalysisError):
             typing_drops(tr)
+
+    def test_unknown_column_map_key_is_rejected_by_name(self):
+        # "tiem" fell back to the default map
+        data = "time_ms\tevent_kind\tchunk_or_slot\n0\tpause\t\n".encode()
+        with pytest.raises(ValueError, match="unknown column map key 'tiem'") as err:
+            ingest_tsv(data, {"tiem": "x"})
+        assert not isinstance(err.value, IngestError)
+
+    def test_two_roles_naming_one_column_fail_at_the_header(self):
+        # this failed at row 2 as "unparseable time 'pause'"
+        data = "time_ms\tevent_kind\tchunk_or_slot\n0\tpause\t\n".encode()
+        with pytest.raises(IngestError, match="^row 1: time and kind both name column 'event_kind'$"):
+            ingest_tsv(data, {"time": "event_kind"})
+        with pytest.raises(IngestError, match="^row 1: kind and target both name column 'x'$"):
+            ingest_tsv(b"", {"kind": "x", "target": "x"})
+
+
+class TestColumnarAnalysis:
+    """Ingested logs stay columns: analysis builds ProcessEvents only when a caller reads events."""
+
+    def test_analysis_of_an_ingested_log_builds_no_events(self, event_builds):
+        data, _ = generate_log(random.Random(3), 400)
+        trace = ingest_tsv(data)
+        segs = segment_ohrf(trace)
+        cycles = group_policies(segs)
+        summarize(trace, segs, cycles)
+        for fmt in ("tsv", "svg"):
+            export_progression(trace, segs, cycles, fmt)
+        assert event_builds == [0]
+        assert len(trace.events) == 400 and event_builds == [400]
+        assert trace.events is trace.events and event_builds == [400]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([env.FIXATE_SOURCE, env.FIXATE_TARGET, env.TYPE,
+                                 env.DELETE, env.PAUSE, env.CONSULT]),
+                st.integers(0, 40), st.integers(0, 40), st.integers(0, 3000),
+                st.sampled_from([0.0, 0.25, 0.5]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_lazy_events_equal_eagerly_built_ones(self, rows):
+        lines, want, t = ["time_ms\tevent_kind\tchunk_or_slot"], [], 0.0
+        for kind, chunk, slot, gap, frac in rows:
+            t += gap + frac  # quarters add up exactly
+            cell = {env.FIXATE_SOURCE: f"{chunk}", env.TYPE: f"{chunk}@{slot}",
+                    env.FIXATE_TARGET: f"@{slot}", env.DELETE: f"{slot}"}.get(kind, "")
+            lines.append(f"{t}\t{kind}\t{cell}")
+            want.append((t, kind,
+                         chunk if kind in (env.FIXATE_SOURCE, env.TYPE) else None,
+                         slot if kind in (env.TYPE, env.FIXATE_TARGET, env.DELETE) else None))
+        trace = ingest_tsv(("\n".join(lines) + "\n").encode())
+        ends = [w[0] for w in want[1:]] + [w[0] for w in want[-1:]]
+        eager = tuple(
+            ProcessEvent(t, t_end, kind, chunk, slot)
+            for (t, kind, chunk, slot), t_end in zip(want, ends)
+        )
+        assert trace.events == eager
+        assert trace == Trace(events=eager, strategy="ingested")
+        assert repr(trace) == repr(Trace(events=eager, strategy="ingested"))

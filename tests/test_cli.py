@@ -432,6 +432,25 @@ class TestSegmentCommand:
         assert out == ""
         assert re.fullmatch(r"ingestion error: row 3: byte \d+ is not UTF-8\n", err)
 
+    def test_two_columns_for_one_role_pair_is_one_line_ingest_error(self, tmp_path, capsys):
+        path = self.craft(tmp_path, [("0", env.FIXATE_SOURCE, "1"), ("100", env.TYPE, "1@1")])
+        code, out, err = run_cli(
+            ["segment", str(path), "--time-col", "event_kind", "--kind-col", "event_kind"], capsys
+        )
+        assert code == EXIT_INGEST
+        assert out == ""
+        assert err == "ingestion error: row 1: time and kind both name column 'event_kind'\n"
+
+    def test_segment_with_svg_builds_no_events(self, tmp_path, capsys, event_builds):
+        rows = [("0", env.FIXATE_SOURCE, "1"), ("100", env.TYPE, "1@1"), ("300", env.DELETE, "@1")]
+        svg = tmp_path / "plot.svg"
+        code, out, _ = run_cli(
+            ["segment", str(self.craft(tmp_path, rows)), "--svg", str(svg)], capsys
+        )
+        assert code == EXIT_OK and out.startswith("3 events, ")
+        assert svg.read_bytes().startswith(b"<svg")
+        assert event_builds == [0]
+
     def test_svg_output(self, tmp_path, capsys):
         rows = [("0", env.FIXATE_SOURCE, "1"), ("100", env.TYPE, "1@1")]
         svg = tmp_path / "plot.svg"

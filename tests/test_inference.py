@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -892,6 +893,13 @@ class TestPolicyPosterior:
         # RuntimeWarning from the shifted scores.
         with pytest.raises(ValueError, match=f"gamma must be non-negative and finite, got {gamma!r}"):
             policy_posterior([0.3, -2.0, 5.0], gamma=gamma)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_totals_rejected_by_name(self, bad):
+        # NaN failed as "probabilities must be non-negative", -inf with a
+        # RuntimeWarning from the shifted scores, and inf gave (0.0, 1.0).
+        with pytest.raises(ValueError, match=re.escape(f"totals must be finite, got [{bad!r}, 0.0]")):
+            policy_posterior([bad, 0.0], gamma=1.0)
 
     def test_reference_softmax_values(self):
         post = policy_posterior([1.0, 2.0], gamma=1.0)

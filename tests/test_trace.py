@@ -189,3 +189,39 @@ class TestTraceContract:
         events = trace.events
         assert isinstance(events, tuple) and all(isinstance(e, ProcessEvent) for e in events)
         assert trace.events is events
+
+
+class TestFromColumns:
+    def test_equals_the_trace_of_the_same_events(self, trace):
+        from abctrans.trace import event_columns
+
+        context = {name: getattr(trace, name) for name in CONTEXT}
+        built = Trace.from_columns(event_columns(trace.events), **context)
+        assert built == trace and hash(built) == hash(trace) and repr(built) == repr(trace)
+        assert built.columns == trace.columns == event_columns(trace.events)
+
+    def test_event_columns_follow_the_field_order(self, event):
+        from abctrans.trace import EventColumns, event_columns
+
+        assert EventColumns._fields == tuple(f.name for f in dataclasses.fields(ProcessEvent))
+        assert event_columns([event, event]) == tuple((v, v) for v in FIELDS)
+
+    def test_missing_trailing_columns_take_their_defaults(self):
+        trace = Trace.from_columns(([0.0, 1.0], [1.0, 1.0], ["pause", "type"], [None, 2]))
+        assert trace.events == (
+            ProcessEvent(0.0, 1.0, "pause"), ProcessEvent(1.0, 1.0, "type", chunk_id=2)
+        )
+        assert trace.columns.annotations == ((), ()) and trace.columns.gamma == (None, None)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([0.0, 1.0], [1.0], ["pause", "pause"]), "one entry per event"),
+            (([0.0], [NAN], ["pause"]), "end at or after its start"),
+            (([1.0], [0.5], ["pause"]), "end at or after its start"),
+            (([0.0, 0.5], [1.0, 2.0], ["pause", "pause"]), "ordered and non-overlapping"),
+        ],
+    )
+    def test_bad_columns_are_rejected(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            Trace.from_columns(columns)
