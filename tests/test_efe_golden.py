@@ -15,6 +15,9 @@ WIDE_SHA256 covers the horizon-5 planner opening of a generated task with
 keys are the sparsest seen: in one dedup the largest key is about 48 times
 the number of keys, so inference._distinct sorts there and counts in every
 other, and the digest pins both paths.
+BROAD_SHA256 covers the horizon-4 planner opening of a generated task with
+4 content chunks and 24 orderings (2,922 policies): a read node there has
+up to 24 cue branches, the widest sums of any pinned opening.
 """
 
 import hashlib
@@ -34,6 +37,7 @@ from gentask import generated_space
 EFE_SHA256 = "7d53bbb4be660c8291de3bb37dc0017e5684f8d6808aa476615ebb89cae86666"
 GENERATED_SHA256 = "cdbe700febb558be77f2ffe1504111a30083658c549eb97d0dfe9cbf4b065719"
 WIDE_SHA256 = "022c4ccb49af169f8bf2559a88a27a33750aa9f47b7321cf7935a9fe5ba8558e"
+BROAD_SHA256 = "9de48e0be79e2afd07cec2a2d71a36c8f839b22710f4ec84dd6a220d8db42629"
 
 
 def split(scores):
@@ -85,6 +89,22 @@ def test_generated_opening_scores_match_the_golden_digest():
             w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta,
         )))
     assert digest.hexdigest() == GENERATED_SHA256
+
+
+def test_broad_generated_opening_scores_match_the_golden_digest():
+    digest = hashlib.sha256()
+    space = generated_space(4, 24, 1)
+    cfg = large_context_planner_config()
+    start = initial_agent_state(space, cfg).cognitive
+    policies = enumerate_policies(start, space, 4, cfg)
+    assert len(policies) == 2922
+    models = ReadingEvidenceModel.with_defaults(space, content=0.9)
+    for zeta in (1.0, 1.15):
+        digest.update(split(score_policies(
+            space.prior, policies, models, cfg.prefs,
+            w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset(), zeta=zeta,
+        )))
+    assert digest.hexdigest() == BROAD_SHA256
 
 
 def test_wide_generated_opening_scores_match_the_golden_digest():
