@@ -116,10 +116,11 @@ class AgentConfig:
     prefs: PreferenceVector = PreferenceVector()
 
     def __post_init__(self):
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.max_policies < 1:
-            raise ValueError(f"max_policies must be at least 1, got {self.max_policies!r}")
+        # type(...) is int: a bool is no count
+        if not (self.horizon is None or type(self.horizon) is int and self.horizon >= 1):
+            raise ValueError(f"horizon must be None or an int of at least 1, got {self.horizon!r}")
+        if not (type(self.max_policies) is int and self.max_policies >= 1):
+            raise ValueError(f"max_policies must be an int of at least 1, got {self.max_policies!r}")
         # Written as "not valid" so that NaN fails too.
         for name in ("w_e", "w_p"):
             if not math.isfinite(getattr(self, name)):
@@ -273,8 +274,8 @@ def enumerate_policies(
     at least one policy, so each level keeps only its first
     cfg.max_policies rows, which bounds the work when the cap fires.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    if not (type(horizon) is int and horizon >= 1):  # a bool is no horizon
+        raise ValueError(f"horizon must be an int of at least 1, got {horizon!r}")
     source = space.table.source_order
     # Enumeration shares one Action per (kind, chunk, slot), so its identity
     # is a key that costs no generated __hash__.
@@ -695,8 +696,8 @@ def run_episode(
     Deterministic for a fixed seed: cue sampling and any policy sampling both
     draw from one generator seeded here.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    if not (type(max_steps) is int and max_steps >= 1):  # a bool is no step budget
+        raise ValueError(f"max_steps must be an int of at least 1, got {max_steps!r}")
     space = models.space
     if latent is None:
         latent = space.labels[0]

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import environment as env
-from .trace import ProcessEvent, Trace, event_columns
+from .trace import Trace
 
 O, H, R, F = "O", "H", "R", "F"
 
@@ -112,11 +112,7 @@ def _resolve_target_fixations(starts, ends, labels: list[str | None], theta_paus
             labels[i] = H if gap_end - gap_start > theta_pause else F
 
 
-def segment_ohrf(
-    trace: Trace | tuple[ProcessEvent, ...],
-    *,
-    theta_pause_ms: float = 1000.0,
-) -> list[Segment]:
+def segment_ohrf(trace: Trace, *, theta_pause_ms: float = 1000.0) -> list[Segment]:
     """Partition the trace's events into maximal same-state OHRF runs.
 
     A target fixation with no revision or hesitation beside it is hesitation
@@ -124,7 +120,7 @@ def segment_ohrf(
     """
     if not theta_pause_ms >= 0.0:  # NaN fails too
         raise ValueError(f"theta_pause_ms must be non-negative, got {theta_pause_ms!r}")
-    cols = trace.columns if isinstance(trace, Trace) else event_columns(trace)
+    cols = trace.columns
     starts, ends = cols.t_start, cols.t_end
     if not starts:
         return []

@@ -432,13 +432,14 @@ class _Rollout:
         holds one state per distinct policy, at the root belief. Each level
         builds its states' nodes and, if some state goes on, their branches
         in the same pass, and gives each such state one child per branch of
-        its node, k by k, parents with most children first by a stable
-        sort of their counts in a small int dtype (a radix sort); the next
+        its node, a state's children together in branch order; the next
         level holds the children's distinct states. Bottom-up, each state
         takes its node's terms, less the unread cost where its action pays
-        it, then adds w_k * child for k in branch order, one elementwise
-        multiply and add at a time: the order and rounding of scoring each
-        policy alone, so every value is bitwise the same. Tails, states and
+        it, then adds w_k * child for k in branch order: one np.add.at per
+        term and level, which adds unbuffered in index order, so each state
+        adds its children one at a time in branch order. That is the order
+        and rounding of scoring each policy alone, so every value is
+        bitwise the same. Tails, states and
         nodes are deduplicated by _distinct, which counts dense keys in a
         presence table (on every opening measured, all calls but one of a
         generated 5x12 horizon-5 opening) and sorts others; each key gets
@@ -459,7 +460,6 @@ class _Rollout:
                 pragmatic -= self.first_cost[aids]
             return epistemic, pragmatic
         na = self.n_actions
-        small = np.min_scalar_type(-self.fits.shape[1])  # fits a node's negated branch count
         columns = ids.T  # row d: each policy's action d
         pays = self.unread(columns)
         # Per level, per tail: its action, whether that pays, the id of its
@@ -478,7 +478,8 @@ class _Rollout:
         bel = np.zeros(n, dtype=int)  # each policy starts at the root belief
         # Per level: each entry's state (entries are the policies on level 0,
         # then the children of the level above), the states' terms, and, if
-        # states go on, each child's parent state and weight, k by k.
+        # states go on, each child's parent state and weight, a parent's
+        # children together in branch order.
         levels = []
         for action, paid, rest, goes_on in reversed(heads):
             keys, up = _distinct(bel * len(action) + tail)
@@ -496,27 +497,16 @@ class _Rollout:
             counts, weights, beliefs = branches
             at = at[parents]
             n_children, first = counts[at], (counts.cumsum() - counts)[at]
-            # Parents with most children first: the parents of the k-th
-            # children are a prefix, m[k] long, and the children are laid
-            # out k by k.
-            order = np.argsort((-n_children).astype(small), kind="stable")
-            parents, n_children, first = parents[order], n_children[order], first[order]
-            m = np.bincount(n_children)[::-1].cumsum()[::-1][1:]
-            k = np.repeat(np.arange(len(m)), m)
-            i = np.arange(len(k)) - np.repeat(np.cumsum(m) - m, m)
-            branch = first[i] + k
-            levels[-1] += (parents, m.tolist(), weights[branch])
-            bel, tail = beliefs[branch], rest[tail[parents[i]]]
+            owner = np.repeat(parents, n_children)
+            # A parent's child j is its node's branch j: entry first + j of all nodes' branches.
+            branch = np.arange(len(owner)) + np.repeat(first - (n_children.cumsum() - n_children), n_children)
+            levels[-1] += (owner, weights[branch])
+            bel, tail = beliefs[branch], rest[tail[owner]]
         up, epistemic, pragmatic = levels.pop()
         while levels:
-            above, above_e, above_p, parents, m, weights = levels.pop()
-            below_e, below_p = epistemic[up], pragmatic[up]
-            start = 0
-            for size in m:
-                rows, w, stop = parents[:size], weights[start:start + size], start + size
-                above_e[rows] += w * below_e[start:stop]
-                above_p[rows] += w * below_p[start:stop]
-                start = stop
+            above, above_e, above_p, owner, weights = levels.pop()
+            np.add.at(above_e, owner, weights * epistemic[up])
+            np.add.at(above_p, owner, weights * pragmatic[up])
             up, epistemic, pragmatic = above, above_e, above_p
         return epistemic[up], pragmatic[up]
 

@@ -202,7 +202,9 @@ class TestAgentConfig:
         "field, value",
         [("beta", -0.1), ("beta", 1.5), ("beta", float("nan")), ("gamma_max", 0.0),
          ("gamma_max", -4.0), ("gamma_max", float("inf")), ("gamma_max", float("nan")),
-         ("max_policies", 0), ("max_policies", -3), ("w_e", float("nan")),
+         ("horizon", 0), ("horizon", 2.5), ("horizon", float("inf")), ("horizon", True),
+         ("max_policies", 0), ("max_policies", -3), ("max_policies", 2.5),
+         ("max_policies", float("inf")), ("max_policies", True), ("w_e", float("nan")),
          ("w_e", float("inf")), ("w_p", float("inf")), ("w_p", float("-inf")), ("w_p", float("nan"))],
     )
     def test_out_of_range_values_are_rejected_by_name(self, field, value):
@@ -827,6 +829,11 @@ class TestRunEpisode:
         trace = run_episode(cfg, models, latent="TT3", seed=0, max_steps=2)
         assert not trace.complete
 
+    @pytest.mark.parametrize("max_steps", [0, 2.5, float("inf"), True])
+    def test_a_step_budget_that_is_not_a_count_is_rejected_by_name(self, models, max_steps):
+        with pytest.raises(ValueError, match="^max_steps must"):
+            run_episode(large_context_planner_config(), models, latent="TT3", seed=0, max_steps=max_steps)
+
     def test_stop_reason_names_how_the_episode_ended(self, models):
         # derived from complete, not a field: repr(trace), and with it the
         # golden digest, does not show it
@@ -879,6 +886,7 @@ class TestRunEpisode:
         seed=st.integers(0, 3),
     )
     @example(n=4, k=12, task_seed=1, content=0.9, planner=True, latent=0, seed=0)
+    @example(n=4, k=24, task_seed=1, content=0.9, planner=True, latent=0, seed=0)
     @example(n=4, k=12, task_seed=1, content=0.9, planner=True, latent=1, seed=0)  # ends at max_steps
     @example(n=4, k=12, task_seed=2, content=1.0, planner=False, latent=3, seed=1)
     def test_generated_episode_ends_by_name_and_its_export_round_trips(

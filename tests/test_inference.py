@@ -551,8 +551,9 @@ class TestExpectedFreeEnergy:
 
 class TestGeneratedTasks:
     # Tasks drawn by gentask: up to 4 content chunks, up to 12 orderings
-    # (numpy sums 8 or more terms pairwise, which the bundled task's 6 never
-    # reach) and horizons up to 3. Each decision is scored once over all its
+    # drawn and 24 in a pinned example, whose read nodes have up to 24 cue
+    # branches (numpy sums 8 or more terms pairwise, which the bundled
+    # task's 6 never reach), and horizons up to 3. Each decision is scored once over all its
     # policies, once per policy alone, and against the oracle on at most 24
     # evenly spaced policies.
     @staticmethod
@@ -587,6 +588,7 @@ class TestGeneratedTasks:
         zeta=st.sampled_from([1.0, 1.15]),
     )
     @example(n=4, k=12, seed=1, horizon=3, content=0.9, zeta=1.0)
+    @example(n=4, k=24, seed=1, horizon=3, content=0.9, zeta=1.0)
     @example(n=3, k=9, seed=2, horizon=3, content=0.8, zeta=1.15)
     def test_decision_equals_each_policy_alone_and_the_oracle(self, n, k, seed, horizon, content, zeta):
         space = generated_space(n, min(k, math.factorial(n + 1)), seed)
@@ -605,6 +607,7 @@ class TestGeneratedTasks:
         typed=st.booleans(),
     )
     @example(n=4, k=12, seed=1, horizon=3, content=0.9, zeta=1.0, typed=True)
+    @example(n=4, k=24, seed=1, horizon=3, content=0.9, zeta=1.0, typed=True)
     @example(n=3, k=9, seed=2, horizon=3, content=0.8, zeta=1.15, typed=False)
     def test_later_decision_equals_each_policy_alone_and_the_oracle(
         self, n, k, seed, horizon, content, zeta, typed

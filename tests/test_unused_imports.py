@@ -1,11 +1,15 @@
-"""Every name a module under src/abctrans/ imports or defines privately is used there.
+"""Every name a module under src/abctrans/ imports, defines privately or binds locally is used there.
 
 No linter ships with the test environment, so these stdlib-ast checks stand
-in for the unused-import and unused-private-name rules. ``__init__.py`` is
-exempt from the import rule: its imports are the package's exports. A
-private (``_``-prefixed) module-level function, class or constant is
-module-internal by convention, so a use elsewhere does not count: it must be
-read in its own module, outside its own definition.
+in for the unused-import, unused-private-name and unused-local rules.
+``__init__.py`` is exempt from the import rule: its imports are the
+package's exports. A private (``_``-prefixed) module-level function, class
+or constant is module-internal by convention, so a use elsewhere does not
+count: it must be read in its own module, outside its own definition. A
+name a function binds (by assignment, augmented assignment, a ``for`` or
+``with`` target, or a walrus) must be read in that function or in a
+function nested in it; ``_`` and names the function declares ``nonlocal``
+or ``global`` are exempt.
 """
 
 import ast
@@ -99,3 +103,75 @@ def test_module_reads_every_private_name_it_defines(path):
         if name not in names_read_outside(tree, node)
     )
     assert not unread, f"{path.name} defines private names it never reads: {', '.join(unread)}"
+
+
+# A nested function, lambda or class has its own scope: what it binds is its own.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def own_nodes(function: ast.AST):
+    """The nodes of a function's body outside any function, lambda or class nested in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(function: ast.AST) -> dict[str, int]:
+    """Names the function binds but neither it nor a function nested in it reads, with a line each."""
+    targets, declared = [], {"_"}
+    for node in own_nodes(function):
+        if isinstance(node, ast.Assign):
+            targets.extend(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.For, ast.AsyncFor, ast.NamedExpr)):
+            targets.append(node.target)
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets.append(node.target)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            targets.extend(item.optional_vars for item in node.items if item.optional_vars)
+        elif isinstance(node, (ast.Nonlocal, ast.Global)):
+            declared.update(node.names)
+    read = {
+        node.id for node in ast.walk(function)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        node.id: node.lineno
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id not in read | declared
+    }
+
+
+def test_the_local_rule_finds_each_kind_of_binding():
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    a, (b, _) = xs\n"
+        "    c = 0\n"
+        "    c += 1\n"
+        "    for d in xs:\n"
+        "        pass\n"
+        "    with open(xs) as e:\n"
+        "        pass\n"
+        "    if (g := len(xs)):\n"
+        "        pass\n"
+        "    def h():\n"
+        "        return a\n"
+        "    return h\n"
+    )
+    assert sorted(unread_locals(tree.body[0])) == ["b", "c", "d", "e", "g"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_local_a_function_binds_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = sorted(
+        f"{name} in {function.name} (line {line})"
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name, line in unread_locals(function).items()
+    )
+    assert not unread, f"{path.name} binds locals it never reads: {', '.join(unread)}"
