@@ -439,11 +439,11 @@ class _Rollout:
         term and level, which adds unbuffered in index order, so each state
         adds its children one at a time in branch order. That is the order
         and rounding of scoring each policy alone, so every value is
-        bitwise the same. Tails, states and
-        nodes are deduplicated by _distinct, which counts dense keys in a
-        presence table (on every opening measured, all calls but one of a
-        generated 5x12 horizon-5 opening) and sorts others; each key gets
-        its rank among the distinct keys, so the arrays are equal.
+        bitwise the same. Tails, states and nodes are deduplicated by
+        _distinct, which counts dense keys in a presence table (on every
+        opening measured, all calls but one of a generated 5x12 horizon-5
+        opening) and sorts others; each key gets its rank among the
+        distinct keys, so the arrays are equal.
 
         One action per policy, a selection by the width of ids alone: these
         small decisions (every head-starter decision, every planner decision

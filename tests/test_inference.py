@@ -212,6 +212,25 @@ class TestDistinct:
         assert (peak >= table) if past == 0 else (peak < table // 2)
 
 
+class TestChildSums:
+    # The walk adds each level's children into their parents' terms with
+    # np.add.at, which adds unbuffered in index order. With a parent's
+    # children together in branch order, that is bitwise the parent adding
+    # them one at a time, in branch order, as scoring one policy does.
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(counts=st.lists(st.integers(0, 29), min_size=1, max_size=39), seed=st.integers(0, 2**32 - 1))
+    def test_add_at_adds_each_parents_children_in_order(self, counts, seed):
+        rng = np.random.default_rng(seed)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        values = rng.standard_normal(len(counts) + len(owner)) * 10.0 ** rng.uniform(-12, 12, len(counts) + len(owner))
+        summed, terms = values[:len(counts)].copy(), values[len(counts):]
+        np.add.at(summed, owner, terms)
+        one_at_a_time = values[:len(counts)].copy()
+        for parent, term in zip(owner.tolist(), terms.tolist()):
+            one_at_a_time[parent] += term
+        assert summed.tobytes() == one_at_a_time.tobytes()
+
+
 class TestRowEntropies:
     # The batched entropy of the rollout is entropy_bits, bitwise, also on
     # zeros of either sign, certainty, the smallest subnormal and values
