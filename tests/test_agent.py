@@ -14,6 +14,7 @@ from abctrans.agent import (
     CognitiveState,
     GAMMA_MIN,
     ZETA_MAX,
+    _consistent,
     _live,
     _next_actions,
     _recompute_working,
@@ -99,6 +100,28 @@ def agent_after_cue(space, models, cfg, cue: str, chunk: int = 1):
     )
     base = initial_agent_state(space, cfg)
     return base, cognitive
+
+
+def assert_step_beliefs(space, models, cfg, latent, seed, cue_script=None, max_steps=40):
+    """Step an episode; each returned belief is a valid Categorical and the
+    working belief is the evidence belief conditioned on the buffer."""
+    state = env.ExternalState.initial(space, latent, cue_script=cue_script)
+    agent = initial_agent_state(space, cfg)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_steps):
+        if env.is_complete(state):
+            break
+        agent, state, _ = step(agent, state, models, cfg, rng)
+        cognitive = agent.cognitive
+        case = (cfg.strategy, latent, seed, cognitive.placed)
+        for b in (cognitive.belief, cognitive.evidence_belief):
+            assert Categorical(b.probs) == b, case
+            assert all(type(p) is float for p in b.probs), case
+        if cognitive.placed:
+            consistent = _consistent(cognitive.placed, space)
+            assert cognitive.belief == bayes_update(cognitive.evidence_belief, consistent), case
+        else:
+            assert cognitive.belief == cognitive.evidence_belief, case
 
 
 def revising_episode(space):
@@ -691,6 +714,37 @@ class TestStep:
                                 if any(ordering.chunk_at(s) != c for s, c in cognitive.placed):
                                     assert cognitive.belief.probs[i] == 0.0, case
         assert n_steps >= 108 * 5  # 108 episodes, each at least one step per slot
+
+    def test_step_beliefs_are_valid_and_restrict_the_evidence(self, space):
+        for make in (head_starter_config, large_context_planner_config):
+            for content in (0.5, 0.8, 1.0):
+                models = ReadingEvidenceModel.with_defaults(space, content=content)
+                for latent in ("TT0", "TT3", "TT5"):
+                    for seed in range(4):
+                        assert_step_beliefs(space, models, make(), latent, seed)
+        assert_step_beliefs(
+            space, ReadingEvidenceModel.with_defaults(space, content=1.0), head_starter_config(),
+            "TT5", 0, cue_script=("TT0", "TT5", "TT5", "TT5"),
+        )
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        k=st.integers(1, 12),
+        task_seed=st.integers(1, 3),
+        content=st.sampled_from([0.5, 0.9, 1.0]),
+        planner=st.booleans(),
+        latent=st.integers(0, 11),
+        seed=st.integers(0, 3),
+    )
+    @example(n=4, k=12, task_seed=1, content=0.9, planner=True, latent=1, seed=0)
+    def test_generated_step_beliefs_are_valid_and_restrict_the_evidence(
+        self, n, k, task_seed, content, planner, latent, seed
+    ):
+        space = generated_space(n, min(k, math.factorial(n + 1)), task_seed)
+        models = ReadingEvidenceModel.with_defaults(space, content=content)
+        cfg = large_context_planner_config() if planner else head_starter_config()
+        assert_step_beliefs(space, models, cfg, space.labels[latent % len(space.labels)], seed)
 
     def test_forced_revision_after_an_impossible_cue(self, space):
         # chunk 1 is read through a noiseless channel after it was typed at
