@@ -25,6 +25,7 @@ from .inference import (
     bayes_update,
     expected_free_energy,  # unused here; perfbench/run.py wraps agent.expected_free_energy
     policy_posterior,
+    posteriors,
     score_policies,
     shannon_entropy,
     surprisal as surprisal_bits,
@@ -509,10 +510,15 @@ def _recompute_working(
     """Evidence belief with orderings contradicting any placed slot zeroed out.
 
     consistent, when given, is _consistent(placed, space), already built.
+    Not an observation: the evidence belief was checked where its cues
+    entered and placement rows are 0/1 tables built with the task, so the
+    restriction is one unchecked posteriors row. Raises ContradictionError
+    when no ordering the evidence holds fits the buffer.
     """
     if not placed:
         return evidence
-    return bayes_update(evidence, _consistent(placed, space) if consistent is None else consistent)
+    mask = _consistent(placed, space) if consistent is None else consistent
+    return Categorical._trusted(tuple(posteriors(evidence.as_array(), mask[None, :])[0].tolist()))
 
 
 def _evidence_map_index(evidence: Categorical, consistent: np.ndarray) -> int:
@@ -698,6 +704,8 @@ def run_episode(
     """
     if not (type(max_steps) is int and max_steps >= 1):  # a bool is no step budget
         raise ValueError(f"max_steps must be an int of at least 1, got {max_steps!r}")
+    if not (type(seed) is int and seed >= 0):
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     space = models.space
     if latent is None:
         latent = space.labels[0]

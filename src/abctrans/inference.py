@@ -107,7 +107,12 @@ def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) ->
 
 
 def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categorical:
-    """Posterior proportional to prior * likelihood**zeta: posteriors for one row."""
+    """Posterior proportional to prior * likelihood**zeta: posteriors for one row.
+
+    The checked entry for an observation: zeta and the row are checked here,
+    the prior was checked when it was built, so a posterior whose total
+    stayed finite is valid by construction and is not re-validated.
+    """
     if not 0.0 < zeta < math.inf:  # NaN fails too
         raise ValueError(f"zeta must be positive and finite, got {zeta!r}")
     lks = np.asarray(likelihoods, dtype=float)
@@ -115,8 +120,10 @@ def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categori
         raise ValueError("one likelihood per option required")
     if not (lks >= 0.0).all():  # NaN fails too
         raise ValueError("likelihoods must be non-negative")
-    (post,) = posteriors(prior.as_array(), lks[None, :], zeta).tolist()
-    return Categorical(tuple(post))
+    post = tuple(posteriors(prior.as_array(), lks[None, :], zeta)[0].tolist())
+    if abs(sum(post) - 1.0) <= 1e-12:  # NaN fails: an infinite row or overflow
+        return Categorical._trusted(post)
+    return Categorical(post)  # raises Categorical's own message
 
 
 def _read_branches(beliefs: np.ndarray, tables: np.ndarray, zeta: float):

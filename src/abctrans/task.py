@@ -158,6 +158,16 @@ class Categorical:
             raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)!r}")
 
     @classmethod
+    def _trusted(cls, probs: tuple[float, ...]) -> "Categorical":
+        """A Categorical from a tuple of floats valid by construction, left unchecked.
+
+        For posteriors computed from checked inputs only.
+        """
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "probs", probs)
+        return belief
+
+    @classmethod
     def uniform(cls, n: int) -> "Categorical":
         return cls((1.0 / n,) * n)
 

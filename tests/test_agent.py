@@ -746,6 +746,28 @@ class TestStep:
         cfg = large_context_planner_config() if planner else head_starter_config()
         assert_step_beliefs(space, models, cfg, space.labels[latent % len(space.labels)], seed)
 
+    def test_each_cue_enters_through_one_bayes_update(self, space, models, monkeypatch):
+        # The observation entry stays the checked public rule, and the only
+        # caller of it in a step: perfbench traces agent.bayes_update by name.
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return bayes_update(*args, **kwargs)
+
+        monkeypatch.setattr("abctrans.agent.bayes_update", counted)
+        episodes = [(make(), models, latent, seed, None)
+                    for make in (head_starter_config, large_context_planner_config)
+                    for latent in ("TT0", "TT5") for seed in range(3)]
+        exact = ReadingEvidenceModel.with_defaults(space, content=1.0)
+        # an impossible cue: bayes_update raises and the belief restarts
+        episodes.append((head_starter_config(), exact, "TT5", 0, ("TT0", "TT5", "TT5", "TT5")))
+        for cfg, evidence, latent, seed, script in episodes:
+            calls[0] = 0
+            trace = run_episode(cfg, evidence, latent=latent, seed=seed, cue_script=script)
+            cues = sum(e.cue is not None for e in trace.events)
+            assert cues > 0 and calls[0] == cues, (cfg.strategy, latent, seed)
+
     def test_forced_revision_after_an_impossible_cue(self, space):
         # chunk 1 is read through a noiseless channel after it was typed at
         # slot 1; its cue TT5 rules out every ordering consistent with that
@@ -887,6 +909,11 @@ class TestRunEpisode:
     def test_a_step_budget_that_is_not_a_count_is_rejected_by_name(self, models, max_steps):
         with pytest.raises(ValueError, match="^max_steps must"):
             run_episode(large_context_planner_config(), models, latent="TT3", seed=0, max_steps=max_steps)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_a_seed_that_is_not_a_non_negative_int_is_rejected_by_name(self, models, seed):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative int, got {seed!r}$"):
+            run_episode(head_starter_config(), models, latent="TT3", seed=seed)
 
     def test_stop_reason_names_how_the_episode_ended(self, models):
         # derived from complete, not a field: repr(trace), and with it the

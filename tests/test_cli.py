@@ -160,6 +160,13 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         assert [cfg.sample_policies for cfg in configs] == [sampling, sampling]
 
+    def test_negative_seed_is_rejected_by_name(self, capsys):
+        # numpy's own message named no field: "expected non-negative integer"
+        code, out, err = run_cli(["simulate", "--preset", "head_starter", "--seed", "-1"], capsys)
+        assert code == EXIT_VALIDATION
+        assert err == "validation error: seed must be a non-negative int, got -1\n"
+        assert out == ""
+
     def test_exhausted_step_budget_is_incomplete_exit(self, capsys):
         code, _, _ = run_cli(
             ["simulate", "--preset", "large_context_planner", "--seed", "0",

@@ -292,6 +292,15 @@ class TestBayesUpdate:
         with pytest.raises(ValueError):
             bayes_update(space.prior, [math.nan, 1.0, 1.0, 1.0, 1.0, 1.0])
 
+    def test_an_infinite_total_is_rejected_as_an_invalid_posterior(self):
+        # a posterior is trusted only when its total stayed finite; an
+        # infinite row or an overflowing power still fails Categorical's check
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
+                bayes_update(Categorical((0.5, 0.5)), [math.inf, 1.0])
+            with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
+                bayes_update(Categorical((0.5, 0.5)), [1e200, 1.0], zeta=2.0)
+
     @pytest.mark.parametrize("zeta", [1.0, 1.15])
     @pytest.mark.parametrize("content", [0.3, 0.8, 0.99])
     def test_array_update_equals_conditioning_row_by_row(self, space, content, zeta):
