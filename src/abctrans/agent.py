@@ -509,11 +509,9 @@ def _recompute_working(
 ) -> Categorical:
     """Evidence belief with orderings contradicting any placed slot zeroed out.
 
-    consistent, when given, is _consistent(placed, space), already built.
-    Not an observation: the evidence belief was checked where its cues
-    entered and placement rows are 0/1 tables built with the task, so the
-    restriction is one unchecked posteriors row. Raises ContradictionError
-    when no ordering the evidence holds fits the buffer.
+    consistent, when given, is _consistent(placed, space), already built. Not
+    an observation: both inputs were checked where they entered (the evidence
+    at its cues, placement rows with the task), so the result is not re-checked.
     """
     if not placed:
         return evidence

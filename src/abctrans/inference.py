@@ -109,9 +109,8 @@ def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) ->
 def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categorical:
     """Posterior proportional to prior * likelihood**zeta: posteriors for one row.
 
-    The checked entry for an observation: zeta and the row are checked here,
-    the prior was checked when it was built, so a posterior whose total
-    stayed finite is valid by construction and is not re-validated.
+    The checked entry for an observation: with the prior, zeta and the row
+    checked, a posterior whose total stayed finite is not re-validated.
     """
     if not 0.0 < zeta < math.inf:  # NaN fails too
         raise ValueError(f"zeta must be positive and finite, got {zeta!r}")

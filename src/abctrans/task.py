@@ -159,10 +159,7 @@ class Categorical:
 
     @classmethod
     def _trusted(cls, probs: tuple[float, ...]) -> "Categorical":
-        """A Categorical from a tuple of floats valid by construction, left unchecked.
-
-        For posteriors computed from checked inputs only.
-        """
+        """Unchecked, for a tuple of floats valid by construction: a posterior of checked inputs."""
         belief = object.__new__(cls)
         object.__setattr__(belief, "probs", probs)
         return belief
