@@ -94,9 +94,6 @@ class CognitiveState:
     placed: tuple[tuple[int, int], ...] = ()  # (slot, chunk id), sorted by slot
     read_set: frozenset[int] = frozenset()
 
-    def placed_map(self) -> dict[int, int]:
-        return dict(self.placed)
-
 
 @dataclass(frozen=True)
 class BehavioralState:
@@ -394,20 +391,8 @@ class SelectionResult:
     choice_index: int
 
     @property
-    def policies(self) -> Policies:
-        return self.decision.policies
-
-    @property
-    def posterior(self) -> Categorical:
-        return self.decision.posterior
-
-    @property
-    def posterior_entropy(self) -> float:
-        return self.decision.posterior_entropy
-
-    @property
     def policy(self) -> tuple[env.Action, ...]:
-        return self.policies[self.choice_index]
+        return self.decision.policies[self.choice_index]
 
 
 @functools.lru_cache(maxsize=65536)
@@ -504,19 +489,17 @@ def _consistent(placed: tuple[tuple[int, int], ...], space: CandidateSpace) -> n
 def _recompute_working(
     evidence: Categorical,
     placed: tuple[tuple[int, int], ...],
-    space: CandidateSpace,
-    consistent: np.ndarray | None = None,
+    consistent: np.ndarray,
 ) -> Categorical:
     """Evidence belief with orderings contradicting any placed slot zeroed out.
 
-    consistent, when given, is _consistent(placed, space), already built. Not
-    an observation: both inputs were checked where they entered (the evidence
-    at its cues, placement rows with the task), so the result is not re-checked.
+    consistent is _consistent(placed, space). Not an observation: both inputs
+    were checked where they entered (the evidence at its cues, placement rows
+    with the task), so the result is not re-checked.
     """
     if not placed:
         return evidence
-    mask = _consistent(placed, space) if consistent is None else consistent
-    return Categorical._trusted(tuple(posteriors(evidence.as_array(), mask[None, :])[0].tolist()))
+    return Categorical._trusted(tuple(posteriors(evidence.as_array(), consistent[None, :])[0].tolist()))
 
 
 def _evidence_map_index(evidence: Categorical, consistent: np.ndarray) -> int:
@@ -568,7 +551,7 @@ def step(
         for a, _ in _next_actions(
             space,
             cognitive.read_set,
-            cognitive.placed_map(),
+            dict(cognitive.placed),
             _live(cognitive.belief),
             last_was_pause,
         )
@@ -580,7 +563,7 @@ def step(
         )
         chosen = selection.policy
         action, remaining = chosen[0], chosen[1:]
-        hesitate = selection.posterior_entropy > THETA_HESITATION
+        hesitate = selection.decision.posterior_entropy > THETA_HESITATION
         annotations = ("policy_switch",)
     if affective.gamma < THETA_GAMMA:
         hesitate = True
@@ -634,7 +617,7 @@ def step(
 
     consistent = _consistent(placed, space)
     try:
-        working = _recompute_working(evidence, placed, space, consistent)
+        working = _recompute_working(evidence, placed, consistent)
     except ContradictionError:
         forced_revision = True
         working = cognitive.belief
@@ -668,12 +651,13 @@ def step(
                 record(refixation, t_start, obs, working, ("revision",))
                 t_start, obs = perform(deletion)
                 del keep[slot]
+                kept = tuple(sorted(keep.items()))
                 try:
-                    working = _recompute_working(evidence, tuple(sorted(keep.items())), space)
+                    working = _recompute_working(evidence, kept, _consistent(kept, space))
                 except ContradictionError:
                     pass  # later deletions in this pass restore consistency
                 record(deletion, t_start, obs, working, notes, chunk_id=chunk)
-            placed = tuple(sorted(keep.items()))
+            placed = kept
 
     cognitive = CognitiveState(
         belief=working, evidence_belief=evidence, placed=placed, read_set=read_set

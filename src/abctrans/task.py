@@ -137,11 +137,6 @@ class CandidateOrdering:
         except ValueError:
             raise UnknownChunkError(f"chunk {chunk_id} not placed in ordering {self.id}")
 
-    def chunk_at(self, slot: int) -> int:
-        if not 1 <= slot <= len(self.slots):
-            raise TaskError(f"slot {slot} out of range 1..{len(self.slots)}")
-        return self.slots[slot - 1]
-
 
 @dataclass(frozen=True)
 class Categorical:
@@ -244,9 +239,6 @@ class CandidateSpace:
                 return i
         raise TaskError(f"no ordering labelled {label!r}")
 
-    def ordering(self, label: str) -> CandidateOrdering:
-        return self.orderings[self.index_of(label)]
-
 
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False
@@ -318,14 +310,11 @@ def positional_entropy(space: CandidateSpace, chunk_id: int) -> float:
 def lexical_entropy(space: CandidateSpace, chunk_id: int) -> float:
     """Entropy (bits) over the chunk's target-text realization across candidates.
 
-    All candidates here share one chunk table, so with the vocabulary held
-    constant this is identically zero; the computation is kept general.
+    All candidates share one chunk table, so each chunk has one target text
+    and this is zero for every chunk the table holds.
     """
-    chunk = space.table.chunk(chunk_id)
-    by_text: dict[str, float] = {}
-    for _, p in zip(space.orderings, space.prior.probs):
-        by_text[chunk.target_text] = by_text.get(chunk.target_text, 0.0) + p
-    return _histogram_entropy(by_text.values())
+    space.table.chunk(chunk_id)  # an unknown chunk raises UnknownChunkError
+    return 0.0
 
 
 def placement_row(space: CandidateSpace, chunk_id: int, slot: int) -> np.ndarray:

@@ -55,14 +55,14 @@ def _is_id_list(value) -> bool:
 
 
 def _chunk_id(value, field: str) -> int:  # a float such as 2.7 is rejected, not truncated
-    _number(float, value, field)  # a non-number is named as one
+    _float(value, field)  # a non-number is named as one
     _require(type(value) is int, field, f"must be an integer chunk id, got {value!r}")
     return value
 
 
-def _number(kind, value, field: str):
+def _float(value, field: str) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise TaskFileError(f"field {field!r}: must be a number, got {value!r}") from None
 
@@ -129,15 +129,15 @@ def load_task(path: str | Path) -> TaskBundle:
     overrides = rel.get("overrides") or {}
     _require(isinstance(overrides, dict), "reliability.overrides", "must be a mapping")
     overrides = {
-        _chunk_id(k, "reliability.overrides"): _number(float, v, f"reliability.overrides.{k}")
+        _chunk_id(k, "reliability.overrides"): _float(v, f"reliability.overrides.{k}")
         for k, v in overrides.items()
     }
     for chunk_id in overrides:
         _require(chunk_id in table.chunk_ids, f"reliability.overrides.{chunk_id}", "names no chunk of the task")
     evidence = ReadingEvidenceModel.with_defaults(
         space,
-        content=_number(float, rel.get("default", 0.8), "reliability.default"),
-        punctuation=_number(float, rel.get("punctuation", 0.5), "reliability.punctuation"),
+        content=_float(rel.get("default", 0.8), "reliability.default"),
+        punctuation=_float(rel.get("punctuation", 0.5), "reliability.punctuation"),
         overrides=overrides,
     )
 

@@ -125,11 +125,7 @@ class Trace:
     @cached_property
     def events(self) -> tuple[ProcessEvent, ...]:
         """The events as ProcessEvent objects, built from the columns on first access."""
-        # Trailing columns that hold only their field's default are left to it.
-        cols = list(self.columns)
-        while len(cols) > 3 and cols[-1].count(_FIELDS[len(cols) - 1].default) == len(cols[-1]):
-            cols.pop()
-        return tuple(map(ProcessEvent, *cols))
+        return tuple(map(ProcessEvent, *self.columns))
 
     def __repr__(self) -> str:
         context = "".join(f", {f.name}={getattr(self, f.name)!r}" for f in fields(self)[1:])

@@ -60,7 +60,7 @@ def event_builds(monkeypatch):
 
 def render_of(space, label: str) -> str:
     """Expected target string for one candidate ordering."""
-    ordering = space.ordering(label)
+    ordering = space.orderings[space.index_of(label)]
     return "".join(space.table.chunk(c).target_text for c in ordering.slots)
 
 

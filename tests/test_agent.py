@@ -79,7 +79,7 @@ def dfs_policies(cognitive, space, horizon, cfg, last_was_pause=False):
             else:
                 expand(prefix + [aid], nxt_read, nxt_buffer, survivors, action.kind == env.PAUSE)
 
-    expand([], cognitive.read_set, cognitive.placed_map(), _live(cognitive.belief), last_was_pause)
+    expand([], cognitive.read_set, dict(cognitive.placed), _live(cognitive.belief), last_was_pause)
     return actions, np.array(rows, dtype=np.int32).reshape(len(rows), horizon), truncated
 
 
@@ -251,9 +251,8 @@ class TestAgentConfig:
 
 class TestEnumeratePolicies:
     def test_terminal_state_yields_nothing(self, space, models):
-        placed = tuple(
-            sorted((s, c) for s, c in enumerate(space.ordering("TT0").slots, start=1))
-        )
+        tt0 = space.orderings[space.index_of("TT0")]
+        placed = tuple(sorted((s, c) for s, c in enumerate(tt0.slots, start=1)))
         cognitive = CognitiveState(
             belief=point_mass(6, 0),
             evidence_belief=point_mass(6, 0),
@@ -414,15 +413,15 @@ class TestSelectPolicy:
         base, cognitive = agent_after_cue(space, models, cfg, "TT0")
         sharp = AffectiveState(gamma=200.0, zeta=1.0)
         sel = select_policy(cognitive, sharp, models, cfg)
-        assert sel.posterior.probs[sel.choice_index] > 0.99
+        assert sel.decision.posterior.probs[sel.choice_index] > 0.99
 
     def test_zero_ish_gamma_spreads_the_posterior(self, space, models):
         cfg = head_starter_config()
         base, cognitive = agent_after_cue(space, models, cfg, "TT0")
         flat = AffectiveState(gamma=1e-9, zeta=1.0)
         sel = select_policy(cognitive, flat, models, cfg)
-        n = len(sel.policies)
-        assert np.allclose(sel.posterior.probs, 1.0 / n, atol=1e-6)
+        n = len(sel.decision.policies)
+        assert np.allclose(sel.decision.posterior.probs, 1.0 / n, atol=1e-6)
 
     def test_scores_follow_zeta_on_a_repeated_state(self, space, models):
         # zeta tempers every predicted cue, so the same state scored under
@@ -443,7 +442,7 @@ class TestSelectPolicy:
                 read_chunks=cognitive.read_set,
                 zeta=2.0,
             )
-            for policy in sel.policies
+            for policy in sel.decision.policies
         )
         decision = sel.decision
         scores = (decision.epistemic, decision.pragmatic, decision.totals)
@@ -510,10 +509,10 @@ class TestSelectPolicy:
         cfg = large_context_planner_config()
         agent = initial_agent_state(space, cfg)
         sel = select_policy(agent.cognitive, agent.affective, models, cfg)
-        assert len(sel.policies) == 1206
+        assert len(sel.decision.policies) == 1206
         (rollout,) = tables
         nodes = set(built)
-        kinds = [sel.policies.actions[aid].kind for _, aid in nodes]
+        kinds = [sel.decision.policies.actions[aid].kind for _, aid in nodes]
         assert counts == {"channels": 260, "restrictions": 175}
         assert (len(built), len(nodes)) == (1941, 1545)
         assert len(rollout.gain) == (rollout.channel >= 0).sum() == 260
@@ -545,8 +544,8 @@ class TestSelectionMemo:
             fresh_rng = copy.deepcopy(rng)
             sel = select_policy(cognitive, affective, models, cfg, rng=rng, last_was_pause=last_was_pause)
             fresh = inference.policy_posterior(sel.decision.totals, affective.gamma)
-            assert float_bits(sel.posterior.probs) == float_bits(fresh.probs)
-            assert float_bits(sel.posterior_entropy) == float_bits(inference.shannon_entropy(fresh))
+            assert float_bits(sel.decision.posterior.probs) == float_bits(fresh.probs)
+            assert float_bits(sel.decision.posterior_entropy) == float_bits(inference.shannon_entropy(fresh))
             if cfg.sample_policies:
                 assert sel.choice_index == int(fresh_rng.choice(len(fresh), p=fresh.as_array()))
                 assert rng.bit_generator.state == fresh_rng.bit_generator.state
@@ -579,15 +578,15 @@ class TestSelectionMemo:
         again = select_policy(cognitive, AffectiveState(gamma=8.0, zeta=1.0), models, cfg)
         assert again.decision is sharp.decision
         assert flat.decision is not sharp.decision
-        assert flat.policies.actions == sharp.policies.actions
-        assert flat.policies.ids.tobytes() == sharp.policies.ids.tobytes()
+        assert flat.decision.policies.actions == sharp.decision.policies.actions
+        assert flat.decision.policies.ids.tobytes() == sharp.decision.policies.ids.tobytes()
         for name in ("epistemic", "pragmatic", "totals"):
             assert float_bits(getattr(flat.decision, name)) == float_bits(getattr(sharp.decision, name))
         for sel, gamma in ((sharp, 8.0), (flat, 0.5)):
-            assert sel.posterior == inference.policy_posterior(sel.decision.totals, gamma)
-        assert sharp.posterior_entropy < flat.posterior_entropy
+            assert sel.decision.posterior == inference.policy_posterior(sel.decision.totals, gamma)
+        assert sharp.decision.posterior_entropy < flat.decision.posterior_entropy
         with pytest.raises(dataclasses.FrozenInstanceError):
-            sharp.decision.posterior = flat.posterior
+            sharp.decision.posterior = flat.decision.posterior
 
     def test_clearing_the_memo_drops_its_posteriors(self, space, models, monkeypatch):
         # A private memo built as agent's is, so the shared one stays warm
@@ -625,7 +624,7 @@ class TestStep:
         rep = [
             a
             for a, _ in _next_actions(
-                space, cognitive.read_set, cognitive.placed_map(), live, last_was_pause
+                space, cognitive.read_set, dict(cognitive.placed), live, last_was_pause
             )
         ]
         assert rep, "an unfinished episode always offers actions"
@@ -708,10 +707,11 @@ class TestStep:
                             n_steps += 1
                             cognitive = agent.cognitive
                             assert cognitive.belief == _recompute_working(
-                                cognitive.evidence_belief, cognitive.placed, space
+                                cognitive.evidence_belief, cognitive.placed,
+                                _consistent(cognitive.placed, space),
                             ), case
                             for i, ordering in enumerate(space.orderings):
-                                if any(ordering.chunk_at(s) != c for s, c in cognitive.placed):
+                                if any(ordering.slots[s - 1] != c for s, c in cognitive.placed):
                                     assert cognitive.belief.probs[i] == 0.0, case
         assert n_steps >= 108 * 5  # 108 episodes, each at least one step per slot
 
@@ -822,9 +822,9 @@ class TestStep:
         state = env.ExternalState(space, (1, 0, None, None, None), "TT5")
         contradicted = []
 
-        def watched(evidence, placed, space, consistent=None):
+        def watched(evidence, placed, consistent):
             try:
-                return _recompute_working(evidence, placed, space, consistent)
+                return _recompute_working(evidence, placed, consistent)
             except ContradictionError:
                 contradicted.append(placed)
                 raise

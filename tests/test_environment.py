@@ -208,7 +208,7 @@ class TestCompletionAndRender:
 
     def test_full_tt0_buffer_complete(self, space, models, rng):
         state = env.ExternalState.initial(space, "TT0")
-        for slot, chunk in enumerate(space.ordering("TT0").slots, start=1):
+        for slot, chunk in enumerate(space.orderings[space.index_of("TT0")].slots, start=1):
             state, _ = env.apply_action(state, env.type_chunk(chunk, slot), models, rng)
         assert env.is_complete(state)
         assert env.render_target(state) == TT0_TEXT
@@ -216,7 +216,8 @@ class TestCompletionAndRender:
 
     def test_four_of_five_incomplete(self, space, models, rng):
         state = env.ExternalState.initial(space, "TT0")
-        for slot, chunk in list(enumerate(space.ordering("TT0").slots, start=1))[:4]:
+        tt0 = space.orderings[space.index_of("TT0")]
+        for slot, chunk in list(enumerate(tt0.slots, start=1))[:4]:
             state, _ = env.apply_action(state, env.type_chunk(chunk, slot), models, rng)
         assert not env.is_complete(state)
 

@@ -133,7 +133,7 @@ def all_start_actions(space):
     actions = [env.fixate_source(c) for c in space.table.source_order]
     for cid in (0, 1, 2, 3, 4):
         for slot in range(1, 6):
-            if any(o.chunk_at(slot) == cid for o in space.orderings):
+            if any(o.slots[slot - 1] == cid for o in space.orderings):
                 actions.append(env.type_chunk(cid, slot))
     actions.append(env.pause())
     return actions
@@ -651,7 +651,7 @@ class TestGeneratedTasks:
         belief = bayes_update(space.prior, models.likelihood_row(1, space.labels[shown]))
         placed = ()
         if typed:
-            chunk = space.orderings[shown].chunk_at(1)
+            chunk = space.orderings[shown].slots[0]
             belief = bayes_update(belief, placement_row(space, chunk, 1))
             placed = ((1, chunk),)
         cognitive = CognitiveState(belief, belief, placed, frozenset({1}))

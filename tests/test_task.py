@@ -26,7 +26,7 @@ from conftest import ORDERINGS, entropy_of_counts, make_table
 
 def placement_likelihood(ordering, chunk_id, slot):
     """Oracle: 1.0 if the ordering places the chunk at the slot, else 0.0."""
-    return 1.0 if ordering.chunk_at(slot) == chunk_id else 0.0
+    return 1.0 if ordering.slots[slot - 1] == chunk_id else 0.0
 
 
 def brute_force_positional(space, chunk_id):
