@@ -671,6 +671,12 @@ def step(
     return agent, state, events
 
 
+def check_seed(seed) -> None:
+    """Reject an episode seed that is not a non-negative int."""
+    if not (type(seed) is int and seed >= 0):
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+
+
 def run_episode(
     cfg: AgentConfig,
     models: ReadingEvidenceModel,
@@ -686,8 +692,7 @@ def run_episode(
     """
     if not (type(max_steps) is int and max_steps >= 1):  # a bool is no step budget
         raise ValueError(f"max_steps must be an int of at least 1, got {max_steps!r}")
-    if not (type(seed) is int and seed >= 0):
-        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    check_seed(seed)
     space = models.space
     if latent is None:
         latent = space.labels[0]

@@ -17,6 +17,7 @@ from . import analysis
 from .agent import (
     PRESETS,
     AgentConfig,
+    check_seed,
     run_episode,
 )
 from .inference import shannon_entropy
@@ -105,6 +106,8 @@ def cmd_simulate(args) -> int:
     for fmt in formats:
         if fmt not in analysis.EXPORT_FORMATS:
             raise analysis.AnalysisError(f"unknown export format {fmt!r}")
+    for seed in args.seed:
+        check_seed(seed)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         with _writing(out_dir):

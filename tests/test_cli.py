@@ -160,9 +160,11 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         assert [cfg.sample_policies for cfg in configs] == [sampling, sampling]
 
-    def test_negative_seed_is_rejected_by_name(self, capsys):
-        # numpy's own message named no field: "expected non-negative integer"
-        code, out, err = run_cli(["simulate", "--preset", "head_starter", "--seed", "-1"], capsys)
+    @pytest.mark.parametrize("seeds", [["-1"], ["0", "-1"]], ids=["alone", "after-a-valid-one"])
+    def test_negative_seed_is_rejected_by_name(self, seeds, capsys):
+        # numpy's own message named no field: "expected non-negative integer".
+        # Every seed is checked before the first episode, so no episode prints.
+        code, out, err = run_cli(["simulate", "--preset", "head_starter", "--seed", *seeds], capsys)
         assert code == EXIT_VALIDATION
         assert err == "validation error: seed must be a non-negative int, got -1\n"
         assert out == ""
