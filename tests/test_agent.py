@@ -991,6 +991,35 @@ class TestRunEpisode:
         tsv = analysis.export_progression(trace, segments, analysis.group_policies(segments), "tsv")
         assert round_trip_problems(trace, segments, tsv) == []
 
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(0, 4),  # 0: the bundled sentence
+        k=st.integers(1, 12),
+        task_seed=st.integers(1, 3),
+        reliabilities=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), min_size=5, max_size=5),
+        planner=st.booleans(),
+        latent=st.integers(0, 11),
+        seed=st.integers(0, 3),
+    )
+    @example(n=0, k=1, task_seed=1, reliabilities=[0.0, 1.0, 0.0, 1.0, 0.5], planner=True,
+             latent=5, seed=0)
+    @example(n=0, k=1, task_seed=1, reliabilities=[0.3, 1.0, 1.0, 0.0, 0.9], planner=True,
+             latent=1, seed=2)  # ends at max_steps
+    def test_episode_under_per_chunk_reliabilities_ends_by_name(
+        self, space, n, k, task_seed, reliabilities, planner, latent, seed
+    ):
+        # Task files may set any chunk's reliability in [0, 1]: at 0.0 a cue
+        # rules out the ordering it names, at 1.0 it names the true one. An
+        # episode never raises; it completes or runs out of steps (item 2).
+        if n:
+            space = generated_space(n, min(k, math.factorial(n + 1)), task_seed)
+        overrides = dict(zip(sorted(space.table.chunk_ids), reliabilities))
+        models = ReadingEvidenceModel.with_defaults(space, overrides=overrides)
+        cfg = large_context_planner_config() if planner else head_starter_config()
+        label = space.labels[latent % len(space.labels)]
+        trace = run_episode(cfg, models, latent=label, seed=seed, max_steps=60)
+        assert trace.stop_reason in ("complete", "max_steps")
+
     def test_frozen_affect_changes_behavior_under_surprises(self, models):
         script = ("TT1", "TT5")
         frozen = large_context_planner_config(beta=0.0)
