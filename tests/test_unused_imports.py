@@ -1,7 +1,8 @@
 """Every name a module under src/abctrans/ imports, defines privately or binds locally is used there.
 
 No linter ships with the test environment, so these stdlib-ast checks stand
-in for the unused-import, unused-private-name and unused-local rules.
+in for the unused-import, unused-private-name and unused-local rules, and
+for a reachability rule.
 ``__init__.py`` is exempt from the import rule: its imports are the
 package's exports. A private (``_``-prefixed) module-level function, class
 or constant is module-internal by convention, so a use elsewhere does not
@@ -10,14 +11,23 @@ name a function binds (by assignment, augmented assignment, a ``for`` or
 ``with`` target, or a walrus) must be read in that function or in a
 function nested in it; ``_`` and names the function declares ``nonlocal``
 or ``global`` are exempt.
+
+Reachability: every top-level function or class under src/abctrans/ is
+referenced by name, and every non-dunder method of those classes as an
+attribute, somewhere in src/ or perfbench/ outside its own definition. An
+import of the name counts, and so does a string constant holding it, as
+perfbench wraps functions by name. Names the package keeps with no such
+caller are listed in UNREACHED, each with its reason.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "abctrans"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "abctrans"
 
 # perfbench/run.py wraps agent.expected_free_energy, so the name must exist there.
 KEPT = {("agent", "expected_free_energy")}
@@ -175,3 +185,96 @@ def test_every_local_a_function_binds_is_read(path):
         for name, line in unread_locals(function).items()
     )
     assert not unread, f"{path.name} binds locals it never reads: {', '.join(unread)}"
+
+
+# Module-qualified names that nothing in src/ or perfbench/ reaches, and why each stays.
+UNREACHED = {
+    "analysis.typing_drops": "acceptance criterion 4 reads the per-chunk typing drops",
+    "task.ReadingEvidenceModel.cue_distribution": "the cue-sampling oracle: tests check the draws from cue_cdf against it",
+    "trace.Trace.stop_reason": "names how an episode ended; a budgeted stop (ROADMAP items 1 and 3c) adds a reason",
+}
+
+
+def definitions(module: str, tree: ast.Module) -> dict[str, tuple[ast.AST, bool]]:
+    """Top-level functions and classes, and the non-dunder methods of those classes.
+
+    Keyed by module-qualified name; the flag says whether the definition is a method.
+    """
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[f"{module}.{node.name}"] = node, False
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not method.name.startswith("__"):
+                    defs[f"{module}.{node.name}.{method.name}"] = method, True
+    return defs
+
+
+def references(trees: dict) -> dict[tuple[str, bool], list[tuple[object, int]]]:
+    """Where each name is referenced, keyed by (name, as an attribute), as (tree key, line) pairs.
+
+    A name read or imported on its own is no attribute reference; an
+    attribute or a string constant holding the name is both kinds.
+    """
+    refs = defaultdict(list)
+    for key, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs[node.id, False].append((key, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    refs[alias.name, False].append((key, node.lineno))
+            elif isinstance(node, ast.Attribute) or (
+                isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier()
+            ):
+                name = node.attr if isinstance(node, ast.Attribute) else node.value
+                for attribute in (False, True):
+                    refs[name, attribute].append((key, node.lineno))
+    return refs
+
+
+def unreached(package: dict[str, ast.Module], callers: list[ast.Module]) -> set[str]:
+    """Qualified names of the package's definitions referenced nowhere outside themselves.
+
+    package maps module names to trees; callers are the trees outside it.
+    """
+    refs = references(package | dict(enumerate(callers)))
+    found = set()
+    for module, tree in package.items():
+        for qualified, (node, method) in definitions(module, tree).items():
+            if all(
+                key == module and node.lineno <= line <= node.end_lineno
+                for key, line in refs[qualified.rsplit(".", 1)[1], method]
+            ):
+                found.add(qualified)
+    return found
+
+
+def test_the_reachability_rule_finds_an_unreferenced_function_and_method():
+    # unused and Box.unread refer only to themselves, and a plain name unread
+    # is no attribute; used is reached through an import, Box.read through a
+    # string, as perfbench wraps functions by name.
+    package = {
+        "m": ast.parse(
+            "def used():\n"
+            "    return Box()\n"
+            "def unused():\n"
+            "    return unused()\n"
+            "class Box:\n"
+            "    def read(self):\n"
+            "        return self\n"
+            "    def unread(self):\n"
+            "        return self.unread()\n"
+        )
+    }
+    caller = ast.parse("import m\nfrom m import used\nprint(unread)\nsetattr(m.Box, 'read', None)\n")
+    assert unreached(package, [caller]) == {"m.unused", "m.Box.unread"}
+
+
+def test_every_definition_is_reached_or_listed():
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    callers = [ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "perfbench").glob("*.py")]
+    found = unreached(package, callers)
+    assert found - UNREACHED.keys() == set(), "defined but referenced nowhere in src/ or perfbench/"
+    assert UNREACHED.keys() - found == set(), "listed as unreached, but now reached or gone"
