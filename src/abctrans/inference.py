@@ -455,8 +455,9 @@ class _Rollout:
         small decisions (every head-starter decision, every planner decision
         after the opening) need only their nodes' terms less each action's
         first-action unread cost (x - 0.0 is x, -0.0 included), bitwise what
-        the level walk gives. Through the level walk, compare_sweep measured
-        a p90 of 2.85-2.91 ref per op instead of 2.28-2.37.
+        the level walk gives. A seed-2626 compare_sweep pass (600 ops from an
+        empty memo, min of 7, on a 2-vCPU Xeon with Python 3.11) takes
+        0.360-0.362 s with this fork and 0.393-0.398 s through the level walk.
         """
         n, width = ids.shape
         if width == 1:
