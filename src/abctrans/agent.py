@@ -35,7 +35,6 @@ from .task import (
     CandidateSpace,
     ReadingEvidenceModel,
     placement_row,
-    positional_entropy,
 )
 from .trace import ProcessEvent, Trace
 
@@ -208,43 +207,48 @@ def update_affect(state: AffectiveState, observation_surprisal: float, cfg: Agen
 
 def _next_actions(
     space: CandidateSpace,
-    read,
-    buffer: dict[int, int],
-    live: tuple[int, ...],
-    last_was_pause: bool,
-) -> list[tuple[env.Action, tuple[int, ...]]]:
+    read: int,
+    filled: int,
+    live: int,
+    paused: bool,
+) -> list[tuple[env.Action, int]]:
     """The admissibility rule: every possible next action, with the live orderings it leaves.
 
-    Reads take unread source chunks. Typing is append-like: only the leftmost
-    empty target slot accepts text, so revision means deleting back to a slot
-    and retyping. A chunk is typable there under at least one live ordering,
-    and only typing narrows the live orderings. Live orderings are already
-    consistent with the buffer: at a decision they are the working belief's
-    support, and inside enumeration each typed slot has narrowed them.
-    Typing candidates are ordered most-informative first (descending
-    positional entropy of the chunk, then chunk id) to fix the pruning order
+    The inputs are bitmasks: read has bit p set when the chunk at source
+    position p has been read, filled bit s - 1 when target slot s holds a
+    chunk, and live bit i when ordering i is live. Reads take unread source
+    chunks. Typing is append-like: only the leftmost empty target slot
+    accepts text, so revision means deleting back to a slot and retyping. A
+    chunk is typable there under at least one live ordering, and only typing
+    narrows the live orderings. Live orderings are already consistent with
+    the buffer: at a decision they are the working belief's support, and
+    inside enumeration each typed slot has narrowed them. So the rule reads
+    the buffer only through its cursor. Typing candidates are ordered
+    most-informative first (the space's typing order: descending positional
+    entropy of the chunk, then chunk id) to fix the pruning order
     deterministically. Pauses never repeat back to back. A complete
     translation admits nothing.
     """
-    cursor = 1
-    while cursor in buffer:
-        cursor += 1
-    if cursor > space.n_slots:
+    cursor = (~filled & (filled + 1)).bit_length()  # the leftmost empty slot, 1-based
+    if cursor > len(space._slot_masks):
         return []
-    acts = [(env.fixate_source(c), live) for c in space.table.source_order if c not in read]
-    options: dict[int, list[int]] = {}
-    orderings = space.orderings
-    for idx in live:
-        options.setdefault(orderings[idx].slots[cursor - 1], []).append(idx)
-    for chunk in sorted(options, key=lambda chunk: (-positional_entropy(space, chunk), chunk)):
-        acts.append((env.type_chunk(chunk, cursor), tuple(options[chunk])))
-    if not last_was_pause:
+    acts = [(env.fixate_source(c), live) for p, c in enumerate(space.table.source_order) if not read >> p & 1]
+    at_cursor = space._slot_masks[cursor - 1]
+    for chunk in space._typing_order:
+        survivors = live & at_cursor[chunk]
+        if survivors:
+            acts.append((env.type_chunk(chunk, cursor), survivors))
+    if not paused:
         acts.append((env.pause(), live))
     return acts
 
 
-def _live(belief: Categorical) -> tuple[int, ...]:
-    return tuple(i for i, p in enumerate(belief.probs) if p > 0.0)
+def _rule_input(cognitive: CognitiveState, space: CandidateSpace) -> tuple[int, int, int]:
+    """The rule's read, filled and live bitmasks at a decision; the live orderings are the belief's support."""
+    read = sum(1 << p for p, c in enumerate(space.table.source_order) if c in cognitive.read_set)
+    filled = sum(1 << (slot - 1) for slot, _ in cognitive.placed)
+    live = sum(1 << i for i, p in enumerate(cognitive.belief.probs) if p > 0.0)
+    return read, filled, live
 
 
 def enumerate_policies(
@@ -257,8 +261,8 @@ def enumerate_policies(
     """All admissible action sequences up to the horizon, capped and ordered.
 
     Admissibility (``_next_actions``) is simulated over a state graph built
-    per call. A state is what the rule reads (read set, buffer, live
-    orderings, whether the last action paused) plus, right after a read,
+    per call. A state is what the rule reads (the read, filled and live
+    bitmasks and whether the last action paused) plus, right after a read,
     how many of the reads the rule lists it skips. Many prefixes reach one
     state, and the rule runs once per distinct input. The rows are built
     level by level from the states' edges, each row's children in the
@@ -274,97 +278,92 @@ def enumerate_policies(
     """
     if not (type(horizon) is int and horizon >= 1):  # a bool is no horizon
         raise ValueError(f"horizon must be an int of at least 1, got {horizon!r}")
-    source = space.table.source_order
+    position = {c: p for p, c in enumerate(space.table.source_order)}
     # Enumeration shares one Action per (kind, chunk, slot), so its identity
     # is a key that costs no generated __hash__.
     action_ids: dict[int, int] = {}
     actions: list[env.Action] = []
     rule: dict = {}  # rule input -> (first edge, edge count)
-    edge_action: list[int] = []  # per edge: its action id, -1 to pad an ended policy
-    edge_act: list = []  # per edge: (action, live orderings after it), as the rule gave it
-    edge_from: list = []  # per edge: the rule input it leaves
-    edge_to: list[int] = []  # per edge: the state it leads to, -1 until a level needs it
-    state_ids: dict = {}  # (rule input, reads skipped) -> state id
-    firsts: list[int] = []  # state id -> its first edge
-    counts: list[int] = []  # state id -> its edge count
+    # Edge 0 pads a policy that has ended: it has no action and leads back
+    # to itself, and a state the rule admits nothing in has it as its edge.
+    edge_action: list[int] = [-1]  # per edge: its action id
+    edge_first: list[int] = [0]  # per edge: the next state's first edge, -1 until a level needs it
+    edge_count: list[int] = [1]  # per edge: the next state's edge count
+    edge_act: list = [None]  # per edge: (action, live orderings after it), as the rule gave it
+    edge_from: list = [None]  # per edge: the rule input it leaves
 
-    def state_id(inputs, skip: int) -> int:
-        """The state's id; a new state's edges are listed here."""
-        sid = state_ids.setdefault((inputs, skip), len(firsts))
-        if sid < len(firsts):
-            return sid
+    def edges_of(inputs, skip: int) -> tuple[int, int]:
+        """A state's first edge and edge count; a new rule input's edges are listed here."""
         entry = rule.get(inputs)
         if entry is None:
-            read, buffer, live, paused = inputs
-            acts = _next_actions(space, read, dict(buffer), live, paused)
-            known = len(action_ids)
-            aids = [action_ids.setdefault(id(action), len(action_ids)) for action, _ in acts]
-            actions.extend(action for (action, _), aid in zip(acts, aids) if aid >= known)
+            acts = _next_actions(space, *inputs)
+            aids = [action_ids.get(id(action)) for action, _ in acts]
+            if None in aids:
+                for i, (action, _) in enumerate(acts):
+                    if aids[i] is None:
+                        aids[i] = action_ids[id(action)] = len(actions)
+                        actions.append(action)
             entry = rule[inputs] = len(edge_action), len(acts)
             edge_action.extend(aids)
+            edge_first.extend([-1] * len(acts))
+            edge_count.extend([-1] * len(acts))
             edge_act.extend(acts)
             edge_from.extend([inputs] * len(acts))
-            edge_to.extend([-1] * len(acts))
-        first, count = entry[0] + skip, entry[1] - skip
-        if not count:  # the policy ends here: one edge pads it
-            first, count = len(edge_action), 1
-            edge_action.append(-1)
-            edge_act.append(None)
-            edge_from.append(None)
-            edge_to.append(sid)
-        firsts.append(first)
-        counts.append(count)
-        return sid
+        if entry[1] == skip:
+            return 0, 1
+        return entry[0] + skip, entry[1] - skip
 
-    def child(edge: int) -> int:
-        (read, buffer, _, _), (action, survivors) = edge_from[edge], edge_act[edge]
-        if action.kind == env.FIXATE_SOURCE:
-            # Within a consecutive run of reads, chunks are taken in source
-            # order: read permutations are outcome-equivalent, so one
-            # representative per read set suffices. The rule lists reads
-            # first, in source order, so the next state skips the reads of
-            # the chunks before this one.
-            read = read | {action.chunk_id}
-            skip = sum(c not in read for c in source[:source.index(action.chunk_id)])
-            return state_id((read, buffer, survivors, False), skip)
-        if action.kind == env.TYPE:
-            return state_id((read, buffer | {(action.slot, action.chunk_id)}, survivors, False), 0)
-        return state_id((read, buffer, survivors, True), 0)
-
-    placed = frozenset(cognitive.placed)
-    state_id((cognitive.read_set, placed, _live(cognitive.belief), last_was_pause), 0)
-    if edge_action[firsts[0]] < 0:
+    first, count = edges_of((*_rule_input(cognitive, space), last_was_pause), 0)
+    if not first:
         return Policies([], np.empty((0, horizon), dtype=np.int32))
-    # Each level's rows are edges, in depth-first order: the first level's
-    # are the root's, and a row's children take its state's edges in order,
-    # after the children of the rows before it.
+    # Each level's rows end in edges, in depth-first order: the first
+    # level's are the root's, and a row's children take the edges of the
+    # state its last edge leads to, in order, after the children of the
+    # rows before it.
     cap = cfg.max_policies
-    truncated = counts[0] > cap
-    ids = np.array(edge_action[:min(counts[0], cap)], dtype=np.int32)[:, None]  # rows so far
-    edge = np.arange(len(ids))
+    truncated = count > cap
+    rows = np.arange(first, first + min(count, cap))[:, None]  # each row's edges so far
     for _ in range(1, horizon):
+        edge = rows[:, -1]
         for e in set(edge.tolist()):
-            if edge_to[e] < 0:
-                edge_to[e] = child(e)
-        at = np.array(edge_to)[edge]  # each row's state
-        first, count = np.array(firsts)[at], np.array(counts)[at]
-        parent = np.repeat(np.arange(len(at)), count)
+            if edge_first[e] >= 0:
+                continue
+            # Follow the edge to its state: (rule input, reads skipped).
+            (read, filled, live, _), (action, survivors) = edge_from[e], edge_act[e]
+            if action.kind == env.FIXATE_SOURCE:
+                # Within a consecutive run of reads, chunks are taken in
+                # source order: read permutations are outcome-equivalent, so
+                # one representative per read set suffices. The rule lists
+                # reads first, in source order, so the next state skips the
+                # reads of the unread chunks before this one.
+                bit = 1 << position[action.chunk_id]
+                state = (read | bit, filled, live, False), (~read & bit - 1).bit_count()
+            elif action.kind == env.TYPE:
+                state = (read, filled | 1 << (action.slot - 1), survivors, False), 0
+            else:
+                state = (read, filled, live, True), 0
+            edge_first[e], edge_count[e] = edges_of(*state)
+        first = np.fromiter(edge_first, np.int64, len(edge_first))[edge]
+        count = np.fromiter(edge_count, np.int64, len(edge_count))[edge]
+        parent = np.repeat(np.arange(len(edge)), count)
         edge = np.repeat(first - (count.cumsum() - count), count) + np.arange(len(parent))
         if len(edge) > cap:
             truncated = True
             parent, edge = parent[:cap], edge[:cap]
-        aids = np.array(edge_action, dtype=np.int32)[edge]
-        ids = np.concatenate([ids[parent], aids[:, None]], axis=1)
+        rows = np.concatenate([rows[parent], edge[:, None]], axis=1)
+    ids = np.fromiter(edge_action, np.int32, len(edge_action))[rows]
+    if horizon == 1:
+        # The rows are the root's edges, whose actions were numbered first, in order.
+        return Policies(actions[:len(ids)], ids, truncated)
     # Number the actions in order of first appearance, row by row: the
     # order in which a depth-first walk meets them.
-    seen = dict.fromkeys(ids.ravel().tolist())
-    seen.pop(-1, None)
-    used = list(seen)
-    if used != list(range(len(actions))):
-        renumber = np.full(len(actions) + 1, -1, dtype=np.int32)  # the last keeps the padding
-        renumber[used] = np.arange(len(used), dtype=np.int32)
-        ids = renumber[ids]
-    return Policies([actions[a] for a in used], ids, truncated)
+    cells = ids.ravel()
+    seen = np.full(len(actions) + 1, cells.size)  # each action's first cell; the last entry takes the padding
+    np.minimum.at(seen, cells, np.arange(cells.size))
+    used = np.argsort(seen[:-1])[:np.count_nonzero(seen[:-1] < cells.size)]
+    renumber = np.full(len(actions) + 1, -1, dtype=np.int32)  # the last keeps the padding
+    renumber[used] = np.arange(len(used), dtype=np.int32)
+    return Policies([actions[a] for a in used.tolist()], renumber[ids], truncated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,14 +546,7 @@ def step(
     hesitate = False
     annotations: tuple[str, ...] = ()
     if policy and any(
-        a == policy[0]
-        for a, _ in _next_actions(
-            space,
-            cognitive.read_set,
-            dict(cognitive.placed),
-            _live(cognitive.belief),
-            last_was_pause,
-        )
+        a == policy[0] for a, _ in _next_actions(space, *_rule_input(cognitive, space), last_was_pause)
     ):
         action, remaining = policy[0], policy[1:]
     else:
@@ -677,6 +669,12 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
 
 
+def check_max_steps(max_steps) -> None:
+    """Reject a step budget that is not an int of at least 1."""
+    if not (type(max_steps) is int and max_steps >= 1):  # a bool is no step budget
+        raise ValueError(f"max_steps must be an int of at least 1, got {max_steps!r}")
+
+
 def run_episode(
     cfg: AgentConfig,
     models: ReadingEvidenceModel,
@@ -690,8 +688,7 @@ def run_episode(
     Deterministic for a fixed seed: cue sampling and any policy sampling both
     draw from one generator seeded here.
     """
-    if not (type(max_steps) is int and max_steps >= 1):  # a bool is no step budget
-        raise ValueError(f"max_steps must be an int of at least 1, got {max_steps!r}")
+    check_max_steps(max_steps)
     check_seed(seed)
     space = models.space
     if latent is None:

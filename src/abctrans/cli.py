@@ -17,6 +17,7 @@ from . import analysis
 from .agent import (
     PRESETS,
     AgentConfig,
+    check_max_steps,
     check_seed,
     run_episode,
 )
@@ -108,6 +109,9 @@ def cmd_simulate(args) -> int:
             raise analysis.AnalysisError(f"unknown export format {fmt!r}")
     for seed in args.seed:
         check_seed(seed)
+    # run_episode checks these too, but only after the output directory exists.
+    check_max_steps(args.max_steps)
+    bundle.space.index_of(latent)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         with _writing(out_dir):
@@ -159,6 +163,9 @@ def cmd_compare(args) -> int:
     sweep = [PRESETS[args.preset_a](gamma_max=g) for g in gammas]
     bundle = _load(args)
     latent = args.latent or bundle.latent
+    # Checked here as run_episode would, so that a bad value prints nothing first.
+    check_max_steps(args.max_steps)
+    bundle.space.index_of(latent)
     seeds = list(range(args.seeds))
     if gammas:
         means = []

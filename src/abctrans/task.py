@@ -224,6 +224,22 @@ class CandidateSpace:
             "_positional",
             {cid: _positional_entropy(self, cid) for cid in self.table.chunk_ids},
         )
+        # The admissibility rule's two tables, also built once. Bit i of
+        # _slot_masks[slot - 1][chunk] is set when ordering i puts the chunk
+        # at that slot. _typing_order ranks chunks most informative first:
+        # descending positional entropy, then id.
+        masks = [dict.fromkeys(self.table.chunk_ids, 0) for _ in range(len(layouts[0]))]
+        for i, o in enumerate(self.orderings):
+            for at_slot, cid in zip(masks, o.slots):
+                at_slot[cid] |= 1 << i
+        object.__setattr__(self, "_slot_masks", tuple(masks))
+        object.__setattr__(
+            self, "_typing_order", tuple(sorted(self.table.chunk_ids, key=lambda c: (-self._positional[c], c)))
+        )
+
+    def __reduce__(self):
+        # Rebuild through __init__, so the tables come back built and read-only.
+        return type(self), (self.table, self.orderings, self.prior)
 
     @property
     def n_slots(self) -> int:

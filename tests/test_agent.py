@@ -15,7 +15,6 @@ from abctrans.agent import (
     GAMMA_MIN,
     ZETA_MAX,
     _consistent,
-    _live,
     _next_actions,
     _recompute_working,
     _scored_policies,
@@ -43,15 +42,23 @@ from gentask import generated_space
 from perfbench.workloads import round_trip_problems
 
 
+def rule_input(cognitive, space):
+    """The rule's read, filled and live bitmasks at a decision, from their definitions."""
+    read = sum(1 << p for p, c in enumerate(space.table.source_order) if c in cognitive.read_set)
+    filled = sum(1 << (slot - 1) for slot, _ in cognitive.placed)
+    live = sum(1 << i for i, p in enumerate(cognitive.belief.probs) if p > 0.0)
+    return read, filled, live
+
+
 def dfs_policies(cognitive, space, horizon, cfg, last_was_pause=False):
     """Enumeration's oracle, the recursive depth-first walk it replaced: (actions, ids, truncated)."""
     rows, actions, action_ids = [], [], {}
     order_pos = {c: i for i, c in enumerate(space.table.source_order)}
     truncated = False
 
-    def expand(prefix, read, buffer, live, paused):
+    def expand(prefix, read, filled, live, paused):
         nonlocal truncated
-        acts = _next_actions(space, read, buffer, live, paused)
+        acts = _next_actions(space, read, filled, live, paused)
         if prefix and actions[prefix[-1]].kind == env.FIXATE_SOURCE:
             min_pos = order_pos[actions[prefix[-1]].chunk_id]
             acts = [
@@ -69,17 +76,17 @@ def dfs_policies(cognitive, space, horizon, cfg, last_was_pause=False):
             aid = action_ids.setdefault(id(action), len(actions))
             if aid == len(actions):
                 actions.append(action)
-            nxt_read, nxt_buffer = read, buffer
+            nxt_read, nxt_filled = read, filled
             if action.kind == env.FIXATE_SOURCE:
-                nxt_read = read | {action.chunk_id}
+                nxt_read = read | 1 << order_pos[action.chunk_id]
             elif action.kind == env.TYPE:
-                nxt_buffer = buffer | {action.slot: action.chunk_id}
+                nxt_filled = filled | 1 << (action.slot - 1)
             if len(prefix) + 1 == horizon:
                 rows.append(prefix + [aid])
             else:
-                expand(prefix + [aid], nxt_read, nxt_buffer, survivors, action.kind == env.PAUSE)
+                expand(prefix + [aid], nxt_read, nxt_filled, survivors, action.kind == env.PAUSE)
 
-    expand([], cognitive.read_set, dict(cognitive.placed), _live(cognitive.belief), last_was_pause)
+    expand([], *rule_input(cognitive, space), last_was_pause)
     return actions, np.array(rows, dtype=np.int32).reshape(len(rows), horizon), truncated
 
 
@@ -364,6 +371,42 @@ class TestEnumerationOracle:
         assert (len(policies), policies.truncated) == (4096, True)
         assert {policy[0].kind for policy in policies} == {env.FIXATE_SOURCE}
 
+    def test_every_decision_of_seeded_episodes_on_generated_tasks(self, monkeypatch):
+        # Both presets on two 4x12 tasks at content 0.9, each decision also
+        # enumerated with last_was_pause flipped. The scripted planner
+        # episode revises: it deletes slot 1 and keeps slot 2, so a buffer
+        # with a hole is enumerated.
+        decisions = []
+
+        def checked(cognitive, space, horizon, cfg, last_was_pause=False):
+            decisions.append(cognitive.placed)
+            assert_enumeration_is_the_oracles(cognitive, space, horizon, cfg, not last_was_pause)
+            return assert_enumeration_is_the_oracles(cognitive, space, horizon, cfg, last_was_pause)
+
+        monkeypatch.setattr("abctrans.agent.enumerate_policies", checked)
+        monkeypatch.setattr("abctrans.agent._scored_policies", _scored_policies.__wrapped__)
+        tasks = {s: ReadingEvidenceModel.with_defaults(generated_space(4, 12, s), content=0.9) for s in (1, 2)}
+        for models in tasks.values():
+            for preset in (head_starter_config, large_context_planner_config):
+                for latent, seed in (("G0", 0), ("G5", 1)):
+                    run_episode(preset(), models, latent=latent, seed=seed, max_steps=60)
+        run_episode(large_context_planner_config(), tasks[2], latent="G0", seed=2, cue_script=("G3", "G3"))
+        assert len(decisions) > 20
+        assert any(placed and placed[0][0] > 1 for placed in decisions)
+
+    def test_caps_on_a_generated_opening(self):
+        # The 4x12 opening at horizons 1-5 (9, 61, 344, 1,686 and 7,381
+        # policies), cut at 1 and 7 policies and at one either side of its total.
+        space = generated_space(4, 12, 1)
+        cfg = large_context_planner_config()
+        start = initial_agent_state(space, cfg).cognitive
+        for horizon in range(1, 6):
+            total = len(enumerate_policies(start, space, horizon, dataclasses.replace(cfg, max_policies=10**6)))
+            for cap in (1, 7, total - 1, total + 1):
+                capped = dataclasses.replace(cfg, max_policies=cap)
+                policies = assert_enumeration_is_the_oracles(start, space, horizon, capped)
+                assert (len(policies), policies.truncated) == (min(cap, total), cap < total)
+
     @settings(max_examples=12, derandomize=True, deadline=None)
     @given(
         n=st.integers(2, 4),
@@ -619,14 +662,8 @@ class TestStep:
         rng = np.random.default_rng(0)
         agent, state, _ = step(agent, state, models, cfg, rng)
         cognitive = agent.cognitive
-        live = tuple(i for i, p in enumerate(cognitive.belief.probs) if p > 0.0)
         last_was_pause = agent.behavioral.last_action_kind == env.PAUSE
-        rep = [
-            a
-            for a, _ in _next_actions(
-                space, cognitive.read_set, dict(cognitive.placed), live, last_was_pause
-            )
-        ]
+        rep = [a for a, _ in _next_actions(space, *rule_input(cognitive, space), last_was_pause)]
         assert rep, "an unfinished episode always offers actions"
         assert env.fixate_source(1) not in rep  # already read
         assert env.fixate_source(2) in rep
@@ -634,7 +671,7 @@ class TestStep:
 
     def test_typing_candidates_rank_by_positional_entropy(self, space):
         # chunks 2 and 4 (1.79 bits) precede chunk 1 (0.92 bits); ties by id
-        acts = _next_actions(space, frozenset(), {}, tuple(range(len(space.orderings))), False)
+        acts = _next_actions(space, 0, 0, (1 << len(space.orderings)) - 1, False)
         typed = [a.chunk_id for a, _ in acts if a.kind == env.TYPE]
         assert typed == [2, 4, 1]
 

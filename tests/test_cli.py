@@ -221,6 +221,25 @@ class TestSimulateCommand:
         assert stdout == ""
         assert err.startswith(f"validation error: cannot write {out}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--max-steps", "0", "max_steps must be an int of at least 1, got 0"),
+         ("--latent", "TT9", "no ordering labelled 'TT9'")],
+    )
+    def test_step_budget_and_latent_are_checked_before_the_output_directory(
+        self, option, value, message, tmp_path, capsys, monkeypatch
+    ):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the step budget and latent were validated")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        out = tmp_path / "d"
+        code, stdout, err = run_cli(["simulate", "--preset", "head_starter", option, value, "--out", str(out)], capsys)
+        assert code == EXIT_VALIDATION
+        assert err == f"validation error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_unwritable_trace_file_is_one_line_validation_error(self, tmp_path, capsys):
         blocked = tmp_path / "trace_head_starter_TT3_0.svg"
         blocked.mkdir()
@@ -299,6 +318,24 @@ class TestCompareCommand:
         code, out, err = run_cli(["compare", "--latent", "TT3", "--gamma-sweep", sweep], capsys)
         assert code == EXIT_VALIDATION
         assert err == f"validation error: --gamma-sweep needs two distinct values, got {sweep}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("sweep", [[], ["--gamma-sweep", "1,2"]], ids=["paired", "sweep"])
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--max-steps", "0", "max_steps must be an int of at least 1, got 0"),
+         ("--latent", "TT9", "no ordering labelled 'TT9'")],
+    )
+    def test_step_budget_and_latent_are_checked_before_any_output(
+        self, sweep, option, value, message, capsys, monkeypatch
+    ):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the step budget and latent were validated")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        code, out, err = run_cli(["compare", option, value] + sweep, capsys)
+        assert code == EXIT_VALIDATION
+        assert err == f"validation error: {message}\n"
         assert out == ""
 
     @pytest.mark.parametrize("sweep", ["1,inf", "2,0", "1,nan", "4,-1"])

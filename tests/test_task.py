@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from collections import Counter
@@ -296,6 +297,44 @@ class TestEvidenceModelHash:
         assert b"_hash" not in data
         back = pickle.loads(data)
         assert back == m and back._hash == hash((back.space, back.reliabilities))
+
+
+class TestRuleTables:
+    # The admissibility rule's tables, built with the candidate space.
+    def test_slot_masks_mark_the_orderings_that_put_each_chunk_there(self, space):
+        assert len(space._slot_masks) == space.n_slots
+        for slot, at_slot in enumerate(space._slot_masks, start=1):
+            assert set(at_slot) == space.table.chunk_ids
+            for cid, mask in at_slot.items():
+                assert [mask >> i & 1 for i in range(len(space.orderings))] == list(placement_row(space, cid, slot))
+                assert mask < 1 << len(space.orderings)
+
+    def test_typing_order_ranks_by_descending_positional_entropy_then_id(self, space):
+        ranked = sorted(space.table.chunk_ids, key=lambda c: (-positional_entropy(space, c), c))
+        assert space._typing_order == tuple(ranked)
+
+    def test_tables_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(CandidateSpace)] == ["table", "orderings", "prior"]
+        assert [f.name for f in dataclasses.fields(ReadingEvidenceModel)] == ["space", "reliabilities"]
+
+    def test_equal_spaces_compare_and_hash_equal(self, space):
+        again = build_candidate_space(make_table(), list(ORDERINGS.values()), labels=tuple(ORDERINGS))
+        assert again is not space and again == space and hash(again) == hash(space)
+        assert {space: 1}[again] == 1
+        assert build_candidate_space(make_table(), list(ORDERINGS.values())[:5]) != space
+        a = ReadingEvidenceModel.with_defaults(space, content=0.9)
+        assert ReadingEvidenceModel.with_defaults(again, content=0.9) == a
+
+    def test_pickle_round_trip_rebuilds_the_tables(self, space):
+        back = pickle.loads(pickle.dumps(space))
+        assert back == space and hash(back) == hash(space)
+        assert back._slot_masks == space._slot_masks and back._typing_order == space._typing_order
+        with pytest.raises(ValueError):
+            placement_row(back, 1, 1)[0] = 0.5
+        m = ReadingEvidenceModel.with_defaults(space, content=0.9)
+        again = pickle.loads(pickle.dumps(m))
+        assert again == m and hash(again) == hash(m)
+        assert again.space._slot_masks == space._slot_masks
 
 
 @given(perm=st.permutations([1, 2, 3, 4, 0]))
