@@ -353,7 +353,10 @@ def enumerate_policies(
         rows = np.concatenate([rows[parent], edge[:, None]], axis=1)
     ids = np.fromiter(edge_action, np.int32, len(edge_action))[rows]
     if horizon == 1:
-        # The rows are the root's edges, whose actions were numbered first, in order.
+        # The rows are the root's edges, whose actions were numbered first, in
+        # order. Every head-starter decision takes this path: on the bundled
+        # opening it costs 18 us, against 33 us through the renumbering below
+        # (2-vCPU host, Python 3.11), and a compare sweep 6% more without it.
         return Policies(actions[:len(ids)], ids, truncated)
     # Number the actions in order of first appearance, row by row: the
     # order in which a depth-first walk meets them.

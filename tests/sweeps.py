@@ -1,6 +1,6 @@
 """The livelock sweep and the episode fuzz on generated tasks.
 
-    PYTHONPATH=src python tests/sweeps.py [--fuzz-episodes N] [--fuzz-seed S]
+    PYTHONPATH=src python tests/sweeps.py
 
 The sweep runs the planner preset at content reliability 0.8, 0.9, 0.95
 and 0.99 on the tasks generated_space(n, k, s) for (n, k) in (3, 6),
@@ -8,18 +8,18 @@ and 0.99 on the tasks generated_space(n, k, s) for (n, k) in (3, 6),
 episode seeds 0-2, max_steps=60. That is 216 episodes per reliability, and
 the script prints how many of them end incomplete.
 
-The fuzz runs N episodes (default 5,000), each on a task drawn from
---fuzz-seed: 1-4 content chunks, up to 12 orderings, a reliability per
+The fuzz runs 5,000 episodes, each on a task drawn from a fixed seed:
+1-4 content chunks, up to 12 orderings, a reliability per
 chunk drawn from 0.0, 0.5, 1.0 and uniform [0, 1], either preset, argmax
 or sampled policies, max_steps=60. It prints how many episodes raised and
 how many of each preset's ended at max_steps. Any raise is listed and
-makes the exit code 1.
+makes the exit code 1; the listed task parameters and episode seed
+reproduce it.
 
 pytest does not collect this file. The selection memo is emptied after
 every task, so memory stays flat.
 """
 
-import argparse
 import math
 import random
 import sys
@@ -37,6 +37,8 @@ from gentask import generated_space
 
 SWEEP_CONTENT = (0.8, 0.9, 0.95, 0.99)
 SWEEP_TASKS = ((3, 6), (3, 12), (4, 6), (4, 12))
+FUZZ_EPISODES = 5_000
+FUZZ_SEED = 0
 
 
 def livelock_sweep() -> dict[float, tuple[int, int]]:
@@ -58,11 +60,11 @@ def livelock_sweep() -> dict[float, tuple[int, int]]:
     return counts
 
 
-def fuzz(episodes: int, seed: int) -> tuple[list[str], dict[str, list[int]]]:
+def fuzz() -> tuple[list[str], dict[str, list[int]]]:
     """(one line per episode that raised, preset -> [episodes, ended at max_steps])."""
-    rng = random.Random(seed)
+    rng = random.Random(FUZZ_SEED)
     raised, ends = [], {}
-    for _ in range(episodes):
+    for _ in range(FUZZ_EPISODES):
         n = rng.randint(1, 4)
         k = rng.randint(1, min(12, math.factorial(n + 1)))
         space = generated_space(n, k, rng.randint(1, 1000))
@@ -86,16 +88,12 @@ def fuzz(episodes: int, seed: int) -> tuple[list[str], dict[str, list[int]]]:
     return raised, ends
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fuzz-episodes", type=int, default=5_000)
-    parser.add_argument("--fuzz-seed", type=int, default=0)
-    args = parser.parse_args(argv)
+def main() -> int:
     print("livelock sweep, planner preset, max_steps=60: incomplete episodes per content reliability")
     for content, (incomplete, episodes) in livelock_sweep().items():
         print(f"  content {content}: {incomplete} of {episodes}")
-    raised, ends = fuzz(args.fuzz_episodes, args.fuzz_seed)
-    print(f"fuzz, seed {args.fuzz_seed}: {args.fuzz_episodes} episodes, {len(raised)} raised")
+    raised, ends = fuzz()
+    print(f"fuzz, seed {FUZZ_SEED}: {FUZZ_EPISODES} episodes, {len(raised)} raised")
     for strategy, (runs, at_max) in sorted(ends.items()):
         print(f"  {strategy}: {at_max} of {runs} ended at max_steps")
     for line in raised:
