@@ -269,9 +269,9 @@ def enumerate_policies(
     rule's order, so they come out in depth-first order: two policies are
     ordered by the rule's order at the first action where they differ. A
     policy that completes the translation early is padded with -1 to the
-    horizon. The result is one Policies table, its actions numbered in
-    order of first appearance; it is empty only when the translation is
-    already complete. The first cfg.max_policies rows are kept, and
+    horizon. The result is one Policies table, its actions in the order the
+    state walk met them; it is empty only when the translation is already
+    complete. The first cfg.max_policies rows are kept, and
     truncated says whether the cap cut any: every row in progress ends as
     at least one policy, so each level keeps only its first
     cfg.max_policies rows, which bounds the work when the cap fires.
@@ -351,22 +351,7 @@ def enumerate_policies(
             truncated = True
             parent, edge = parent[:cap], edge[:cap]
         rows = np.concatenate([rows[parent], edge[:, None]], axis=1)
-    ids = np.fromiter(edge_action, np.int32, len(edge_action))[rows]
-    if horizon == 1:
-        # The rows are the root's edges, whose actions were numbered first, in
-        # order. Every head-starter decision takes this path: on the bundled
-        # opening it costs 18 us, against 33 us through the renumbering below
-        # (2-vCPU host, Python 3.11), and a compare sweep 6% more without it.
-        return Policies(actions[:len(ids)], ids, truncated)
-    # Number the actions in order of first appearance, row by row: the
-    # order in which a depth-first walk meets them.
-    cells = ids.ravel()
-    seen = np.full(len(actions) + 1, cells.size)  # each action's first cell; the last entry takes the padding
-    np.minimum.at(seen, cells, np.arange(cells.size))
-    used = np.argsort(seen[:-1])[:np.count_nonzero(seen[:-1] < cells.size)]
-    renumber = np.full(len(actions) + 1, -1, dtype=np.int32)  # the last keeps the padding
-    renumber[used] = np.arange(len(used), dtype=np.int32)
-    return Policies([actions[a] for a in used.tolist()], renumber[ids], truncated)
+    return Policies(actions, np.fromiter(edge_action, np.int32, len(edge_action))[rows], truncated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -707,7 +692,7 @@ def run_episode(
         agent, state, new_events = step(agent, state, models, cfg, rng)
         events.extend(new_events)
     return Trace(
-        events=tuple(events),
+        events=events,
         complete=env.is_complete(state),
         final_target=env.render_target(state),
         seed=seed,

@@ -201,6 +201,11 @@ class Policies:
     Row i of ids holds policy i's action ids, padded with -1 past its end.
     Action tuples are built only when a caller indexes or iterates.
     truncated is true when enumeration's max_policies cut the list.
+    Enumeration lists the actions in the order its state walk met them, and
+    no score depends on which id names which action. Every action of an
+    uncut table is in some row; a cut one may also list actions that only
+    the cut rows used (no bundled decision is cut: the largest has 1,206
+    policies).
     """
 
     __slots__ = ("actions", "ids", "truncated")
@@ -294,12 +299,12 @@ class _Rollout:
         self.prefs, self.zeta = prefs, zeta
         space = models.space
         na = self.n_actions = len(policies.actions)
-        # Per action id: a read's or pause's pragmatic term, the unread cost
-        # paid as a first action, then (padded for the -1 past a policy's
-        # end) table index, placement row, and the small int of the unread
-        # content chunk typed, or -2 less that of the chunk read.
+        # Per action id: a read's or pause's pragmatic term, then (padded for
+        # the -1 past a policy's end) table index, placement row, and the
+        # small int of the unread content chunk typed, or -2 less that of the
+        # chunk read.
         m = na + 1
-        cost, first, rel, row, chunk_of = [-PAUSE_COST] * na, [0.0] * na, [-1] * m, [-1] * m, [-1] * m
+        cost, rel, row, chunk_of = [-PAUSE_COST] * na, [-1] * m, [-1] * m, [-1] * m
         fits, chunks = [], {}
         for aid, action in enumerate(policies.actions):
             kind, chunk = action.kind, action.chunk_id
@@ -313,12 +318,9 @@ class _Rollout:
                 unread = read_chunks is not None and chunk not in read_chunks
                 if unread and space.table.chunk(chunk).kind == CONTENT:
                     chunk_of[aid] = chunks.setdefault(chunk, len(chunks))
-                    first[aid] = prefs.unread_cost
             elif kind != env.PAUSE:
                 raise ValueError(f"unknown action kind {kind!r}")
-        self.unread_typed = any(first)  # whether a first action pays a (nonzero) unread cost
-        costs, columns = np.array(cost + first), np.array(rel + row + chunk_of)
-        self.cost, self.first_cost = costs[:na], costs[na:]
+        self.cost, columns = np.array(cost), np.array(rel + row + chunk_of)
         self.rel, self.row, self.chunk = columns[:m], columns[m:2 * m], columns[2 * m:]
         # Per typed placement and ordering: whether it fits, and its preference.
         self.fits = np.array(fits) if fits else np.empty((0, len(space.orderings)))
@@ -453,18 +455,17 @@ class _Rollout:
 
         One action per policy, a selection by the width of ids alone: these
         small decisions (every head-starter decision, every planner decision
-        after the opening) need only their nodes' terms less each action's
-        first-action unread cost (x - 0.0 is x, -0.0 included), bitwise what
-        the level walk gives. A seed-2626 compare_sweep pass (600 ops from an
-        empty memo, min of 7, on a 2-vCPU Xeon with Python 3.11) takes
-        0.360-0.362 s with this fork and 0.393-0.398 s through the level walk.
+        after the opening) need only their nodes' terms, less the unread
+        cost where an action pays it, bitwise what the level walk gives. A
+        seed-2626 compare_sweep pass (600 ops from an empty memo, min of 7,
+        on a 2-vCPU Xeon with Python 3.11) takes 0.360-0.362 s with this
+        fork and 0.393-0.398 s through the level walk.
         """
         n, width = ids.shape
         if width == 1:
             aids = ids[:, 0].astype(int)  # an int32 index costs a cast in every gather
             epistemic, pragmatic, _ = self.build(np.zeros(n, dtype=int), aids, False)
-            if self.unread_typed:
-                pragmatic -= self.first_cost[aids]
+            pragmatic[self.chunk[aids] >= 0] -= self.prefs.unread_cost
             return epistemic, pragmatic
         na = self.n_actions
         columns = ids.T  # row d: each policy's action d

@@ -55,16 +55,14 @@ def _is_id_list(value) -> bool:
 
 
 def _chunk_id(value, field: str) -> int:  # a float such as 2.7 is rejected, not truncated
-    _float(value, field)  # a non-number is named as one
+    _require(isinstance(value, (int, float, str)), field, f"must be a number, got {value!r}")
     _require(type(value) is int, field, f"must be an integer chunk id, got {value!r}")
     return value
 
 
-def _float(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise TaskFileError(f"field {field!r}: must be a number, got {value!r}") from None
+def _float(value, field: str) -> float:  # a bool or a quoted number is no number
+    _require(type(value) in (int, float), field, f"must be a number, got {value!r}")
+    return float(value)
 
 
 def load_task(path: str | Path) -> TaskBundle:

@@ -91,14 +91,13 @@ class Trace:
         latent: str | None = None,
         prior_entropy: float | None = None,
     ):
-        events = tuple(events)
         columns = event_columns(events)
         _check_order(columns.t_start, columns.t_end)
-        # Frozen, so the fields go straight into the instance dict; so do the
-        # events, which are already built.
+        # Frozen, so the fields go straight into the instance dict; the events
+        # are not kept: ``events`` builds them from the columns when asked.
         vars(self).update(
             columns=columns, complete=complete, final_target=final_target, seed=seed,
-            strategy=strategy, latent=latent, prior_entropy=prior_entropy, events=events,
+            strategy=strategy, latent=latent, prior_entropy=prior_entropy,
         )
 
     @classmethod
@@ -119,7 +118,6 @@ class Trace:
         _check_order(cols.t_start, cols.t_end)
         trace = cls((), *args, **kwargs)
         vars(trace)["columns"] = cols
-        del vars(trace)["events"]
         return trace
 
     @cached_property

@@ -51,51 +51,57 @@ def rule_input(cognitive, space):
 
 
 def dfs_policies(cognitive, space, horizon, cfg, last_was_pause=False):
-    """Enumeration's oracle, the recursive depth-first walk it replaced: (actions, ids, truncated)."""
-    rows, actions, action_ids = [], [], {}
+    """Enumeration's oracle, the recursive depth-first walk it replaced: (rows, truncated).
+
+    Each row holds a policy's actions, padded with None to the horizon.
+    """
+    rows = []
     order_pos = {c: i for i, c in enumerate(space.table.source_order)}
     truncated = False
 
     def expand(prefix, read, filled, live, paused):
         nonlocal truncated
         acts = _next_actions(space, read, filled, live, paused)
-        if prefix and actions[prefix[-1]].kind == env.FIXATE_SOURCE:
-            min_pos = order_pos[actions[prefix[-1]].chunk_id]
+        if prefix and prefix[-1].kind == env.FIXATE_SOURCE:
+            min_pos = order_pos[prefix[-1].chunk_id]
             acts = [
                 (a, survivors) for a, survivors in acts
                 if a.kind != env.FIXATE_SOURCE or order_pos[a.chunk_id] > min_pos
             ]
         if not acts:
             if prefix:
-                rows.append(prefix + [-1] * (horizon - len(prefix)))
+                rows.append(prefix + [None] * (horizon - len(prefix)))
             return
         for action, survivors in acts:
             if len(rows) >= cfg.max_policies:
                 truncated = True
                 return
-            aid = action_ids.setdefault(id(action), len(actions))
-            if aid == len(actions):
-                actions.append(action)
             nxt_read, nxt_filled = read, filled
             if action.kind == env.FIXATE_SOURCE:
                 nxt_read = read | 1 << order_pos[action.chunk_id]
             elif action.kind == env.TYPE:
                 nxt_filled = filled | 1 << (action.slot - 1)
             if len(prefix) + 1 == horizon:
-                rows.append(prefix + [aid])
+                rows.append(prefix + [action])
             else:
-                expand(prefix + [aid], nxt_read, nxt_filled, survivors, action.kind == env.PAUSE)
+                expand(prefix + [action], nxt_read, nxt_filled, survivors, action.kind == env.PAUSE)
 
     expand([], *rule_input(cognitive, space), last_was_pause)
-    return actions, np.array(rows, dtype=np.int32).reshape(len(rows), horizon), truncated
+    return rows, truncated
 
 
 def assert_enumeration_is_the_oracles(cognitive, space, horizon, cfg, last_was_pause=False):
+    # Cell by cell the same action (enumeration shares one Action per
+    # (kind, chunk, slot)) or the -1 pad, whatever ids name the actions.
     policies = enumerate_policies(cognitive, space, horizon, cfg, last_was_pause)
-    actions, ids, truncated = dfs_policies(cognitive, space, horizon, cfg, last_was_pause)
-    assert [id(a) for a in policies.actions] == [id(a) for a in actions]
-    assert policies.ids.dtype == np.int32 and policies.ids.shape == ids.shape
-    assert policies.ids.tolist() == ids.tolist()
+    rows, truncated = dfs_policies(cognitive, space, horizon, cfg, last_was_pause)
+    assert policies.ids.dtype == np.int32 and policies.ids.shape == (len(rows), horizon)
+    actions = [id(a) for a in policies.actions]
+    assert len(set(actions)) == len(actions)
+    cells = [[actions[a] if a >= 0 else None for a in row] for row in policies.ids.tolist()]
+    assert cells == [[None if a is None else id(a) for a in row] for row in rows]
+    if not truncated:  # an uncut table lists only the actions its rows use
+        assert set(policies.ids.ravel().tolist()) - {-1} == set(range(len(actions)))
     assert policies.truncated == truncated
     return policies
 
@@ -339,13 +345,16 @@ class TestEnumerationOracle:
 
     @pytest.mark.parametrize("cap", [1, 2])
     def test_capped_horizon_one_openings(self, space, cap):
-        # One-action openings cut by the cap: the rows, the actions they use
-        # and the flag, for both presets' openings.
+        # One-action openings cut by the cap: the rows and the flag, for both
+        # presets' openings; the table keeps every action the rule lists at
+        # the root, the cut rows' too.
         for preset in (head_starter_config, large_context_planner_config):
             cfg = preset(max_policies=cap)
             start = initial_agent_state(space, cfg).cognitive
             policies = assert_enumeration_is_the_oracles(start, space, 1, cfg)
-            assert (len(policies), len(policies.actions), policies.truncated) == (cap, cap, True)
+            listed = [action for action, _ in _next_actions(space, *rule_input(start, space), False)]
+            assert list(policies.actions) == listed and len(listed) > cap
+            assert (len(policies), policies.truncated) == (cap, True)
 
     def test_every_decision_of_seeded_planner_episodes(self, space, models, monkeypatch):
         decisions = []
@@ -992,6 +1001,49 @@ class TestRunEpisode:
         models99 = ReadingEvidenceModel.with_defaults(space, content=0.99)
         trace = run_episode(large_context_planner_config(), models99, latent=latent, seed=0)
         assert trace.complete
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="livelock (ROADMAP item 2): at content 0.99 the bundled planner episode with latent "
+        "TT1 repeats one (state, step events) pair 37 times in 40 steps",
+    )
+    def test_no_state_and_its_step_repeat_three_times_in_an_episode(self, space):
+        # ROADMAP item 1's property: within one episode, no pair of an agent
+        # state (cognitive and behavioral, before a step) and the (kind,
+        # chunk, slot) of the events that step emits repeats three times.
+        # Affect and the clock never repeat exactly, so they are left out.
+        # Over 1,800 seeded episodes every incomplete one broke it, and all
+        # complete ones but one kept it: the sampling 4x12 planner episode
+        # at content 0.3 below loops through type, delete and pause three
+        # times before sampling gets it out. Item 2's fix must end that
+        # loop too.
+        bundled = ReadingEvidenceModel.with_defaults(space)
+        generated = ReadingEvidenceModel.with_defaults(generated_space(4, 12, 1), content=0.9)
+        cases = [
+            (large_context_planner_config(), ReadingEvidenceModel.with_defaults(space, content=0.99), "TT1", 0, 40),
+            (large_context_planner_config(sample_policies=True),
+             ReadingEvidenceModel.with_defaults(generated_space(4, 12, 2), content=0.3), "G2", 1, 60),
+            (head_starter_config(), bundled, "TT3", 0, 40),
+            (large_context_planner_config(), bundled, "TT5", 3, 40),
+            (head_starter_config(sample_policies=True), generated, "G5", 1, 60),
+            (large_context_planner_config(), generated, "G0", 0, 60),
+        ]
+        broken = []
+        for cfg, models, latent, seed, max_steps in cases:
+            rng = np.random.default_rng(seed)
+            state = env.ExternalState.initial(models.space, latent)
+            agent = initial_agent_state(models.space, cfg)
+            seen = {}
+            for _ in range(max_steps):
+                if env.is_complete(state):
+                    break
+                before = agent.cognitive, agent.behavioral
+                agent, state, events = step(agent, state, models, cfg, rng)
+                pair = before, tuple((e.kind, e.chunk_id, e.slot) for e in events)
+                seen[pair] = seen.get(pair, 0) + 1
+            if max(seen.values()) >= 3:
+                broken.append((cfg.strategy, latent, seed, max(seen.values())))
+        assert broken == []
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(

@@ -908,7 +908,8 @@ class TestBatchedNodes:
 
         branch, (branch_e, branch_p) = walked(policies.ids)
         level, (level_e, level_p) = walked(padded)
-        assert branch.unread_typed and branch.states == 0 and level.states == len(policies)
+        assert any(a.kind == env.TYPE and space.table.chunk(a.chunk_id).kind == "content" for (a,) in policies)
+        assert branch.states == 0 and level.states == len(policies)
         assert bits(branch_e) == bits(level_e)
         assert bits(branch_p) == bits(level_p)
 

@@ -94,6 +94,19 @@ class TestValidation:
         with pytest.raises(TaskFileError, match=re.escape(f"cannot read {path}: ")):
             load_task(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL.format(extra="").replace("orderings:", "orderings: ["), "cannot parse {path}: "),
+            ("- 1\n", "{path}: task file must be a mapping"),
+        ],
+        ids=["yaml syntax", "not a mapping"],
+    )
+    def test_a_file_that_is_no_mapping_is_named(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(TaskFileError, match="^" + re.escape(message.format(path=path))):
+            load_task(path)
+
     def test_bytes_that_are_not_utf8_are_named(self, tmp_path):
         path = tmp_path / "task.yaml"
         path.write_bytes(MINIMAL.format(extra="name: caf\xe9").encode("latin-1"))
@@ -128,12 +141,22 @@ class TestValidation:
              "reliability.overrides", "must be an integer chunk id, got True"),
             ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: {9: 0.9}}",
              "reliability.overrides.9", "names no chunk of the task"),
+            ("target: x}", "target: x, kind: idiom}", "chunks[0]", "unknown chunk kind 'idiom'"),
+            ("source_order: [1, 2]", "source_order: [1, 1]", "source_order",
+             "source_order must be a permutation of the content chunk ids"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {default: '0.9'}",
+             "reliability.default", "must be a number, got '0.9'"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {punctuation: false}",
+             "reliability.punctuation", "must be a number, got False"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: {2: '0.6'}}",
+             "reliability.overrides.2", "must be a number, got '0.6'"),
         ],
         ids=[
             "chunks", "source_order", "new ordering", "nested slot", "chunk id", "source text",
             "overrides", "override value", "default", "fractional chunk id", "float chunk id",
             "boolean chunk id", "text chunk id", "boolean in source_order", "fractional override key",
-            "boolean override key", "override of no chunk",
+            "boolean override key", "override of no chunk", "chunk kind", "source order not a permutation",
+            "text default", "boolean punctuation", "text override value",
         ],
     )
     def test_a_field_of_the_wrong_type_is_named(self, tmp_path, old, new, field, message):

@@ -12,6 +12,13 @@ name a function binds (by assignment, augmented assignment, a ``for`` or
 function nested in it; ``_`` and names the function declares ``nonlocal``
 or ``global`` are exempt.
 
+No state that nothing reads: every instance attribute a method under
+src/abctrans/ sets (``self.x = ...``, or ``object.__setattr__(self, "x",
+...)``) is read as an attribute (``.x``) somewhere in src/ or perfbench/.
+An augmented assignment such as ``self.x += 1`` sets, and does not read.
+Attributes the package keeps with no such reader are listed in
+UNREAD_STATE, each with its reason.
+
 Reachability: every top-level function or class under src/abctrans/ is
 referenced by name, and every non-dunder method of those classes as an
 attribute, somewhere in src/ or perfbench/ outside its own definition. An
@@ -278,3 +285,80 @@ def test_every_definition_is_reached_or_listed():
     found = unreached(package, callers)
     assert found - UNREACHED.keys() == set(), "defined but referenced nowhere in src/ or perfbench/"
     assert UNREACHED.keys() - found == set(), "listed as unreached, but now reached or gone"
+
+
+# Instance attributes that src/ sets and nothing in src/ or perfbench/ reads, and why each stays.
+UNREAD_STATE = {
+    "inference._Rollout.states": "the walk's count of visited states, which tests pin (ROADMAP items 3 and 4)",
+    "inference.Policies.truncated": "whether the cap cut a decision: ROADMAP item 4's log reports it, item 12 deletes it",
+}
+
+
+def set_attributes(module: str, tree: ast.Module) -> dict[str, int]:
+    """Instance attributes the methods of top-level classes set, by qualified name, with a line each."""
+    found = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    t.attr for target in targets for t in ast.walk(target)
+                    if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                    and isinstance(t.value, ast.Name) and t.value.id == "self"
+                ]
+            elif (
+                isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+                and ast.unparse(node.args[0]) == "self" and isinstance(node.args[1], ast.Constant)
+            ):
+                names = [node.args[1].value]
+            else:
+                continue
+            for name in names:
+                found.setdefault(f"{module}.{cls.name}.{name}", node.lineno)
+    return found
+
+
+def unread_state(package: dict[str, ast.Module], callers: list[ast.Module]) -> set[str]:
+    """Qualified names of the instance attributes the package sets and no tree reads as an attribute."""
+    read = {
+        node.attr
+        for tree in [*package.values(), *callers]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        qualified
+        for module, tree in package.items()
+        for qualified in set_attributes(module, tree)
+        if qualified.rsplit(".", 1)[1] not in read
+    }
+
+
+def test_the_state_rule_finds_an_attribute_nothing_reads():
+    # kept is read through another object, counted only by its augmented
+    # assignment, and hidden is set through object.__setattr__; a plain
+    # name kept or a local attribute of another object is no instance state.
+    package = {
+        "m": ast.parse(
+            "class Box:\n"
+            "    def __init__(self, other):\n"
+            "        self.kept, self.unread = 1, 2\n"
+            "        self.count = 0\n"
+            "        other.elsewhere = 3\n"
+            "        object.__setattr__(self, 'hidden', 4)\n"
+            "    def tick(self):\n"
+            "        self.count += 1\n"
+        )
+    }
+    caller = ast.parse("print(box.kept, count, hidden)\n")
+    assert unread_state(package, [caller]) == {"m.Box.unread", "m.Box.count", "m.Box.hidden"}
+
+
+def test_every_attribute_set_is_read_or_listed():
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    callers = [ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "perfbench").glob("*.py")]
+    found = unread_state(package, callers)
+    assert found - UNREAD_STATE.keys() == set(), "set but read nowhere in src/ or perfbench/"
+    assert UNREAD_STATE.keys() - found == set(), "listed as unread, but now read or gone"
