@@ -34,9 +34,8 @@ from .task import (
     Categorical,
     CandidateSpace,
     ReadingEvidenceModel,
-    placement_row,
 )
-from .trace import ProcessEvent, Trace
+from .trace import Trace
 
 HEAD_STARTER = "head_starter"
 LARGE_CONTEXT_PLANNER = "large_context_planner"
@@ -359,8 +358,8 @@ class ScoredDecision:
     """One decision's policies, their EFE split as read-only arrays, and its policy posterior.
 
     The selection memo's value for one (decision, gamma): the posterior is
-    policy_posterior of the totals under that gamma, with its MAP index and
-    its entropy in bits.
+    policy_posterior of the totals under that gamma, with its MAP index, the
+    MAP policy's actions and its entropy in bits.
     """
 
     policies: Policies
@@ -369,6 +368,7 @@ class ScoredDecision:
     totals: np.ndarray
     posterior: Categorical
     map_index: int
+    map_policy: tuple[env.Action, ...]
     posterior_entropy: float
 
 
@@ -379,7 +379,10 @@ class SelectionResult:
 
     @property
     def policy(self) -> tuple[env.Action, ...]:
-        return self.decision.policies[self.choice_index]
+        decision = self.decision
+        if self.choice_index == decision.map_index:
+            return decision.map_policy
+        return decision.policies[self.choice_index]
 
 
 @functools.lru_cache(maxsize=65536)
@@ -414,7 +417,10 @@ def _scored_policies(
         w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=read_set, zeta=zeta,
     )
     posterior = policy_posterior(scores[2], gamma=gamma)
-    return ScoredDecision(policies, *scores, posterior, posterior.map_index, shannon_entropy(posterior))
+    map_index = posterior.map_index
+    return ScoredDecision(
+        policies, *scores, posterior, map_index, policies[map_index], shannon_entropy(posterior)
+    )
 
 
 clear_selection_cache = _scored_policies.cache_clear
@@ -465,41 +471,74 @@ def _action_duration(action: env.Action, state: env.ExternalState) -> float:
     raise ValueError(f"unknown action kind {action.kind!r}")
 
 
-def _consistent(placed: tuple[tuple[int, int], ...], space: CandidateSpace) -> np.ndarray:
-    """Per-ordering indicator: 1.0 where the ordering agrees with every placed slot."""
-    mask = np.ones(len(space.orderings), dtype=float)
+def _consistent(placed: tuple[tuple[int, int], ...], space: CandidateSpace) -> int:
+    """Bitmask of the orderings that agree with every placed slot: bit i for ordering i."""
+    mask = (1 << len(space.orderings)) - 1
     for slot, chunk in placed:
-        mask *= placement_row(space, chunk, slot)
+        mask &= space._slot_masks[slot - 1][chunk]
     return mask
 
 
 def _recompute_working(
     evidence: Categorical,
     placed: tuple[tuple[int, int], ...],
-    consistent: np.ndarray,
+    consistent: int,
 ) -> Categorical:
     """Evidence belief with orderings contradicting any placed slot zeroed out.
 
-    consistent is _consistent(placed, space). Not an observation: both inputs
-    were checked where they entered (the evidence at its cues, placement rows
-    with the task), so the result is not re-checked.
+    consistent is _consistent(placed, space), conditioned on as a likelihood
+    row of 1.0 and 0.0. Not an observation: both inputs were checked where
+    they entered (the evidence at its cues, the bitmasks with the task), so
+    the result is not re-checked.
     """
     if not placed:
         return evidence
-    return Categorical._trusted(tuple(posteriors(evidence.as_array(), consistent[None, :])[0].tolist()))
+    fits = [float(consistent >> i & 1) for i in range(len(evidence))]
+    return Categorical._trusted(tuple(posteriors(evidence.as_array(), np.array([fits]))[0].tolist()))
 
 
-def _evidence_map_index(evidence: Categorical, consistent: np.ndarray) -> int:
+def _evidence_map_index(evidence: Categorical, consistent: int) -> int:
     """Index of the evidence-MAP ordering; exact ties keep the typed buffer.
 
     When several orderings share the maximum evidence mass, an ordering
-    consistent with the current placements (the _consistent mask) wins, so
-    a coin-flip tie never forces a deletion on its own.
+    consistent with the current placements (a bit of the _consistent mask)
+    wins, so a coin-flip tie never forces a deletion on its own.
     """
     probs = evidence.probs
     top = max(probs)
     candidates = [i for i, p in enumerate(probs) if p >= top - 1e-12]
-    return next((i for i in candidates if consistent[i]), candidates[0])
+    return next((i for i in candidates if consistent >> i & 1), candidates[0])
+
+
+def _offending(
+    evidence: Categorical,
+    placed: tuple[tuple[int, int], ...],
+    space: CandidateSpace,
+    consistent: int,
+    forced: bool,
+) -> list[tuple[int, int]]:
+    """The placed (slot, chunk) pairs the revision rule deletes: those the evidence-MAP ordering contradicts.
+
+    consistent is _consistent(placed, space). Reorganization is
+    all-or-nothing: unless the revision is forced, the MAP explanation must
+    outweigh the evidence consistent with every placement it contradicts,
+    otherwise a hedged buffer would be torn apart piecemeal and retyped in
+    a loop.
+    """
+    map_idx = _evidence_map_index(evidence, consistent)
+    map_mass = evidence.probs[map_idx]
+    at_slot = space._slot_masks
+    offending = [(s, c) for s, c in placed if not at_slot[s - 1][c] >> map_idx & 1]
+    if offending and not forced:
+        for s, c in offending:
+            if map_mass <= _consistent_mass(evidence, at_slot[s - 1][c]):
+                return []
+    return offending
+
+
+def _consistent_mass(evidence: Categorical, fits: int) -> float:
+    """The evidence mass on the orderings whose bits fits sets, summed in ordering order."""
+    return sum(p for i, p in enumerate(evidence.probs) if fits >> i & 1)
 
 
 def step(
@@ -508,8 +547,10 @@ def step(
     models: ReadingEvidenceModel,
     cfg: AgentConfig,
     rng: np.random.Generator,
-) -> tuple[AgentState, env.ExternalState, list[ProcessEvent]]:
+) -> tuple[AgentState, env.ExternalState, list[tuple]]:
     """One perception-action cycle; may emit extra pause and revision events.
+
+    Each event is returned as a row of ProcessEvent's fields, in their order.
 
     Order of play: affect broadcasts its precisions, behavior continues or
     reselects a policy, a hesitation pause is injected when the policy
@@ -521,7 +562,7 @@ def step(
     if env.is_complete(state):
         raise ValueError("episode already terminal")
     space = models.space
-    events: list[ProcessEvent] = []
+    events: list[tuple] = []
     clock = agent.clock_ms
     affective = agent.affective
     cognitive = agent.cognitive
@@ -559,13 +600,10 @@ def step(
         return t_start, obs
 
     def record(act, t_start, obs, belief, notes, chunk_id=None) -> None:
-        # ProcessEvent's ten fields in order: keywords would cost 0.4 us more per event.
-        events.append(
-            ProcessEvent(
-                t_start, clock, act.kind, act.chunk_id if chunk_id is None else chunk_id,
-                act.slot, obs.cue, shannon_entropy(belief), affective.gamma, affective.zeta, notes,
-            )
-        )
+        events.append((
+            t_start, clock, act.kind, act.chunk_id if chunk_id is None else chunk_id,
+            act.slot, obs.cue, shannon_entropy(belief), affective.gamma, affective.zeta, notes,
+        ))
 
     if hesitate and action.kind != env.PAUSE and not last_was_pause:
         hesitation = env.pause()
@@ -605,45 +643,32 @@ def step(
     affective = update_affect(affective, obs_surprisal, cfg)
     record(action, t_start, obs, working, annotations)
 
-    # Revision rule: placed slots the evidence-MAP ordering contradicts are
-    # refixated and deleted; retyping follows naturally at the freed slots.
-    # Reorganization is all-or-nothing: the MAP explanation must outweigh the
-    # evidence consistent with every placement it contradicts, otherwise a
-    # hedged buffer would be torn apart piecemeal and retyped in a loop.
-    if placed:
-        map_idx = _evidence_map_index(evidence, consistent)
-        map_mass = evidence.probs[map_idx]
-        offending = [(s, c) for s, c in placed if not placement_row(space, c, s)[map_idx]]
-        if offending and not forced_revision:
-            for s, c in offending:
-                row = placement_row(space, c, s)
-                consistent_mass = sum(p for p, k in zip(evidence.probs, row) if k)
-                if map_mass <= consistent_mass:
-                    offending = []
-                    break
-        if offending:
-            remaining = ()
-            keep = dict(placed)
-            notes = ("revision", "forced") if forced_revision else ("revision",)
-            for slot, chunk in offending:
-                refixation, deletion = env.fixate_target(slot), env.delete(slot)
-                t_start, obs = perform(refixation)
-                record(refixation, t_start, obs, working, ("revision",))
-                t_start, obs = perform(deletion)
-                del keep[slot]
-                kept = tuple(sorted(keep.items()))
-                try:
-                    working = _recompute_working(evidence, kept, _consistent(kept, space))
-                except ContradictionError:
-                    pass  # later deletions in this pass restore consistency
-                record(deletion, t_start, obs, working, notes, chunk_id=chunk)
-            placed = kept
+    # Revision rule: the offending slots are refixated and deleted; retyping
+    # follows naturally at the freed slots.
+    offending = _offending(evidence, placed, space, consistent, forced_revision) if placed else ()
+    if offending:
+        remaining = ()
+        keep = dict(placed)
+        notes = ("revision", "forced") if forced_revision else ("revision",)
+        for slot, chunk in offending:
+            refixation, deletion = env.fixate_target(slot), env.delete(slot)
+            t_start, obs = perform(refixation)
+            record(refixation, t_start, obs, working, ("revision",))
+            t_start, obs = perform(deletion)
+            del keep[slot]
+            kept = tuple(sorted(keep.items()))
+            try:
+                working = _recompute_working(evidence, kept, _consistent(kept, space))
+            except ContradictionError:
+                pass  # later deletions in this pass restore consistency
+            record(deletion, t_start, obs, working, notes, chunk_id=chunk)
+        placed = kept
 
     cognitive = CognitiveState(
         belief=working, evidence_belief=evidence, placed=placed, read_set=read_set
     )
     behavioral = BehavioralState(
-        current_policy=tuple(remaining), last_action_kind=events[-1].kind
+        current_policy=tuple(remaining), last_action_kind=events[-1][2]  # the last event's kind
     )
     agent = AgentState(
         affective=affective, cognitive=cognitive, behavioral=behavioral, clock_ms=clock
@@ -685,14 +710,14 @@ def run_episode(
     state = env.ExternalState.initial(space, latent, cue_script=cue_script)
     agent = initial_agent_state(space, cfg)
     prior_entropy = shannon_entropy(agent.cognitive.belief)
-    events: list[ProcessEvent] = []
+    rows: list[tuple] = []
     for _ in range(max_steps):
         if env.is_complete(state):
             break
-        agent, state, new_events = step(agent, state, models, cfg, rng)
-        events.extend(new_events)
-    return Trace(
-        events=events,
+        agent, state, new_rows = step(agent, state, models, cfg, rng)
+        rows.extend(new_rows)
+    return Trace.from_columns(
+        tuple(zip(*rows)),
         complete=env.is_complete(state),
         final_target=env.render_target(state),
         seed=seed,

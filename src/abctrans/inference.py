@@ -565,7 +565,11 @@ def expected_free_energy(
 
 
 def policy_posterior(totals, gamma: float) -> Categorical:
-    """Softmax over -gamma * EFE totals, shifted by the max for numerical stability."""
+    """Softmax over -gamma * EFE totals, shifted by the max for numerical stability.
+
+    With gamma and the totals checked, a posterior whose total stayed 1 is
+    not re-validated, as in bayes_update.
+    """
     if not 0.0 <= gamma < math.inf:  # NaN fails too
         raise ValueError(f"gamma must be non-negative and finite, got {gamma!r}")
     totals = np.asarray(totals, dtype=float)
@@ -576,7 +580,10 @@ def policy_posterior(totals, gamma: float) -> Categorical:
     scores = -gamma * totals
     scores -= scores.max()
     weights = np.exp(scores)
-    return Categorical(tuple((weights / weights.sum()).tolist()))
+    post = tuple((weights / weights.sum()).tolist())
+    if abs(sum(post) - 1.0) <= 1e-12:  # NaN fails: an overflow to inf - inf
+        return Categorical._trusted(post)
+    return Categorical(post)  # raises Categorical's own message
 
 
 def surprisal(probability: float) -> float:

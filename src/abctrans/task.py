@@ -199,9 +199,12 @@ class CandidateSpace:
             raise TaskError("all orderings must share one slot count")
         for o in self.orderings:
             _check_permutation(o, self.table.chunk_ids)
-        labels = [o.id for o in self.orderings]
+        labels = tuple(o.id for o in self.orderings)
         if len(set(labels)) != len(labels):
-            raise TaskError(f"ordering labels must be unique, got {labels}")
+            raise TaskError(f"ordering labels must be unique, got {list(labels)}")
+        # The labels and each label's index, built once; not fields either.
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
         seen = {}
         for o in self.orderings:
             if o.slots in seen:
@@ -247,13 +250,13 @@ class CandidateSpace:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(o.id for o in self.orderings)
+        return self._labels
 
     def index_of(self, label: str) -> int:
-        for i, o in enumerate(self.orderings):
-            if o.id == label:
-                return i
-        raise TaskError(f"no ordering labelled {label!r}")
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label names no ordering either
+            raise TaskError(f"no ordering labelled {label!r}") from None
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

@@ -60,9 +60,19 @@ def _chunk_id(value, field: str) -> int:  # a float such as 2.7 is rejected, not
     return value
 
 
-def _float(value, field: str) -> float:  # a bool or a quoted number is no number
+def _reliability(value, field: str) -> float:  # a bool or a quoted number is no number
     _require(type(value) in (int, float), field, f"must be a number, got {value!r}")
+    _require(0.0 <= value <= 1.0, field, f"must lie in [0, 1], got {value!r}")  # NaN fails too
     return float(value)
+
+
+def _mapping(raw: dict, key: str, field: str) -> dict:
+    """raw[key], which must be a mapping; an absent or null one is empty."""
+    value = raw.get(key)
+    if value is None:
+        return {}
+    _require(isinstance(value, dict), field, "must be a mapping")
+    return value
 
 
 def load_task(path: str | Path) -> TaskBundle:
@@ -120,29 +130,28 @@ def load_task(path: str | Path) -> TaskBundle:
     except TaskError as exc:
         raise TaskFileError(f"field 'orderings': {exc}")
 
-    rel = raw.get("reliability") or {}
-    _require(isinstance(rel, dict), "reliability", "must be a mapping")
+    rel = _mapping(raw, "reliability", "reliability")
     unknown = set(rel) - _RELIABILITY_FIELDS
     _require(not unknown, "reliability", f"unknown field(s) {sorted(unknown)}")
-    overrides = rel.get("overrides") or {}
-    _require(isinstance(overrides, dict), "reliability.overrides", "must be a mapping")
     overrides = {
-        _chunk_id(k, "reliability.overrides"): _float(v, f"reliability.overrides.{k}")
-        for k, v in overrides.items()
+        _chunk_id(k, "reliability.overrides"): _reliability(v, f"reliability.overrides.{k}")
+        for k, v in _mapping(rel, "overrides", "reliability.overrides").items()
     }
     for chunk_id in overrides:
         _require(chunk_id in table.chunk_ids, f"reliability.overrides.{chunk_id}", "names no chunk of the task")
     evidence = ReadingEvidenceModel.with_defaults(
         space,
-        content=_float(rel.get("default", 0.8), "reliability.default"),
-        punctuation=_float(rel.get("punctuation", 0.5), "reliability.punctuation"),
+        content=_reliability(rel.get("default", 0.8), "reliability.default"),
+        punctuation=_reliability(rel.get("punctuation", 0.5), "reliability.punctuation"),
         overrides=overrides,
     )
 
     latent = str(raw.get("latent", labels[0]))
     _require(latent in labels, "latent", f"must name one of {labels}")
+    name = raw.get("name", path.stem)
+    _require(isinstance(name, str), "name", "must be text")
     return TaskBundle(
-        name=str(raw.get("name", path.stem)),
+        name=name,
         space=space,
         evidence=evidence,
         latent=latent,

@@ -104,10 +104,11 @@ class Trace:
     def from_columns(cls, columns, *args, **kwargs) -> Trace:
         """A trace of the events whose fields the columns hold, in ProcessEvent's field order.
 
-        Fields after the last given column take their defaults. The other
-        arguments are the constructor's, after ``events``.
+        Fields after the last given column take their defaults, and no
+        columns give no events. The other arguments are the constructor's,
+        after ``events``.
         """
-        n = len(columns[0])
+        n = len(columns[0]) if columns else 0
         defaults = ((f.default,) * n for f in _FIELDS[len(columns):])
         cols = EventColumns(*map(tuple, columns), *defaults)
         if len(set(map(len, cols))) > 1:

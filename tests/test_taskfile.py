@@ -83,6 +83,11 @@ class TestValidation:
         assert dict(bundle.evidence.reliabilities)[1] == 0.9
         assert dict(bundle.evidence.reliabilities)[2] == 0.6
 
+    @pytest.mark.parametrize("extra", ["reliability: null", "reliability: {overrides: null}", ""])
+    def test_an_absent_or_null_reliability_keeps_the_defaults(self, tmp_path, extra):
+        bundle = load_task(write(tmp_path, MINIMAL.format(extra=extra)))
+        assert bundle.evidence.reliabilities == ((1, 0.8), (2, 0.8))
+
     def test_unknown_reliability_field_rejected(self, tmp_path):
         extra = "reliability: {default: 0.9, fuzz: 1}"
         with pytest.raises(TaskFileError, match="fuzz"):
@@ -150,6 +155,22 @@ class TestValidation:
              "reliability.punctuation", "must be a number, got False"),
             ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: {2: '0.6'}}",
              "reliability.overrides.2", "must be a number, got '0.6'"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: 0", "reliability", "must be a mapping"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: []", "reliability", "must be a mapping"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: false", "reliability",
+             "must be a mapping"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: ''", "reliability", "must be a mapping"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: 0}",
+             "reliability.overrides", "must be a mapping"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {default: 1.5}",
+             "reliability.default", "must lie in [0, 1], got 1.5"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {default: .nan}",
+             "reliability.default", "must lie in [0, 1], got nan"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {punctuation: -1}",
+             "reliability.punctuation", "must lie in [0, 1], got -1"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nreliability: {overrides: {1: -0.1}}",
+             "reliability.overrides.1", "must lie in [0, 1], got -0.1"),
+            ("source_order: [1, 2]", "source_order: [1, 2]\nname: [1]", "name", "must be text"),
         ],
         ids=[
             "chunks", "source_order", "new ordering", "nested slot", "chunk id", "source text",
@@ -157,6 +178,9 @@ class TestValidation:
             "boolean chunk id", "text chunk id", "boolean in source_order", "fractional override key",
             "boolean override key", "override of no chunk", "chunk kind", "source order not a permutation",
             "text default", "boolean punctuation", "text override value",
+            "zero reliability", "list reliability", "false reliability", "empty text reliability",
+            "zero overrides", "default above 1", "NaN default", "negative punctuation",
+            "negative override", "list name",
         ],
     )
     def test_a_field_of_the_wrong_type_is_named(self, tmp_path, old, new, field, message):

@@ -213,6 +213,11 @@ class TestFromColumns:
         )
         assert trace.columns.annotations == ((), ()) and trace.columns.gamma == (None, None)
 
+    def test_no_columns_give_no_events(self):
+        # run_episode passes none when a task of no slots is complete at once
+        trace = Trace.from_columns((), seed=0)
+        assert trace == Trace(events=(), seed=0) and trace.events == ()
+
     @pytest.mark.parametrize(
         "columns, message",
         [
