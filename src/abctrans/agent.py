@@ -112,6 +112,9 @@ class AgentConfig:
     prefs: PreferenceVector = PreferenceVector()
 
     def __post_init__(self):
+        if self.strategy not in (CUSTOM, HEAD_STARTER, LARGE_CONTEXT_PLANNER):  # a typo would skip the preset checks
+            raise ValueError(f"strategy must be {CUSTOM!r}, {HEAD_STARTER!r} or {LARGE_CONTEXT_PLANNER!r}, "
+                             f"got {self.strategy!r}")
         # type(...) is int: a bool is no count
         if not (self.horizon is None or type(self.horizon) is int and self.horizon >= 1):
             raise ValueError(f"horizon must be None or an int of at least 1, got {self.horizon!r}")

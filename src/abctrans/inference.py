@@ -6,12 +6,13 @@ preferred ordering; typing yields placement feedback that is fully determined
 by the action itself, so it contributes commitment (belief restriction during
 rollout) but no expected information gain. The pragmatic term scores a typed
 placement by the PreferenceVector, a read by -READ_COST and a pause by
--PAUSE_COST; the rollout's node is the one place that computes it.
+-PAUSE_COST.
 
 score_policies, the one scoring entry point, gives the epistemic, pragmatic
 and total EFE of a decision's policies, rows of action ids (a Policies
-table), as three read-only arrays. It walks all policies in one pass, level
-by level, over distinct states. A state is a belief plus a policy's
+table), as three read-only arrays. Policies one action long are scored
+action by action, with no state tables. Longer ones are walked in one pass,
+level by level, over distinct states. A state is a belief plus a policy's
 remaining actions and which of them pay the unread cost; policies that reach
 one state share its value, as EFE is a recursion over (belief, remaining
 plan). Each level builds the (belief, action) nodes its states need as
@@ -452,21 +453,8 @@ class _Rollout:
         opening measured, all calls but one of a generated 5x12 horizon-5
         opening) and sorts others; each key gets its rank among the
         distinct keys, so the arrays are equal.
-
-        One action per policy, a selection by the width of ids alone: these
-        small decisions (every head-starter decision, every planner decision
-        after the opening) need only their nodes' terms, less the unread
-        cost where an action pays it, bitwise what the level walk gives. A
-        seed-2626 compare_sweep pass (600 ops from an empty memo, min of 7,
-        on a 2-vCPU Xeon with Python 3.11) takes 0.360-0.362 s with this
-        fork and 0.393-0.398 s through the level walk.
         """
         n, width = ids.shape
-        if width == 1:
-            aids = ids[:, 0].astype(int)  # an int32 index costs a cast in every gather
-            epistemic, pragmatic, _ = self.build(np.zeros(n, dtype=int), aids, False)
-            pragmatic[self.chunk[aids] >= 0] -= self.prefs.unread_cost
-            return epistemic, pragmatic
         na = self.n_actions
         columns = ids.T  # row d: each policy's action d
         pays = self.unread(columns)
@@ -519,6 +507,60 @@ class _Rollout:
         return epistemic[up], pragmatic[up]
 
 
+def _one_action_terms(models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float,
+                      policies: Policies, read_chunks, belief: Categorical) -> tuple:
+    """(epistemic, pragmatic) arrays of policies one action long: each row's one node, no level walk.
+
+    A one-step policy's EFE is its action's two terms, with no recursion
+    over later beliefs, so these decisions (every head-starter decision,
+    every planner decision after the opening) need none of the walk's
+    tables. The rows are walked, not the actions: a table the cap cut may
+    list actions no row uses. A placement sums p * factor over the belief,
+    left to right from 0.0, skipping each p == 0, where _typed_values adds
+    -0.0 and so leaves the sum as it was; it pays the unread cost if it
+    types an unread content chunk. A pause scores -PAUSE_COST and a read
+    -READ_COST, its gain from one _read_branches call over the root belief
+    stacked once per distinct table, in the order the rows meet them.
+    Every value is bitwise what the level walk gives.
+
+    On the 855 one-action selection-memo misses of a seed-2626
+    compare_sweep pass (tests/layer_times.py, min of 7, three processes,
+    on a 2-vCPU Xeon with Python 3.11 and numpy 2.4.6), score_policies
+    takes 10.5-11.0 us per decision here against 27.9-29.3 us through a
+    rollout, and the whole miss 40.0-41.0 us against 63.9-64.9 us. The
+    rollout's own width-1 branch, which this replaces, had taken a whole
+    pass from 0.393-0.398 s to 0.360-0.362 s.
+    """
+    space, probs = models.space, belief.probs
+    bonus, penalty = prefs.progress_bonus, prefs.inconsistency_penalty
+    rows = policies.ids[:, 0].tolist()
+    epistemic, pragmatic = [0.0] * len(rows), [-PAUSE_COST] * len(rows)
+    reads: dict = {}  # table index -> the rows that read through it
+    for i, aid in enumerate(rows):
+        action = policies.actions[aid]
+        kind, chunk = action.kind, action.chunk_id
+        if kind == env.TYPE:
+            value = 0.0
+            for p, fit in zip(probs, placement_row(space, chunk, action.slot).tolist()):
+                if p:
+                    value += p * (bonus if fit > 0.0 else penalty)
+            if read_chunks is not None and chunk not in read_chunks and space.table.chunk(chunk).kind == CONTENT:
+                value -= prefs.unread_cost
+            pragmatic[i] = value
+        elif kind == env.FIXATE_SOURCE:
+            pragmatic[i] = -READ_COST
+            reads.setdefault(models.table_of[chunk], []).append(i)
+        elif kind != env.PAUSE:
+            raise ValueError(f"unknown action kind {kind!r}")
+    if reads:
+        beliefs = np.array([probs] * len(reads)) + 0.0
+        gains, _, _, _ = _read_branches(beliefs, models.tables.take(list(reads), axis=0), zeta)
+        for gain, readers in zip(gains.tolist(), reads.values()):
+            for i in readers:
+                epistemic[i] = gain
+    return np.array(epistemic), np.array(pragmatic)
+
+
 def score_policies(
     belief: Categorical,
     policies,
@@ -534,7 +576,8 @@ def score_policies(
     policies is a Policies or any sequence of action sequences. Each
     policy's belief is rolled forward through every predicted observation
     branch: reads branch over cues, typed placements restrict the belief to
-    consistent orderings. All policies share one walk over distinct
+    consistent orderings. Policies one action long are scored node by
+    node (see _one_action_terms); longer ones share one walk over distinct
     states (see _Rollout.walk), dropped on return. read_chunks marks source chunks already
     fixated before the policies start (defaults to all, so unread costs
     never apply). The totals are -(w_e * epistemic) - (w_p * pragmatic).
@@ -542,7 +585,11 @@ def score_policies(
     if not 0.0 < zeta < math.inf:  # NaN fails too
         raise ValueError(f"zeta must be positive and finite, got {zeta!r}")
     policies = Policies.of(policies)
-    epistemic, pragmatic = _Rollout(models, prefs, zeta, policies, read_chunks, belief).walk(policies.ids)
+    args = models, prefs, zeta, policies, read_chunks, belief
+    if policies.ids.shape[1] == 1:
+        epistemic, pragmatic = _one_action_terms(*args)
+    else:
+        epistemic, pragmatic = _Rollout(*args).walk(policies.ids)
     totals = -(w_e * epistemic) - (w_p * pragmatic)
     for column in (epistemic, pragmatic, totals):
         column.flags.writeable = False

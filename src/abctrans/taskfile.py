@@ -93,6 +93,7 @@ def load_task(path: str | Path) -> TaskBundle:
     for field in ("chunks", "source_order", "orderings"):
         _require(field in raw, field, "required")
     _require(isinstance(raw["chunks"], list), "chunks", "must be a list")
+    _require(raw["chunks"], "chunks", "must list at least one chunk")  # else nothing is left to translate
     _require(_is_id_list(raw["source_order"]), "source_order", "must be a list of chunk ids")
 
     chunks = []

@@ -169,6 +169,15 @@ class TestSimulateCommand:
         assert err == "validation error: seed must be a non-negative int, got -1\n"
         assert out == ""
 
+    def test_task_with_nothing_to_translate_is_one_line_validation_error(self, tmp_path, capsys):
+        # It loaded, and simulate printed a complete 0 ms episode with no events.
+        task = tmp_path / "empty.yaml"
+        task.write_text("schema: 1\nchunks: []\nsource_order: []\norderings: {A: []}\n", encoding="utf-8")
+        code, out, err = run_cli(["simulate", "--preset", "head_starter", "--task", str(task)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "validation error: field 'chunks': must list at least one chunk\n"
+
     def test_exhausted_step_budget_is_incomplete_exit(self, capsys):
         code, _, _ = run_cli(
             ["simulate", "--preset", "large_context_planner", "--seed", "0",

@@ -12,10 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from abctrans import environment as env, inference
 from abctrans.agent import (
     CognitiveState,
+    _scored_policies,
     enumerate_policies,
     head_starter_config,
     initial_agent_state,
     large_context_planner_config,
+    run_episode,
 )
 from abctrans.inference import (
     ContradictionError,
@@ -889,10 +891,9 @@ class TestBatchedNodes:
     @pytest.mark.parametrize("generated", [False, True], ids=["bundled", "5x6"])
     @pytest.mark.parametrize("zeta", [1.0, 1.15])
     def test_one_action_branch_equals_the_level_walk(self, space, generated, zeta):
-        # A one-action decision scored by walk's own branch is bitwise what
-        # the level walk gives the same rows padded with a -1 column, and it
-        # visits no state of the level walk. Nothing has been read, so every
-        # content placement pays the unread cost.
+        # A one-action decision scored node by node is bitwise what the
+        # level walk gives the same rows padded with a -1 column. Nothing
+        # has been read, so every content placement pays the unread cost.
         if generated:
             space = generated_space(5, 6, 1)
         models = ReadingEvidenceModel.with_defaults(space)
@@ -900,18 +901,88 @@ class TestBatchedNodes:
         start = initial_agent_state(space, cfg).cognitive
         policies = enumerate_policies(start, space, 1, cfg)
         assert policies.ids.shape[1] == 1 and len(policies) > 5
-        padded = np.pad(policies.ids, ((0, 0), (0, 1)), constant_values=-1)
-
-        def walked(ids):
-            rollout = inference._Rollout(models, cfg.prefs, zeta, policies, frozenset(), space.prior)
-            return rollout, rollout.walk(ids)
-
-        branch, (branch_e, branch_p) = walked(policies.ids)
-        level, (level_e, level_p) = walked(padded)
         assert any(a.kind == env.TYPE and space.table.chunk(a.chunk_id).kind == "content" for (a,) in policies)
-        assert branch.states == 0 and level.states == len(policies)
-        assert bits(branch_e) == bits(level_e)
-        assert bits(branch_p) == bits(level_p)
+        assert_one_action_walk_equal(space.prior, policies, models, cfg.prefs, frozenset(), zeta)
+
+
+def one_action_decisions(models):
+    """(belief, policies, read_chunks) of every one-action decision of four seeded episodes.
+
+    A head-starter and a planner episode on each of two latents, with the
+    selection memo bypassed, so every decision is met whatever ran before.
+    """
+    decisions = []
+
+    def scored(models, cfg, belief, placed, read_set, *rest):
+        decision = _scored_policies.__wrapped__(models, cfg, belief, placed, read_set, *rest)
+        if decision.policies.ids.shape[1] == 1:
+            decisions.append((belief, decision.policies, read_set))
+        return decision
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("abctrans.agent._scored_policies", scored)
+        for cfg in (head_starter_config(), large_context_planner_config()):
+            for latent, seed in ((models.space.labels[-1], 0), (models.space.labels[1], 1)):
+                run_episode(cfg, models, latent=latent, seed=seed)
+    return decisions
+
+
+def assert_one_action_walk_equal(belief, policies, models, prefs, read_chunks, zeta):
+    """score_policies on a one-action table is bitwise the level walk of its rows padded with a -1 column."""
+    epistemic, pragmatic, _ = score_policies(belief, policies, models, prefs, read_chunks=read_chunks, zeta=zeta)
+    padded = np.pad(policies.ids, ((0, 0), (0, 1)), constant_values=-1)
+    level = inference._Rollout(models, prefs, zeta, policies, read_chunks, belief)
+    level_e, level_p = level.walk(padded)
+    assert level.states == len(policies)
+    assert bits(epistemic) == bits(level_e)
+    assert bits(pragmatic) == bits(level_p)
+
+
+class TestOneActionScorer:
+    # Every one-action decision of seeded episodes, scored without the
+    # level walk, is bitwise what the walk gives. Its beliefs hold zeros
+    # after typed restrictions; reliabilities 0.0, 0.5 and 1.0 (and the
+    # comma's 0.5) put one decision's reads through two tables.
+    @pytest.mark.parametrize("task", [None, (3, 6), (4, 12), (3, 24)], ids=["bundled", "3x6", "4x12", "3x24"])
+    def test_seeded_decisions_equal_the_level_walk(self, space, task):
+        if task:
+            space = generated_space(*task, 1)
+        models = ReadingEvidenceModel.with_defaults(space, content=1.0, overrides={1: 0.0, 2: 0.5})
+        decisions = one_action_decisions(models)
+        assert any(0.0 in belief.probs for belief, _, _ in decisions)
+        assert any(
+            len({models.table_of[a.chunk_id] for (a,) in policies if a.kind == env.FIXATE_SOURCE}) >= 2
+            for _, policies, _ in decisions
+        )
+        partial = frozenset(space.table.source_order[:1])
+        for prefs in (head_starter_config().prefs, large_context_planner_config().prefs):
+            for zeta in (1.0, 1.15):
+                for belief, policies, read_set in decisions:
+                    for read_chunks in (read_set, None, frozenset(), partial):
+                        assert_one_action_walk_equal(belief, policies, models, prefs, read_chunks, zeta)
+
+    def test_a_cut_table_scores_its_rows_alone(self, space, models):
+        # The cap keeps the first rows, but the table lists every action the
+        # rule gave, so some action is in no row.
+        cfg = head_starter_config(max_policies=6)
+        policies = enumerate_policies(initial_agent_state(space, cfg).cognitive, space, 1, cfg)
+        assert policies.truncated and set(policies.ids[:, 0].tolist()) < set(range(len(policies.actions)))
+        assert any(a.kind == env.TYPE for (a,) in policies)
+        for read_chunks in (None, frozenset()):
+            assert_one_action_walk_equal(space.prior, policies, models, cfg.prefs, read_chunks, 1.0)
+
+    def test_only_wider_tables_build_a_rollout(self, space, models, monkeypatch):
+        class Refused(inference._Rollout):
+            def __init__(self, *args):
+                raise AssertionError("a rollout was built")
+
+        monkeypatch.setattr(inference, "_Rollout", Refused)
+        cfg = head_starter_config()
+        start = initial_agent_state(space, cfg).cognitive
+        one = enumerate_policies(start, space, 1, cfg)
+        assert len(score_policies(space.prior, one, models, cfg.prefs)[2]) == len(one)
+        with pytest.raises(AssertionError, match="a rollout was built"):
+            score_policies(space.prior, enumerate_policies(start, space, 2, cfg), models, cfg.prefs)
 
 
 class TestPolicyPosterior:

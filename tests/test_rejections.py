@@ -38,6 +38,14 @@ CASES = {
         lambda space, models: agent.large_context_planner_config(horizon=2),
         ValueError, "planner preset requires w_e > w_p and a dynamic horizon",
     ),
+    "misspelt strategy": (
+        lambda space, models: agent.AgentConfig(strategy="head-starter", w_e=8.0, w_p=0.25, horizon=None),
+        ValueError, "strategy must be 'custom', 'head_starter' or 'large_context_planner', got 'head-starter'",
+    ),
+    "strategy of no name": (
+        lambda space, models: agent.AgentConfig(strategy=3),
+        ValueError, "strategy must be 'custom', 'head_starter' or 'large_context_planner', got 3",
+    ),
     "enumeration horizon": (
         lambda space, models: agent.enumerate_policies(
             agent.initial_agent_state(space, agent.AgentConfig()).cognitive, space, 0, agent.AgentConfig()

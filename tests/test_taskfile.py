@@ -45,6 +45,12 @@ class TestValidation:
         assert bundle.space.labels == ("A", "B")
         assert bundle.latent == "A"
 
+    def test_punctuation_only_file_loads(self, tmp_path):
+        # One slot to fill: only a table with no chunk at all is rejected.
+        text = "schema: 1\nchunks:\n  - {id: 0, target: ',', kind: punctuation}\nsource_order: []\norderings: {A: [0]}\n"
+        bundle = load_task(write(tmp_path, text))
+        assert [o.slots for o in bundle.space.orderings] == [(0,)]
+
     def test_unknown_top_level_field_rejected(self, tmp_path):
         path = write(tmp_path, MINIMAL.format(extra="surprise: 1"))
         with pytest.raises(TaskFileError, match="surprise"):
@@ -124,6 +130,8 @@ class TestValidation:
         [
             ("chunks:\n  - {id: 1, source: a, target: x}\n  - {id: 2, source: b, target: y}\n",
              "chunks: 5\n", "chunks", "must be a list"),
+            ("chunks:\n  - {id: 1, source: a, target: x}\n  - {id: 2, source: b, target: y}\n",
+             "chunks: []\n", "chunks", "must list at least one chunk"),
             ("source_order: [1, 2]", "source_order: 5", "source_order", "must be a list of chunk ids"),
             ("B: [2, 1]", "B: [2, 1]\n  TTX: 3", "orderings.TTX", "must be a list of chunk ids"),
             ("A: [1, 2]", "A: [[1], 2]", "orderings.A", "must be a list of chunk ids"),
@@ -173,7 +181,7 @@ class TestValidation:
             ("source_order: [1, 2]", "source_order: [1, 2]\nname: [1]", "name", "must be text"),
         ],
         ids=[
-            "chunks", "source_order", "new ordering", "nested slot", "chunk id", "source text",
+            "chunks", "no chunks", "source_order", "new ordering", "nested slot", "chunk id", "source text",
             "overrides", "override value", "default", "fractional chunk id", "float chunk id",
             "boolean chunk id", "text chunk id", "boolean in source_order", "fractional override key",
             "boolean override key", "override of no chunk", "chunk kind", "source order not a permutation",
