@@ -23,9 +23,9 @@ from .inference import (
     Policies,
     PreferenceVector,
     bayes_update,
+    condition_row,
     expected_free_energy,  # unused here; perfbench/run.py wraps agent.expected_free_energy
     policy_posterior,
-    posteriors,
     score_policies,
     shannon_entropy,
     surprisal as surprisal_bits,
@@ -497,7 +497,7 @@ def _recompute_working(
     if not placed:
         return evidence
     fits = [float(consistent >> i & 1) for i in range(len(evidence))]
-    return Categorical._trusted(tuple(posteriors(evidence.as_array(), np.array([fits]))[0].tolist()))
+    return Categorical._trusted(condition_row(evidence.probs, fits))
 
 
 def _evidence_map_index(evidence: Categorical, consistent: int) -> int:

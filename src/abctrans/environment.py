@@ -117,7 +117,8 @@ def apply_action(
     the target buffer and the cue script cursor move. An unscripted cue is
     drawn from the evidence model's stored cue CDF with one rng.random():
     the same label, and the same generator state after, as
-    labels[rng.choice(len(d), p=d)] over d = cue_distribution.
+    labels[rng.choice(len(d), p=d)] over d, the latent's column of the chunk's
+    likelihood_table.
     """
     slot = action.slot
     if action.kind in (TYPE, DELETE, FIXATE_TARGET) and not 1 <= slot <= len(state.buffer):

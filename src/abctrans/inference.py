@@ -20,9 +20,10 @@ arrays in one batch, bitwise what building them one at a time gives (see
 the helpers below), and a state that goes on has one child per cue branch
 of a read or per typed restriction. Each state sums its node's terms and
 its children's in the order and rounding of scoring one policy alone, so
-totals are bitwise equal either way. posteriors is the one conditioning
-rule, over a 2-D likelihood with one row per observation; bayes_update is
-its one-row case.
+totals are bitwise equal either way. posteriors conditions a stack of
+beliefs at once, for the rollout; condition_row conditions one belief on one
+row in plain floats, for the step, and gives bitwise what posteriors gives
+for that row; bayes_update is condition_row behind an observation's checks.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .task import (
 )
 
 PROB_FLOOR = 1e-300
+PW_BLOCKSIZE = 128  # numpy's pairwise-sum block: longer rows are summed by recursion
 
 # Fixed action costs of the pragmatic term.
 READ_COST = 0.0
@@ -95,10 +97,11 @@ def shannon_entropy(dist: Categorical) -> float:
 def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) -> np.ndarray:
     """One posterior per likelihood row: prior * row**zeta, each row normalised.
 
-    The one conditioning rule, for non-negative 2-D likelihoods; zeta = 1 is
+    The conditioning rule for non-negative 2-D likelihoods; zeta = 1 is
     exact Bayes. Raises ContradictionError when some row leaves no mass,
     rather than silently renormalizing an impossible observation. No rows
-    give no posteriors. zeta is unchecked here: its callers check it.
+    give no posteriors. zeta is unchecked here: its callers check it. One
+    belief on one row is condition_row's, bitwise the same.
     """
     weighted = prior * np.power(likelihoods, zeta)
     totals = weighted.sum(axis=1, keepdims=True)
@@ -107,11 +110,42 @@ def posteriors(prior: np.ndarray, likelihoods: np.ndarray, zeta: float = 1.0) ->
     return weighted / totals
 
 
+def condition_row(prior, weights) -> tuple[float, ...]:
+    """prior * weights normalised, in plain floats: posteriors(prior, [weights])[0], bit for bit.
+
+    For one belief and one row, where numpy's fixed cost per call outweighs
+    the arithmetic. Products and quotients round alike either way; the total
+    is summed in numpy's pairwise order, since the order of a sum changes its
+    value (Goldberg 1991). Below 8 entries that is left to right from 0.0;
+    up to PW_BLOCKSIZE, entry i goes to running sum i % 8, the eight are
+    folded as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the entries past the
+    last multiple of 8 are added after. Longer rows go to posteriors.
+    Raises posteriors' ContradictionError when no mass is left.
+    """
+    weighted = [p * w for p, w in zip(prior, weights)]
+    n = len(weighted)
+    if n > PW_BLOCKSIZE:
+        return tuple(posteriors(np.array(prior), np.array([weights]))[0].tolist())
+    total, end = 0.0, 0
+    if n >= 8:
+        r = weighted[:8]
+        end = n - n % 8
+        for i in range(8, end):
+            r[i % 8] += weighted[i]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in weighted[end:]:
+        total += x
+    if not total > PROB_FLOOR:
+        raise ContradictionError("observation impossible under the current belief")
+    return tuple(x / total for x in weighted)
+
+
 def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categorical:
-    """Posterior proportional to prior * likelihood**zeta: posteriors for one row.
+    """Posterior proportional to prior * likelihood**zeta: condition_row on the powered row.
 
     The checked entry for an observation: with the prior, zeta and the row
-    checked, a posterior whose total stayed finite is not re-validated.
+    checked, a posterior whose total stayed finite is not re-validated. The
+    power stays numpy's, whose bits ** does not always give.
     """
     if not 0.0 < zeta < math.inf:  # NaN fails too
         raise ValueError(f"zeta must be positive and finite, got {zeta!r}")
@@ -120,7 +154,7 @@ def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categori
         raise ValueError("one likelihood per option required")
     if not (lks >= 0.0).all():  # NaN fails too
         raise ValueError("likelihoods must be non-negative")
-    post = tuple(posteriors(prior.as_array(), lks[None, :], zeta)[0].tolist())
+    post = condition_row(prior.probs, np.power(lks, zeta).tolist())
     if abs(sum(post) - 1.0) <= 1e-12:  # NaN fails: an infinite row or overflow
         return Categorical._trusted(post)
     return Categorical(post)  # raises Categorical's own message

@@ -419,12 +419,8 @@ class ReadingEvidenceModel:
         """P(cue | ordering) for reading one chunk, one row per cue label (read-only)."""
         return self.tables[self._table_index(chunk_id)]
 
-    def cue_distribution(self, chunk_id: int, true_label: str) -> np.ndarray:
-        """P(cue | true ordering) over cue labels, for reading one chunk (read-only)."""
-        return self.likelihood_table(chunk_id)[:, self.space.index_of(true_label)]
-
     def cue_cdf(self, chunk_id: int, true_label: str) -> list[float]:
-        """CDF of cue_distribution, as Generator.choice computes it, over cue labels."""
+        """CDF of P(cue | true ordering) over cue labels, as Generator.choice computes it."""
         return self._cue_cdf[self._table_index(chunk_id)][self.space.index_of(true_label)]
 
     def _table_index(self, chunk_id: int) -> int:

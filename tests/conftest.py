@@ -64,6 +64,15 @@ def render_of(space, label: str) -> str:
     return "".join(space.table.chunk(c).target_text for c in ordering.slots)
 
 
+def cue_distribution(models: ReadingEvidenceModel, chunk_id: int, true_label: str):
+    """P(cue | true ordering) over cue labels, for reading one chunk (read-only).
+
+    The cue-sampling oracle: the column of the chunk's likelihood table that
+    environment.apply_action draws a cue from, through models.cue_cdf.
+    """
+    return models.likelihood_table(chunk_id)[:, models.space.index_of(true_label)]
+
+
 def point_mass(n: int, index: int) -> Categorical:
     """A belief with all its mass on one ordering."""
     probs = [0.0] * n

@@ -1,4 +1,4 @@
-"""Min-of-N in-process times of the EFE layers that ROADMAP's baseline quotes.
+"""Min-of-N in-process times of the EFE and step-loop layers that ROADMAP's baseline quotes.
 
     PYTHONPATH=src python tests/layer_times.py [--repeat N]
 
@@ -6,13 +6,16 @@ It runs one paired compare sweep on the bundled task from an empty
 selection memo: for each of the six latents and each episode seed
 262,600,000-262,600,099, a head-starter episode then a planner episode
 (the first pass of the seed-2626 compare_sweep workload). It records the
-arguments of every selection-memo miss, then times, min of N repeats:
+arguments of every selection-memo miss and of every call the step makes to
+agent._recompute_working (the working-belief rebuild) and agent.bayes_update
+(the cue update) that returns, then times, min of N repeats:
 
 - the cold planner opening (the one miss whose policies are more than one
   action long): enumerate_policies and score_policies, in ms;
 - the one-action misses: the whole miss (the memoised function's body:
   enumeration, scoring, posterior) and score_policies alone, in us per
   decision;
+- the step's working-belief rebuilds and cue updates, in us per call;
 - the whole sweep's episodes from an empty memo, in ms.
 
 Each figure is the fastest repeat's total over its decisions. pytest does
@@ -49,21 +52,44 @@ def sweep(models) -> None:
                 run_episode(cfg, models, latent=latent, seed=seed)
 
 
-def recorded_misses(models) -> list[tuple]:
-    """The argument tuples of every selection-memo miss of the sweep, in the order met."""
-    misses, memoised = [], agent._scored_policies
+STEP_LAYERS = ("_recompute_working", "bayes_update")
+
+
+def recorded_calls(models) -> dict[str, list]:
+    """The sweep's selection-memo misses and step-layer calls, in the order met.
+
+    "misses" holds each miss's argument tuple; each name in STEP_LAYERS
+    holds its calls as zero-argument partials of the layer. A step-layer
+    call that raised is not kept.
+    """
+    calls = {"misses": []}
+    memoised = agent._scored_policies
+    originals = {name: getattr(agent, name) for name in STEP_LAYERS}
 
     @functools.lru_cache(maxsize=65536)
     def recording(*args):
-        misses.append(args)
+        calls["misses"].append(args)
         return memoised.__wrapped__(*args)
 
+    def recorder(name):
+        calls[name], layer = [], originals[name]
+
+        def record(*args, **kwargs):
+            result = layer(*args, **kwargs)
+            calls[name].append(functools.partial(layer, *args, **kwargs))
+            return result
+        return record
+
     agent._scored_policies = recording
+    for name in STEP_LAYERS:
+        setattr(agent, name, recorder(name))
     try:
         sweep(models)
     finally:
         agent._scored_policies = memoised
-    return misses
+        for name, layer in originals.items():
+            setattr(agent, name, layer)
+    return calls
 
 
 def decision(args) -> tuple:
@@ -102,7 +128,8 @@ def main() -> None:
     args = parser.parse_args()
     models = load_task(bundled_task_path()).evidence
     clear_selection_cache()
-    misses = recorded_misses(models)
+    recorded = recorded_calls(models)
+    misses = recorded["misses"]
     decisions = [decision(miss) for miss in misses]
     one = [(miss, score) for miss, (_, score, width) in zip(misses, decisions) if width == 1]
     wide = [(enumerate_, score) for enumerate_, score, width in decisions if width > 1]
@@ -114,6 +141,10 @@ def main() -> None:
     whole = [functools.partial(agent._scored_policies.__wrapped__, *miss) for miss, _ in one]
     for name, calls in (("whole miss", whole), ("score_policies", [score for _, score in one])):
         print(f"  one-action {name:<16} {fastest(calls, args.repeat) * 1e6 / len(one):8.1f} us per decision")
+    for name in STEP_LAYERS:
+        layer = recorded[name]
+        print(f"  {name:<27} {fastest(layer, args.repeat) * 1e6 / len(layer):8.2f} us per call "
+              f"({len(layer)} calls)")
     cold_sweep = [clear_selection_cache, functools.partial(sweep, models)]
     print(f"  sweep from an empty memo    {fastest(cold_sweep, args.repeat) * 1e3:8.1f} ms")
 

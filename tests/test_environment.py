@@ -8,7 +8,7 @@ from abctrans.agent import large_context_planner_config, run_episode
 from abctrans.task import ReadingEvidenceModel, TaskError
 from abctrans.taskfile import bundled_task_path, load_task
 
-from conftest import render_of
+from conftest import cue_distribution, render_of
 from gentask import generated_space
 
 TT0_TEXT = (
@@ -127,7 +127,7 @@ class TestCueDraws:
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
             for chunk_id, latent in pairs:
                 state = env.ExternalState.initial(space, latent)
-                dist = models.cue_distribution(chunk_id, latent)
+                dist = cue_distribution(models, chunk_id, latent)
                 for _ in range(3):
                     new, obs = env.apply_action(state, env.fixate_source(chunk_id), models, rng)
                     assert new is state
@@ -150,7 +150,7 @@ class TestCueDraws:
         seen = set()
         for chunk in space.table.chunks:
             for latent in space.labels:
-                dist = models.cue_distribution(chunk.id, latent)
+                dist = cue_distribution(models, chunk.id, latent)
                 if tuple(dist) in seen:
                     continue
                 seen.add(tuple(dist))

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from abctrans import environment as env, inference
 from abctrans.agent import (
     CognitiveState,
+    _recompute_working,
     _scored_policies,
     enumerate_policies,
     head_starter_config,
@@ -23,7 +24,9 @@ from abctrans.inference import (
     ContradictionError,
     EFEDecomposition,
     PreferenceVector,
+    PW_BLOCKSIZE,
     bayes_update,
+    condition_row,
     expected_free_energy,
     expected_information_gain,
     policy_posterior,
@@ -347,6 +350,115 @@ class TestBayesUpdate:
                     continue
                 post = bayes_update(space.prior, row)
                 assert shannon_entropy(post) <= shannon_entropy(space.prior) + 1e-12
+
+
+def parent_bayes_update(prior, likelihoods, zeta=1.0):
+    """bayes_update's rule before condition_row: posteriors on the row, then Categorical's check."""
+    lks = np.asarray(likelihoods, dtype=float)
+    post = tuple(posteriors(prior.as_array(), lks[None, :], zeta)[0].tolist())
+    if abs(sum(post) - 1.0) <= 1e-12:
+        return Categorical._trusted(post)
+    return Categorical(post)
+
+
+def outcome(call, *args):
+    """The hex of a call's probabilities, or the type and message of what it raised."""
+    try:
+        result = call(*args)
+    except (ContradictionError, ValueError) as err:
+        return type(err), str(err)
+    return bits(result.probs if isinstance(result, Categorical) else result)
+
+
+def rows_with_zeros(rng, n, count):
+    """count (prior, row) pairs of n entries: about a third of each is 0.0, the rest spread over 12 decades."""
+    def draw():
+        values = rng.random((count, n)) * 10.0 ** rng.uniform(-12, 0, (count, n))
+        values[rng.random((count, n)) < 1 / 3] = 0.0
+        return values
+    return list(zip(draw(), draw()))
+
+
+ROW_KINDS = ["0/1 rows", "zeta 1.0", "drawn zeta"]
+
+
+class TestConditionRow:
+    # condition_row is posteriors for one row, bit for bit: numpy sums up to
+    # PW_BLOCKSIZE entries with eight folded accumulators, and longer rows go
+    # to posteriors itself.
+
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_equals_posteriors_on_every_length(self, kind):
+        rng = np.random.default_rng(ROW_KINDS.index(kind))
+        contradictions = 0
+        for n in range(1, PW_BLOCKSIZE + 33):
+            for prior, row in rows_with_zeros(rng, n, 24):
+                zeta = 1.0 if kind != "drawn zeta" else float(rng.uniform(0.25, 4.0))
+                if kind == "0/1 rows":
+                    row = (row > 0.0).astype(float)
+                got = outcome(condition_row, prior.tolist(), np.power(row, zeta).tolist())
+                assert got == outcome(lambda: posteriors(prior, row[None, :], zeta)[0]), (n, zeta, prior, row)
+                contradictions += got[0] is ContradictionError
+        assert contradictions > 0  # short rows with no mass left raise as posteriors does
+
+    def test_a_left_to_right_sum_is_not_numpys_order(self):
+        # the property above would not hold for a plain loop: at 12 entries
+        # some rows sum to other bits left to right than numpy sums them
+        rng = np.random.default_rng(12)
+        differ = 0
+        for prior, row in rows_with_zeros(rng, 12, 200):
+            weighted = (prior * row).tolist()
+            total = 0.0
+            for x in weighted:
+                total += x
+            differ += total != (prior * row)[None, :].sum(axis=1)[0]
+        assert differ > 0
+
+    @pytest.mark.parametrize("n, k", [(3, 6), (4, 12), (3, 24)])
+    def test_bayes_update_equals_its_parent_rule(self, n, k):
+        # every cue row of four reliabilities, a placement row and a row of
+        # zeros, from seeded beliefs, at zeta 1.0 and at drawn zetas
+        space = generated_space(n, k, 1)
+        rng = np.random.default_rng(k)
+        drawn = Categorical.from_weights(rng.random(k))
+        cued = ReadingEvidenceModel.with_defaults(space, content=0.9).likelihood_row(1, space.labels[0])
+        placement = placement_row(space, space.orderings[0].slots[0], 1)
+        beliefs = [space.prior, point_mass(k, 0), drawn, parent_bayes_update(drawn, cued, 1.3)]
+        beliefs.append(parent_bayes_update(beliefs[-1], placement))
+        for content in (0.0, 0.6, 0.9, 1.0):
+            models = ReadingEvidenceModel.with_defaults(space, content=content)
+            rows = list(models.likelihood_table(1)) + [placement, np.zeros(k)]
+            for belief in beliefs:
+                for row in rows:
+                    for zeta in (1.0, float(rng.uniform(0.25, 4.0))):
+                        got = outcome(bayes_update, belief, row, zeta)
+                        assert got == outcome(parent_bayes_update, belief, row, zeta), (belief, row, zeta)
+
+    def test_rejections_keep_their_types_and_messages(self):
+        cases = [
+            (point_mass(2, 0), [0.0, 1.0], 1.0),  # no mass left
+            (Categorical((0.5, 0.5)), [0.0, 0.0], 2.0),
+            (Categorical((0.5, 0.5)), [1e200, 1.0], 2.0),  # the power overflows
+            (Categorical((0.5, 0.5)), [math.inf, 1.0], 1.0),
+            (Categorical((0.5, 0.5)), [1e-200, 1e-200], 1.5),  # the total falls below PROB_FLOOR
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for prior, row, zeta in cases:
+                got = outcome(bayes_update, prior, row, zeta)
+                assert isinstance(got, tuple), (prior, row, zeta)  # a raise, not probabilities
+                assert got == outcome(parent_bayes_update, prior, row, zeta)
+
+    @pytest.mark.parametrize("n, k", [(3, 6), (4, 12), (3, 24)])
+    def test_the_working_belief_equals_posteriors_on_its_mask(self, n, k):
+        # _recompute_working conditions on the 0/1 row of a consistency mask
+        space = generated_space(n, k, 1)
+        models = ReadingEvidenceModel.with_defaults(space, content=0.9)
+        rng = np.random.default_rng(k)
+        evidence = bayes_update(Categorical.from_weights(rng.random(k)), models.likelihood_row(1, space.labels[0]))
+        for mask in {int(m) for m in rng.integers(1, 2**k, 500)} | {1, 2**k - 1}:
+            fits = np.array([float(mask >> i & 1) for i in range(k)])
+            want = outcome(lambda: posteriors(evidence.as_array(), fits[None, :])[0])
+            assert outcome(_recompute_working, evidence, ((1, 1),), mask) == want, mask
 
 
 class TestExpectedInformationGain:

@@ -22,7 +22,7 @@ from abctrans.task import (
 )
 from abctrans.taskfile import bundled_task_path, load_task
 
-from conftest import ORDERINGS, entropy_of_counts, make_table
+from conftest import ORDERINGS, cue_distribution, entropy_of_counts, make_table
 
 
 def placement_likelihood(ordering, chunk_id, slot):
@@ -200,7 +200,7 @@ class TestLikelihoodTables:
                     else:
                         want = r if cue == label else (1.0 - r) / (n - 1)
                     assert row[i] == want
-                    assert m.cue_distribution(chunk.id, label)[space.index_of(cue)] == want
+                    assert cue_distribution(m, chunk.id, label)[space.index_of(cue)] == want
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.9, 1.0])
@@ -228,7 +228,7 @@ class TestLikelihoodTables:
     def test_tables_are_read_only(self, space, models):
         for row in (
             models.likelihood_row(1, "TT0"),
-            models.cue_distribution(1, "TT0"),
+            cue_distribution(models, 1, "TT0"),
             placement_row(space, 1, 1),
         ):
             with pytest.raises(ValueError):
@@ -261,7 +261,7 @@ class TestReadingLikelihood:
     def test_rows_sum_to_one_over_cues(self, space, models):
         for cid in (0, 1, 2, 3, 4):
             for label in space.labels:
-                dist = models.cue_distribution(cid, label)
+                dist = cue_distribution(models, cid, label)
                 assert abs(dist.sum() - 1.0) <= 1e-12
 
     def test_reliability_bounds_checked(self, space):

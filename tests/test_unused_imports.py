@@ -197,7 +197,6 @@ def test_every_local_a_function_binds_is_read(path):
 # Module-qualified names that nothing in src/ or perfbench/ reaches, and why each stays.
 UNREACHED = {
     "analysis.typing_drops": "acceptance criterion 4 reads the per-chunk typing drops",
-    "task.ReadingEvidenceModel.cue_distribution": "the cue-sampling oracle: tests check the draws from cue_cdf against it",
     "trace.Trace.stop_reason": "names how an episode ended; a budgeted stop (ROADMAP items 1 and 3c) adds a reason",
 }
 
