@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from abctrans import environment as env, inference
 from abctrans.agent import (
     CognitiveState,
-    _recompute_working,
     _scored_policies,
     enumerate_policies,
     head_starter_config,
@@ -385,7 +384,8 @@ ROW_KINDS = ["0/1 rows", "zeta 1.0", "drawn zeta"]
 class TestConditionRow:
     # condition_row is posteriors for one row, bit for bit: numpy sums up to
     # PW_BLOCKSIZE entries with eight folded accumulators, and longer rows go
-    # to posteriors itself.
+    # to posteriors itself. The working belief's 0/1 rows are also checked
+    # against posteriors by TestBufferBitmasks in test_agent.py.
 
     @pytest.mark.parametrize("kind", ROW_KINDS)
     def test_equals_posteriors_on_every_length(self, kind):
@@ -400,19 +400,6 @@ class TestConditionRow:
                 assert got == outcome(lambda: posteriors(prior, row[None, :], zeta)[0]), (n, zeta, prior, row)
                 contradictions += got[0] is ContradictionError
         assert contradictions > 0  # short rows with no mass left raise as posteriors does
-
-    def test_a_left_to_right_sum_is_not_numpys_order(self):
-        # the property above would not hold for a plain loop: at 12 entries
-        # some rows sum to other bits left to right than numpy sums them
-        rng = np.random.default_rng(12)
-        differ = 0
-        for prior, row in rows_with_zeros(rng, 12, 200):
-            weighted = (prior * row).tolist()
-            total = 0.0
-            for x in weighted:
-                total += x
-            differ += total != (prior * row)[None, :].sum(axis=1)[0]
-        assert differ > 0
 
     @pytest.mark.parametrize("n, k", [(3, 6), (4, 12), (3, 24)])
     def test_bayes_update_equals_its_parent_rule(self, n, k):
@@ -447,18 +434,6 @@ class TestConditionRow:
                 got = outcome(bayes_update, prior, row, zeta)
                 assert isinstance(got, tuple), (prior, row, zeta)  # a raise, not probabilities
                 assert got == outcome(parent_bayes_update, prior, row, zeta)
-
-    @pytest.mark.parametrize("n, k", [(3, 6), (4, 12), (3, 24)])
-    def test_the_working_belief_equals_posteriors_on_its_mask(self, n, k):
-        # _recompute_working conditions on the 0/1 row of a consistency mask
-        space = generated_space(n, k, 1)
-        models = ReadingEvidenceModel.with_defaults(space, content=0.9)
-        rng = np.random.default_rng(k)
-        evidence = bayes_update(Categorical.from_weights(rng.random(k)), models.likelihood_row(1, space.labels[0]))
-        for mask in {int(m) for m in rng.integers(1, 2**k, 500)} | {1, 2**k - 1}:
-            fits = np.array([float(mask >> i & 1) for i in range(k)])
-            want = outcome(lambda: posteriors(evidence.as_array(), fits[None, :])[0])
-            assert outcome(_recompute_working, evidence, ((1, 1),), mask) == want, mask
 
 
 class TestExpectedInformationGain:
