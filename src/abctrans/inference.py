@@ -21,7 +21,7 @@ the helpers below), and a state that goes on has one child per cue branch
 of a read or per typed restriction. Each state sums its node's terms and
 its children's in the order and rounding of scoring one policy alone, so
 totals are bitwise equal either way. posteriors conditions a stack of
-beliefs at once, for the rollout; condition_row conditions one belief on one
+beliefs at once, for EFE scoring; condition_row conditions one belief on one
 row in plain floats, for the step, and gives bitwise what posteriors gives
 for that row; bayes_update is condition_row behind an observation's checks.
 """
