@@ -1,26 +1,28 @@
 """Alternating parent/change runs of perfbench, summarised into a BENCH_<n>.json file.
 
-    python tests/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \
-        [--seed S] [--seconds T] [--pairs N] [--workloads W ...] [--traced-seed S]
+    python tests/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json --seed S
 
 DIR is a checkout of each side (made with git archive, say), holding src/
-and perfbench/. For each workload the script runs N pairs of
+and perfbench/. S must be a seed not used while writing the change. For each
+workload that BENCHMARK.json lists, the script runs ten pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-one run at a time, in each side's directory: odd pairs parent first, even
-pairs change first. Every run's end-to-end metrics are kept under "runs".
-Per metric, "summary" gives the parent's quartiles, the change's median,
-min and max, the ratio of the medians, the pairs in which the change is
-better (by the direction BENCHMARK.json gives), the gap between the medians
-and the parent's interquartile range. Then each side runs the workload once
-with --trace 1 at --traced-seed; "traced" keeps both results, with the
-printed tsv_sha256, and says whether the digests and every count metric
-other than src.lines are equal.
+with T the run_seconds of BENCHMARK.json, one run at a time, in each side's
+directory: odd pairs parent first, even pairs change first. Every run's
+end-to-end metrics are kept under "runs". Per metric, "summary" gives the
+parent's quartiles, the change's median, min and max, the ratio of the
+medians, the pairs in which the change is better (by the direction
+BENCHMARK.json gives), the gap between the medians and the parent's
+interquartile range. Then each side runs the workload once with --trace 1 at
+seed 11; "traced" keeps both results, with the printed tsv_sha256, and says
+whether the digests and every count metric other than src.lines are equal.
 
-The output file's other keys (a title, the claim, notes) are kept, so they
-can be written beside the figures. pytest does not collect this file, and
-it imports nothing from perfbench.
+Only "untraced" and "traced" are written; any other keys of an existing
+output file are kept. A BENCH file also holds hand-written keys (title,
+claim, verdict) that read the figures, and a re-run refreshes the figures
+without erasing them. pytest does not collect this file, and it imports
+nothing from perfbench.
 """
 
 import argparse
@@ -33,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
+TRACED_SEED = 11
 
 
 def run(side_dir: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -76,28 +80,26 @@ def main() -> None:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", nargs="+", default=["compare_sweep", "planner_cold", "segment_logs"])
-    parser.add_argument("--traced-seed", type=int, default=11)
+    parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count" and m["name"] != "src.lines"]
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
 
     untraced = {
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g} --trace 0",
         "note": "alternating pairs, odd pairs parent first, even pairs change first, one run at a time",
         "workloads": {},
     }
-    for workload in args.workloads:
+    for workload in workloads:
         pairs = []
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
-            results = {side: run(dirs[side], workload, args.seed, args.seconds, 0) for side in order}
+            results = {side: run(dirs[side], workload, args.seed, seconds, 0) for side in order}
             pairs.append({"pair": pair, "first": order[0], "results": results})
             values = {side: r["metrics"]["op_rel.p50"]["value"] for side, r in results.items()}
             print(f"{workload} pair {pair}: op_rel.p50 parent {values['parent']:.4f} "
@@ -114,12 +116,12 @@ def main() -> None:
         }
 
     traced = {
-        "command": f"python3 perfbench/run.py --workload W --seed {args.traced_seed} --seconds 10 --trace 1",
+        "command": f"python3 perfbench/run.py --workload W --seed {TRACED_SEED} --seconds 10 --trace 1",
         "note": "one run a side on each workload",
         "workloads": {},
     }
-    for workload in args.workloads:
-        results = {side: run(dirs[side], workload, args.traced_seed, 10, 1) for side in SIDES}
+    for workload in workloads:
+        results = {side: run(dirs[side], workload, TRACED_SEED, 10, 1) for side in SIDES}
         metrics = {side: {k: v["value"] for k, v in r["metrics"].items()} for side, r in results.items()}
         traced["workloads"][workload] = {
             "tsv_sha256_equal": results["parent"]["tsv_sha256"] == results["change"]["tsv_sha256"],
