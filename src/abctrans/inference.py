@@ -41,7 +41,8 @@ from .task import (
     ReadingEvidenceModel,
     entropy_bits,
     information_gains,
-    placement_row,
+    mask_rows,
+    placement_mask,
     row_entropies,
 )
 
@@ -308,13 +309,39 @@ _NO_FLOATS, _NO_INTS = np.empty(0), np.empty(0, dtype=int)
 _NO_FLOATS.flags.writeable = _NO_INTS.flags.writeable = False
 
 
+def _action_table(models: ReadingEvidenceModel, actions, read_chunks) -> list:
+    """Per action, then a pad entry for the -1 that ends a policy: (cost, table, mask, unread).
+
+    cost is a pause's -PAUSE_COST, a read's -READ_COST, or 0.0 for a
+    placement, which is scored from its belief; table a read's index in
+    models.tables, else -1; mask a placement's placement_mask, else None;
+    unread the small int of the unread content chunk a placement types, -2
+    less that of the chunk a read reads, else -1. Other kinds raise ValueError.
+    """
+    space = models.space
+    entries = [(-PAUSE_COST, -1, None, -1)] * (len(actions) + 1)  # a pause's entry, and the pad's
+    chunks: dict = {}  # chunk id -> small int, in the order first met
+    for aid, action in enumerate(actions):
+        kind, chunk = action.kind, action.chunk_id
+        if kind == env.FIXATE_SOURCE:
+            entries[aid] = (-READ_COST, models.table_of[chunk], None, -2 - chunks.setdefault(chunk, len(chunks)))
+        elif kind == env.TYPE:
+            unread = -1
+            if read_chunks is not None and chunk not in read_chunks and space.table.chunk(chunk).kind == CONTENT:
+                unread = chunks.setdefault(chunk, len(chunks))
+            entries[aid] = (0.0, -1, placement_mask(space, chunk, action.slot), unread)
+        elif kind != env.PAUSE:
+            raise ValueError(f"unknown action kind {kind!r}")
+    return entries
+
+
 class _Rollout:
     """The tables of one score_policies call, as arrays indexed by small integers.
 
-    Action ids are those of the Policies table. Per action id, int arrays
-    hold the index of a read's table in models.tables (one per reliability)
-    and a placement's row of fits and factors (-1 for other kinds, so they
-    give the kind too). A belief is interned by the bytes of its probability
+    Action ids are those of the Policies table. Per action id, padded for
+    the -1 past a policy's end, arrays hold _action_table's cost, table
+    index and unread key, whether it is a placement, and its mask's row of
+    fits and factors. A belief is interned by the bytes of its probability
     row after + 0.0 (so -0.0 and 0.0 are one belief) to a row of a belief
     stack; the root is id 0. A read's cue channel is built once per (belief,
     table): channel c has gain[c] and count[c] branches, whose weights and
@@ -332,33 +359,13 @@ class _Rollout:
     def __init__(self, models: ReadingEvidenceModel, prefs: PreferenceVector, zeta: float,
                  policies: Policies, read_chunks, belief: Categorical):
         self.prefs, self.zeta = prefs, zeta
-        space = models.space
-        na = self.n_actions = len(policies.actions)
-        # Per action id: a read's or pause's pragmatic term, then (padded for
-        # the -1 past a policy's end) table index, placement row, and the
-        # small int of the unread content chunk typed, or -2 less that of the
-        # chunk read.
-        m = na + 1
-        cost, rel, row, chunk_of = [-PAUSE_COST] * na, [-1] * m, [-1] * m, [-1] * m
-        fits, chunks = [], {}
-        for aid, action in enumerate(policies.actions):
-            kind, chunk = action.kind, action.chunk_id
-            if kind == env.FIXATE_SOURCE:
-                cost[aid] = -READ_COST
-                rel[aid] = models.table_of[chunk]
-                chunk_of[aid] = -2 - chunks.setdefault(chunk, len(chunks))
-            elif kind == env.TYPE:
-                row[aid] = len(fits)
-                fits.append(placement_row(space, chunk, action.slot))
-                unread = read_chunks is not None and chunk not in read_chunks
-                if unread and space.table.chunk(chunk).kind == CONTENT:
-                    chunk_of[aid] = chunks.setdefault(chunk, len(chunks))
-            elif kind != env.PAUSE:
-                raise ValueError(f"unknown action kind {kind!r}")
-        self.cost, columns = np.array(cost), np.array(rel + row + chunk_of)
-        self.rel, self.row, self.chunk = columns[:m], columns[m:2 * m], columns[2 * m:]
-        # Per typed placement and ordering: whether it fits, and its preference.
-        self.fits = np.array(fits) if fits else np.empty((0, len(space.orderings)))
+        self.n_actions = len(policies.actions)
+        costs, rel, masks, unread = zip(*_action_table(models, policies.actions, read_chunks))
+        self.cost, columns = np.array(costs, dtype=float), np.array(rel + unread, dtype=int)
+        self.rel, self.chunk = columns[:len(rel)], columns[len(rel):]
+        self.typed = np.array([mask is not None for mask in masks], dtype=bool)
+        # Per action id and ordering: whether it fits (no other kind does), and its preference.
+        self.fits = mask_rows([mask or 0 for mask in masks], len(models.space.orderings))
         self.factors = np.where(self.fits > 0.0, prefs.progress_bonus, prefs.inconsistency_penalty)
         self.stack = np.array([belief.probs]) + 0.0  # belief id -> probabilities; the root is 0
         self.belief_ids = {self.stack.tobytes(): 0}  # row bytes (see intern) -> belief id
@@ -424,11 +431,10 @@ class _Rollout:
         if len(reads):
             channel[reads] = found = self.channels(bids[reads], channel[reads], laid)
             epistemic[reads] = self.gain[found]
-        rows = self.row[aids]
-        typed = (rows >= 0).nonzero()[0]
+        typed = self.typed[aids].nonzero()[0]
         targets = bids
         if len(typed):
-            beliefs, rows = self.stack.take(bids[typed], axis=0), rows[typed]
+            beliefs, rows = self.stack.take(bids[typed], axis=0), aids[typed]
             pragmatic[typed] = _typed_values(beliefs, self.factors.take(rows, axis=0))
             if laid:
                 live, posts = _restrictions(beliefs, self.fits.take(rows, axis=0))
@@ -548,44 +554,34 @@ def _one_action_terms(models: ReadingEvidenceModel, prefs: PreferenceVector, zet
     A one-step policy's EFE is its action's two terms, with no recursion
     over later beliefs, so these decisions (every head-starter decision,
     every planner decision after the opening) need none of the walk's
-    tables. The rows are walked, not the actions: a table the cap cut may
-    list actions no row uses. A placement sums p * factor over the belief,
-    left to right from 0.0, skipping each p == 0, where _typed_values adds
-    -0.0 and so leaves the sum as it was; it pays the unread cost if it
-    types an unread content chunk. A pause scores -PAUSE_COST and a read
-    -READ_COST, its gain from one _read_branches call over the root belief
-    stacked once per distinct table, in the order the rows meet them.
-    Every value is bitwise what the level walk gives.
-
-    On the 855 one-action selection-memo misses of a seed-2626
-    compare_sweep pass (tests/layer_times.py, min of 7, three processes,
-    on a 2-vCPU Xeon with Python 3.11 and numpy 2.4.6), score_policies
-    takes 10.5-11.0 us per decision here against 27.9-29.3 us through a
-    rollout, and the whole miss 40.0-41.0 us against 63.9-64.9 us. The
-    rollout's own width-1 branch, which this replaces, had taken a whole
-    pass from 0.393-0.398 s to 0.360-0.362 s.
+    tables, only _action_table. The rows are walked, not the actions: a
+    table the cap cut may list actions no row uses. A placement sums
+    p * factor over its mask's bits, left to right from 0.0, skipping each
+    p == 0, where _typed_values adds -0.0 and so leaves the sum as it was,
+    less the unread cost if it types an unread content chunk. A pause or a
+    read takes its cost, a read its gain from one _read_branches call over
+    the root belief stacked once per distinct table, in the order the rows
+    meet them. Every value is bitwise what the level walk gives.
     """
-    space, probs = models.space, belief.probs
+    probs = belief.probs
     bonus, penalty = prefs.progress_bonus, prefs.inconsistency_penalty
+    table = _action_table(models, policies.actions, read_chunks)
     rows = policies.ids[:, 0].tolist()
-    epistemic, pragmatic = [0.0] * len(rows), [-PAUSE_COST] * len(rows)
+    epistemic, pragmatic = [0.0] * len(rows), []
     reads: dict = {}  # table index -> the rows that read through it
     for i, aid in enumerate(rows):
-        action = policies.actions[aid]
-        kind, chunk = action.kind, action.chunk_id
-        if kind == env.TYPE:
+        value, rel, mask, unread = table[aid]
+        if mask is not None:
             value = 0.0
-            for p, fit in zip(probs, placement_row(space, chunk, action.slot).tolist()):
+            for p in probs:
                 if p:
-                    value += p * (bonus if fit > 0.0 else penalty)
-            if read_chunks is not None and chunk not in read_chunks and space.table.chunk(chunk).kind == CONTENT:
+                    value += p * (bonus if mask & 1 else penalty)
+                mask >>= 1
+            if unread >= 0:
                 value -= prefs.unread_cost
-            pragmatic[i] = value
-        elif kind == env.FIXATE_SOURCE:
-            pragmatic[i] = -READ_COST
-            reads.setdefault(models.table_of[chunk], []).append(i)
-        elif kind != env.PAUSE:
-            raise ValueError(f"unknown action kind {kind!r}")
+        elif rel >= 0:
+            reads.setdefault(rel, []).append(i)
+        pragmatic.append(value)
     if reads:
         beliefs = np.array([probs] * len(reads)) + 0.0
         gains, _, _, _ = _read_branches(beliefs, models.tables.take(list(reads), axis=0), zeta)

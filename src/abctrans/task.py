@@ -212,26 +212,18 @@ class CandidateSpace:
                     f"ordering {o.id} duplicates {seen[o.slots]}: {list(o.slots)}"
                 )
             seen[o.slots] = o.id
-        # Placement likelihoods, built once: rows[slot - 1][i] is 1.0 when
-        # ordering i puts the chunk at that slot. Not a field, so equality
-        # and hashing still see only the task itself.
-        layouts = np.array([o.slots for o in self.orderings])
-        object.__setattr__(
-            self,
-            "_placement",
-            {cid: _read_only((layouts == cid).T.astype(float)) for cid in self.table.chunk_ids},
-        )
-        # Positional entropy of each chunk under the prior, also built once.
+        # Positional entropy of each chunk under the prior, built once. Not
+        # a field, so equality and hashing still see only the task itself.
         object.__setattr__(
             self,
             "_positional",
             {cid: _positional_entropy(self, cid) for cid in self.table.chunk_ids},
         )
-        # The admissibility rule's two tables, also built once. Bit i of
+        # The placement table, also built once: bit i of
         # _slot_masks[slot - 1][chunk] is set when ordering i puts the chunk
-        # at that slot. _typing_order ranks chunks most informative first:
-        # descending positional entropy, then id.
-        masks = [dict.fromkeys(self.table.chunk_ids, 0) for _ in range(len(layouts[0]))]
+        # at that slot. _typing_order ranks chunks most informative first,
+        # for the admissibility rule: descending positional entropy, then id.
+        masks = [dict.fromkeys(self.table.chunk_ids, 0) for _ in range(self.n_slots)]
         for i, o in enumerate(self.orderings):
             for at_slot, cid in zip(masks, o.slots):
                 at_slot[cid] |= 1 << i
@@ -336,14 +328,26 @@ def lexical_entropy(space: CandidateSpace, chunk_id: int) -> float:
     return 0.0
 
 
-def placement_row(space: CandidateSpace, chunk_id: int, slot: int) -> np.ndarray:
-    """Per-ordering consistency indicators for placing a chunk at a slot (read-only)."""
-    rows = space._placement.get(chunk_id)
-    if rows is None:
+def placement_mask(space: CandidateSpace, chunk_id: int, slot: int) -> int:
+    """The orderings that put a chunk at a slot, as a bitmask: bit i for ordering i."""
+    masks = space._slot_masks
+    if not masks or chunk_id not in masks[0]:  # a table of no chunks has no slots
         raise UnknownChunkError(f"chunk {chunk_id} not in this space")
-    if not 1 <= slot <= len(rows):
-        raise TaskError(f"slot {slot} out of range 1..{len(rows)}")
-    return rows[slot - 1]
+    if not 1 <= slot <= len(masks):
+        raise TaskError(f"slot {slot} out of range 1..{len(masks)}")
+    return masks[slot - 1][chunk_id]
+
+
+def mask_rows(masks, n: int) -> np.ndarray:
+    """Rows of 1.0 and 0.0, entry i of row k bit i of masks[k]: one np.unpackbits of their bytes, for any n."""
+    width = (n + 7) // 8
+    data = np.frombuffer(b"".join([mask.to_bytes(width, "little") for mask in masks]), dtype=np.uint8)
+    return np.unpackbits(data.reshape(len(masks), width), axis=1, count=n, bitorder="little").astype(float)
+
+
+def placement_row(space: CandidateSpace, chunk_id: int, slot: int) -> np.ndarray:
+    """placement_mask as per-ordering consistency indicators, 1.0 or 0.0 (read-only)."""
+    return _read_only(mask_rows([placement_mask(space, chunk_id, slot)], len(space.orderings))[0])
 
 
 @dataclass(frozen=True)

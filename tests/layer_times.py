@@ -11,7 +11,8 @@ agent._recompute_working (the working-belief rebuild) and agent.bayes_update
 (the cue update) that returns, then times, min of N repeats:
 
 - the cold planner opening (the one miss whose policies are more than one
-  action long): enumerate_policies and score_policies, in ms;
+  action long): enumerate_policies and score_policies, in ms, and the
+  set-up of its level walk (inference._Rollout), in us;
 - the one-action misses: the whole miss (the memoised function's body:
   enumeration, scoring, posterior) and score_policies alone, in us per
   decision;
@@ -26,7 +27,7 @@ import argparse
 import functools
 import time
 
-from abctrans import agent
+from abctrans import agent, inference
 from abctrans.agent import (
     CognitiveState,
     clear_selection_cache,
@@ -93,7 +94,11 @@ def recorded_calls(models) -> dict[str, list]:
 
 
 def decision(args) -> tuple:
-    """(enumerate, score): zero-argument calls of one miss's two layers, as the miss makes them."""
+    """(enumerate, score, set-up, width): zero-argument calls of one miss's layers, as the miss makes them.
+
+    set-up builds the level walk's tables for the miss's policies, as
+    score_policies does for policies more than one action (width) long.
+    """
     models, cfg, belief, placed, read_set, last_was_pause, zeta, _ = args
     horizon = cfg.horizon
     if horizon is None:
@@ -108,7 +113,10 @@ def decision(args) -> tuple:
         return score_policies(belief, policies, models, cfg.prefs, w_e=cfg.w_e, w_p=cfg.w_p,
                               read_chunks=read_set, zeta=zeta)
 
-    return enumerate_, score, policies.ids.shape[1]
+    def setup():
+        return inference._Rollout(models, cfg.prefs, zeta, policies, read_set, belief)
+
+    return enumerate_, score, setup, policies.ids.shape[1]
 
 
 def fastest(calls, repeat: int) -> float:
@@ -131,13 +139,14 @@ def main() -> None:
     recorded = recorded_calls(models)
     misses = recorded["misses"]
     decisions = [decision(miss) for miss in misses]
-    one = [(miss, score) for miss, (_, score, width) in zip(misses, decisions) if width == 1]
-    wide = [(enumerate_, score) for enumerate_, score, width in decisions if width > 1]
+    one = [(miss, score) for miss, (_, score, _, width) in zip(misses, decisions) if width == 1]
+    wide = [(enumerate_, score, setup) for enumerate_, score, setup, width in decisions if width > 1]
     print(f"compare sweep, seed {SWEEP_SEED}: {len(misses)} misses, {len(one)} of one action, "
           f"min of {args.repeat}")
-    for enumerate_, score in wide:
+    for enumerate_, score, setup in wide:
         print(f"  opening enumerate_policies  {fastest([enumerate_], args.repeat) * 1e3:8.3f} ms")
         print(f"  opening score_policies      {fastest([score], args.repeat) * 1e3:8.3f} ms")
+        print(f"  opening _Rollout set-up     {fastest([setup], args.repeat) * 1e6:8.1f} us")
     whole = [functools.partial(agent._scored_policies.__wrapped__, *miss) for miss, _ in one]
     for name, calls in (("whole miss", whole), ("score_policies", [score for _, score in one])):
         print(f"  one-action {name:<16} {fastest(calls, args.repeat) * 1e6 / len(one):8.1f} us per decision")

@@ -1072,6 +1072,50 @@ class TestOneActionScorer:
             score_policies(space.prior, enumerate_policies(start, space, 2, cfg), models, cfg.prefs)
 
 
+class TestBeyondSixtyFourOrderings:
+    # 100 orderings: each placement mask is wider than a 64-bit word, so
+    # any int64 step in reading masks would drop orderings. The oracle
+    # reads placements through placement_row, the scorers through masks.
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return generated_space(4, 100, 1)
+
+    @staticmethod
+    def assert_oracle(policies, scores, models, prefs):
+        for policy, epistemic, pragmatic in zip(policies, scores[0].tolist(), scores[1].tolist()):
+            oe, op = oracle_efe(models.space.prior, policy, models, prefs, frozenset())
+            assert abs(epistemic - oe) <= 1e-9 and abs(pragmatic - op) <= 1e-9
+
+    def test_placement_rows_match_each_ordering(self, wide):
+        for cid in wide.table.chunk_ids:
+            for slot in range(1, wide.n_slots + 1):
+                want = [float(o.slots[slot - 1] == cid) for o in wide.orderings]
+                assert placement_row(wide, cid, slot).tolist() == want
+
+    def test_head_starter_opening_equals_the_level_walk_and_the_oracle(self, wide):
+        models = ReadingEvidenceModel.with_defaults(wide, content=0.9)
+        cfg = head_starter_config()
+        policies = enumerate_policies(initial_agent_state(wide, cfg).cognitive, wide, 1, cfg)
+        assert any(a.kind == env.TYPE for (a,) in policies)
+        assert_one_action_walk_equal(wide.prior, policies, models, cfg.prefs, frozenset(), 1.0)
+        self.assert_oracle(policies, score_policies(wide.prior, policies, models, cfg.prefs, read_chunks=frozenset()),
+                           models, cfg.prefs)
+
+    def test_horizon_two_decision_equals_each_policy_alone_and_the_oracle(self, wide):
+        models = ReadingEvidenceModel.with_defaults(wide, content=0.9)
+        cfg = large_context_planner_config()
+        policies = enumerate_policies(initial_agent_state(wide, cfg).cognitive, wide, 2, cfg)
+        assert any(a.kind == env.TYPE for a in policies.actions)
+        kwargs = dict(w_e=cfg.w_e, w_p=cfg.w_p, read_chunks=frozenset())
+        shared = score_policies(wide.prior, policies, models, cfg.prefs, **kwargs)
+        alone = [score_policies(wide.prior, [policy], models, cfg.prefs, **kwargs) for policy in policies]
+        for column, scores in zip(shared, zip(*alone)):
+            assert bits(column) == bits(np.concatenate(scores))
+        # The oracle expands a read's 100 cues on every path: policies that read twice are left out.
+        once = [i for i, policy in enumerate(policies) if sum(a.kind == env.FIXATE_SOURCE for a in policy) < 2]
+        self.assert_oracle([policies[i] for i in once], [column[once] for column in shared], models, cfg.prefs)
+
+
 class TestPolicyPosterior:
     def test_zero_gamma_is_uniform(self):
         post = policy_posterior([0.3, -2.0, 5.0], gamma=0.0)

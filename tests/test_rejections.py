@@ -100,6 +100,26 @@ CASES = {
 }
 
 
+def scored_placement(chunk_id, slot, walk):
+    """score_policies on one placement: alone (the one-action path) or after a pause (the level walk)."""
+    policy = (env.type_chunk(chunk_id, slot),)
+    if walk:
+        policy = (env.pause(),) + policy
+    return lambda space, models: inference.score_policies(space.prior, [policy], models, inference.PreferenceVector())
+
+
+# Both scorers read a placement through the checked placement_mask: slot 0
+# must not wrap round to the last slot's mask.
+for walk, path in ((False, "one action"), (True, "walk")):
+    CASES[f"placement of no chunk, {path}"] = (
+        scored_placement(7, 1, walk), task.UnknownChunkError, "chunk 7 not in this space",
+    )
+    for slot in (0, 9):
+        CASES[f"placement at slot {slot}, {path}"] = (
+            scored_placement(1, slot, walk), task.TaskError, f"slot {slot} out of range 1..5",
+        )
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_a_call_is_rejected_by_name(space, models, case):
     call, error, message = CASES[case]

@@ -306,7 +306,8 @@ class TestRuleTables:
         for slot, at_slot in enumerate(space._slot_masks, start=1):
             assert set(at_slot) == space.table.chunk_ids
             for cid, mask in at_slot.items():
-                assert [mask >> i & 1 for i in range(len(space.orderings))] == list(placement_row(space, cid, slot))
+                want = [int(o.slots[slot - 1] == cid) for o in space.orderings]
+                assert [mask >> i & 1 for i in range(len(space.orderings))] == want
                 assert mask < 1 << len(space.orderings)
 
     def test_typing_order_ranks_by_descending_positional_entropy_then_id(self, space):

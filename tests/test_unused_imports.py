@@ -197,6 +197,7 @@ def test_every_local_a_function_binds_is_read(path):
 # Module-qualified names that nothing in src/ or perfbench/ reaches, and why each stays.
 UNREACHED = {
     "analysis.typing_drops": "acceptance criterion 4 reads the per-chunk typing drops",
+    "task.placement_row": "acceptance criterion 2 and the EFE oracles read a placement as a float row",
     "trace.Trace.stop_reason": "names how an episode ended; a budgeted stop (ROADMAP items 1 and 3c) adds a reason",
 }
 
@@ -288,6 +289,7 @@ def test_every_definition_is_reached_or_listed():
 
 # Instance attributes that src/ sets and nothing in src/ or perfbench/ reads, and why each stays.
 UNREAD_STATE = {
+    "analysis.IngestError.row": "the malformed log's row number, for a caller of ingest; ANALYSIS_SHA256 pins it",
     "inference._Rollout.states": "the walk's count of visited states, which tests pin (ROADMAP items 3 and 4)",
     "inference.Policies.truncated": "whether the cap cut a decision: ROADMAP item 4's log reports it, item 12 deletes it",
 }
