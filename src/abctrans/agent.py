@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -134,6 +134,16 @@ class AgentConfig:
         if self.strategy == LARGE_CONTEXT_PLANNER:
             if not (self.w_e > self.w_p and self.horizon is None):
                 raise ValueError("planner preset requires w_e > w_p and a dynamic horizon")
+        # The selection memo hashes the config on every lookup; the fields are
+        # frozen, so their hash (the one dataclass would compute) is taken once.
+        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a str's hash differs between processes.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def head_starter_config(**overrides) -> AgentConfig:
@@ -247,9 +257,10 @@ def _next_actions(
 
 def _rule_input(cognitive: CognitiveState, space: CandidateSpace) -> tuple[int, int, int]:
     """The rule's read, filled and live bitmasks at a decision; the live orderings are the belief's support."""
-    read = sum(1 << p for p, c in enumerate(space.table.source_order) if c in cognitive.read_set)
-    filled = sum(1 << (slot - 1) for slot, _ in cognitive.placed)
-    live = sum(1 << i for i, p in enumerate(cognitive.belief.probs) if p > 0.0)
+    read_set = cognitive.read_set
+    read = sum([1 << p for p, c in enumerate(space.table.source_order) if c in read_set])
+    filled = sum([1 << (slot - 1) for slot, _ in cognitive.placed])
+    live = sum([1 << i for i, p in enumerate(cognitive.belief.probs) if p > 0.0])
     return read, filled, live
 
 
@@ -277,22 +288,32 @@ def enumerate_policies(
     truncated says whether the cap cut any: every row in progress ends as
     at least one policy, so each level keeps only its first
     cfg.max_policies rows, which bounds the work when the cap fires.
+
+    Level 0 is the rule's list at the decision, as it gives it: its actions
+    are ids 0, 1, ... in that order, so a horizon of 1 needs no state graph.
     """
     if not (type(horizon) is int and horizon >= 1):  # a bool is no horizon
         raise ValueError(f"horizon must be an int of at least 1, got {horizon!r}")
+    root = (*_rule_input(cognitive, space), last_was_pause)
+    acts = _next_actions(space, *root)
+    actions = [action for action, _ in acts]  # the root's are distinct
+    cap = cfg.max_policies
+    truncated = len(acts) > cap
+    if horizon == 1 or not acts:
+        return Policies(actions, np.arange(min(len(acts), cap), dtype=np.int32).reshape(-1, horizon), truncated)
     position = {c: p for p, c in enumerate(space.table.source_order)}
     # Enumeration shares one Action per (kind, chunk, slot), so its identity
     # is a key that costs no generated __hash__.
-    action_ids: dict[int, int] = {}
-    actions: list[env.Action] = []
-    rule: dict = {}  # rule input -> (first edge, edge count)
+    action_ids = {id(action): aid for aid, action in enumerate(actions)}
     # Edge 0 pads a policy that has ended: it has no action and leads back
     # to itself, and a state the rule admits nothing in has it as its edge.
-    edge_action: list[int] = [-1]  # per edge: its action id
-    edge_first: list[int] = [0]  # per edge: the next state's first edge, -1 until a level needs it
-    edge_count: list[int] = [1]  # per edge: the next state's edge count
-    edge_act: list = [None]  # per edge: (action, live orderings after it), as the rule gave it
-    edge_from: list = [None]  # per edge: the rule input it leaves
+    # The root's edges are 1, 2, ..., edge e taking action e - 1.
+    rule: dict = {root: (1, len(acts))}  # rule input -> (first edge, edge count)
+    edge_action: list[int] = [-1, *range(len(acts))]  # per edge: its action id
+    edge_first: list[int] = [0] + [-1] * len(acts)  # per edge: the next state's first edge, -1 until a level needs it
+    edge_count: list[int] = [1] + [-1] * len(acts)  # per edge: the next state's edge count
+    edge_act: list = [None, *acts]  # per edge: (action, live orderings after it), as the rule gave it
+    edge_from: list = [None] + [root] * len(acts)  # per edge: the rule input it leaves
 
     def edges_of(inputs, skip: int) -> tuple[int, int]:
         """A state's first edge and edge count; a new rule input's edges are listed here."""
@@ -315,16 +336,11 @@ def enumerate_policies(
             return 0, 1
         return entry[0] + skip, entry[1] - skip
 
-    first, count = edges_of((*_rule_input(cognitive, space), last_was_pause), 0)
-    if not first:
-        return Policies([], np.empty((0, horizon), dtype=np.int32))
     # Each level's rows end in edges, in depth-first order: the first
     # level's are the root's, and a row's children take the edges of the
     # state its last edge leads to, in order, after the children of the
     # rows before it.
-    cap = cfg.max_policies
-    truncated = count > cap
-    rows = np.arange(first, first + min(count, cap))[:, None]  # each row's edges so far
+    rows = np.arange(1, 1 + min(len(acts), cap))[:, None]  # each row's edges so far
     for _ in range(1, horizon):
         edge = rows[:, -1]
         for e in set(edge.tolist()):
@@ -409,7 +425,7 @@ def _scored_policies(
     """
     horizon = cfg.horizon
     if horizon is None:
-        horizon = max(1, sum(c not in read_set for c in models.space.table.source_order))
+        horizon = max(1, sum([c not in read_set for c in models.space.table.source_order]))
     # Enumeration reads the working belief, never the evidence belief.
     cognitive = CognitiveState(belief, belief, placed, read_set)
     policies = enumerate_policies(cognitive, models.space, horizon, cfg, last_was_pause)

@@ -124,21 +124,26 @@ def condition_row(prior, weights) -> tuple[float, ...]:
     Raises posteriors' ContradictionError when no mass is left.
     """
     weighted = [p * w for p, w in zip(prior, weights)]
-    n = len(weighted)
-    if n > PW_BLOCKSIZE:
+    if len(weighted) > PW_BLOCKSIZE:
         return tuple(posteriors(np.array(prior), np.array([weights]))[0].tolist())
-    total, end = 0.0, 0
-    if n >= 8:
-        r = weighted[:8]
-        end = n - n % 8
-        for i in range(8, end):
-            r[i % 8] += weighted[i]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in weighted[end:]:
-        total += x
+    total = _pairwise_sum(weighted)
     if not total > PROB_FLOOR:
         raise ContradictionError("observation impossible under the current belief")
     return tuple(x / total for x in weighted)
+
+
+def _pairwise_sum(values: list) -> float:
+    """The sum of at most PW_BLOCKSIZE floats in numpy's pairwise order (see condition_row), bitwise."""
+    n, total, end = len(values), 0.0, 0
+    if n >= 8:
+        r = values[:8]
+        end = n - n % 8
+        for i in range(8, end):
+            r[i % 8] += values[i]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in values[end:]:
+        total += x
+    return total
 
 
 def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categorical:
@@ -153,7 +158,7 @@ def bayes_update(prior: Categorical, likelihoods, zeta: float = 1.0) -> Categori
     lks = np.asarray(likelihoods, dtype=float)
     if lks.shape != (len(prior),):
         raise ValueError("one likelihood per option required")
-    if not (lks >= 0.0).all():  # NaN fails too
+    if not all(x >= 0.0 for x in lks.tolist()):  # NaN fails too; plain floats, cheaper than numpy's check
         raise ValueError("likelihoods must be non-negative")
     post = condition_row(prior.probs, np.power(lks, zeta).tolist())
     if abs(sum(post) - 1.0) <= 1e-12:  # NaN fails: an infinite row or overflow
@@ -249,7 +254,7 @@ class Policies:
     def __init__(self, actions, ids: np.ndarray, truncated: bool = False):
         self.actions = tuple(actions)
         self.ids = ids
-        self.ids.flags.writeable = False  # the selection memo shares it
+        self.ids.setflags(write=False)  # the selection memo shares it
         self.truncated = truncated
 
     @classmethod
@@ -271,7 +276,7 @@ class Policies:
         return len(self.ids)
 
     def __getitem__(self, index: int) -> tuple:
-        return tuple(self.actions[a] for a in self.ids[index].tolist() if a >= 0)
+        return tuple([self.actions[a] for a in self.ids[index].tolist() if a >= 0])
 
     def __iter__(self):
         for row in self.ids.tolist():
@@ -561,7 +566,8 @@ def _one_action_terms(models: ReadingEvidenceModel, prefs: PreferenceVector, zet
     less the unread cost if it types an unread content chunk. A pause or a
     read takes its cost, a read its gain from one _read_branches call over
     the root belief stacked once per distinct table, in the order the rows
-    meet them. Every value is bitwise what the level walk gives.
+    meet them. Every value is bitwise what the level walk gives. Returns
+    plain lists, one float per row.
     """
     probs = belief.probs
     bonus, penalty = prefs.progress_bonus, prefs.inconsistency_penalty
@@ -588,7 +594,7 @@ def _one_action_terms(models: ReadingEvidenceModel, prefs: PreferenceVector, zet
         for gain, readers in zip(gains.tolist(), reads.values()):
             for i in readers:
                 epistemic[i] = gain
-    return np.array(epistemic), np.array(pragmatic)
+    return epistemic, pragmatic
 
 
 def score_policies(
@@ -610,20 +616,24 @@ def score_policies(
     node (see _one_action_terms); longer ones share one walk over distinct
     states (see _Rollout.walk), dropped on return. read_chunks marks source chunks already
     fixated before the policies start (defaults to all, so unread costs
-    never apply). The totals are -(w_e * epistemic) - (w_p * pragmatic).
+    never apply). The totals are -(w_e * epistemic) - (w_p * pragmatic),
+    taken in plain floats for one-action terms: float64 rounds each
+    operation alike either way.
     """
     if not 0.0 < zeta < math.inf:  # NaN fails too
         raise ValueError(f"zeta must be positive and finite, got {zeta!r}")
     policies = Policies.of(policies)
     args = models, prefs, zeta, policies, read_chunks, belief
+    w_e, w_p = float(w_e), float(w_p)  # as numpy takes a weight against a float64 array
     if policies.ids.shape[1] == 1:
         epistemic, pragmatic = _one_action_terms(*args)
+        columns = np.array(epistemic + pragmatic + [-(w_e * e) - (w_p * p) for e, p in zip(epistemic, pragmatic)])
     else:
         epistemic, pragmatic = _Rollout(*args).walk(policies.ids)
-    totals = -(w_e * epistemic) - (w_p * pragmatic)
-    for column in (epistemic, pragmatic, totals):
-        column.flags.writeable = False
-    return epistemic, pragmatic, totals
+        columns = np.concatenate([epistemic, pragmatic, -(w_e * epistemic) - (w_p * pragmatic)])
+    columns.setflags(write=False)  # one array, one flag: the three slices are read-only too
+    n = len(epistemic)
+    return columns[:n], columns[n:2 * n], columns[2 * n:]
 
 
 def expected_free_energy(
@@ -645,19 +655,38 @@ def policy_posterior(totals, gamma: float) -> Categorical:
     """Softmax over -gamma * EFE totals, shifted by the max for numerical stability.
 
     With gamma and the totals checked, a posterior whose total stayed 1 is
-    not re-validated, as in bayes_update.
+    not re-validated, as in bayes_update. Up to PW_BLOCKSIZE policies (a
+    one-action decision has a few) the arithmetic is done in plain floats,
+    where numpy's fixed cost per call outweighs it: the exponentials stay one
+    np.exp call, whose bits math.exp does not always give, and the
+    normalising total is summed in numpy's pairwise order, so the posterior
+    is bitwise the array route's, which larger tables take.
     """
     if not 0.0 <= gamma < math.inf:  # NaN fails too
         raise ValueError(f"gamma must be non-negative and finite, got {gamma!r}")
     totals = np.asarray(totals, dtype=float)
-    if totals.size == 0:
+    n = totals.size
+    if n == 0:
         raise ValueError("need at least one policy")
-    if not np.isfinite(totals).all():
-        raise ValueError(f"totals must be finite, got {totals.tolist()!r}")
-    scores = -gamma * totals
-    scores -= scores.max()
-    weights = np.exp(scores)
-    post = tuple((weights / weights.sum()).tolist())
+    if n <= PW_BLOCKSIZE:
+        values = totals.tolist()
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"totals must be finite, got {values!r}")
+        # scale <= 0, so scale * t never rises with t: its largest value is
+        # scale * min(values), which is numpy's max but for a zero's sign,
+        # and exp takes -0.0 and 0.0 alike.
+        scale = float(-gamma)  # as numpy takes -gamma against a float64 array
+        top = scale * min(values)
+        weights = np.exp([scale * t - top for t in values]).tolist()
+        total = _pairwise_sum(weights)
+        post = tuple([w / total for w in weights])
+    else:
+        if not np.isfinite(totals).all():
+            raise ValueError(f"totals must be finite, got {totals.tolist()!r}")
+        scores = -gamma * totals
+        scores -= scores.max()
+        weights = np.exp(scores)
+        post = tuple((weights / weights.sum()).tolist())
     if abs(sum(post) - 1.0) <= 1e-12:  # NaN fails: an overflow to inf - inf
         return Categorical._trusted(post)
     return Categorical(post)  # raises Categorical's own message

@@ -269,6 +269,38 @@ class TestAgentConfig:
     def test_beta_may_take_its_bounds(self, beta):
         assert AgentConfig(beta=beta).beta == beta
 
+    @staticmethod
+    def field_hash(cfg):
+        return hash(tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg)))
+
+    def test_hash_is_taken_once_from_the_fields(self, monkeypatch):
+        # The selection memo hashes the config on every lookup.
+        cfg = large_context_planner_config()
+        assert cfg._hash == self.field_hash(cfg) == hash(cfg)
+        calls = []
+        monkeypatch.setattr(PreferenceVector, "__hash__", lambda self: calls.append(self) or 0)
+        hash(cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_pickled_config_takes_its_hash_afresh(self, protocol):
+        # A str's hash changes between processes, so the stored hash is not pickled.
+        for cfg in (AgentConfig(), head_starter_config(), large_context_planner_config(sample_policies=True)):
+            data = pickle.dumps(cfg, protocol)
+            assert b"_hash" not in data
+            back = pickle.loads(data)
+            assert back == cfg and hash(back) == hash(cfg) == self.field_hash(back)
+            assert {cfg: 1}[back] == 1
+
+    def test_a_replaced_or_copied_config_hashes_its_own_fields(self):
+        cfg = head_starter_config()
+        for changes in ({}, {"max_policies": 7}, {"gamma_max": 2.0}, {"prefs": PreferenceVector()}):
+            new = dataclasses.replace(cfg, **changes)
+            assert new._hash == self.field_hash(new) == hash(new)
+            assert (new == cfg) == (hash(new) == hash(cfg)) == (not changes)
+        for copied in (copy.copy(cfg), copy.deepcopy(cfg)):
+            assert copied == cfg and hash(copied) == hash(cfg)
+
 
 class TestEnumeratePolicies:
     def test_terminal_state_yields_nothing(self, space, models):
@@ -662,6 +694,35 @@ class TestSelectionMemo:
         assert sharp.decision.posterior_entropy < flat.decision.posterior_entropy
         with pytest.raises(dataclasses.FrozenInstanceError):
             sharp.decision.posterior = flat.decision.posterior
+
+    def test_a_miss_calls_enumeration_and_the_posterior_by_their_module_names(self, space, models, monkeypatch):
+        # perfbench's traced run wraps agent.enumerate_policies and
+        # agent.policy_posterior where agent looks them up, and its per-op
+        # counts read those calls: every miss, of one action or wider, makes
+        # one call of each, and a hit makes none.
+        memo = functools.lru_cache(maxsize=65536)(_scored_policies.__wrapped__)
+        calls, widths = [], []
+
+        def counted_enumeration(*args, **kwargs):
+            calls.append("enumerate_policies")
+            policies = enumerate_policies(*args, **kwargs)
+            widths.append(policies.ids.shape[1])
+            return policies
+
+        def counted_posterior(*args, **kwargs):
+            calls.append("policy_posterior")
+            return inference.policy_posterior(*args, **kwargs)
+
+        monkeypatch.setattr("abctrans.agent.enumerate_policies", counted_enumeration)
+        monkeypatch.setattr("abctrans.agent.policy_posterior", counted_posterior)
+        monkeypatch.setattr("abctrans.agent._scored_policies", memo)
+        for preset in (head_starter_config, large_context_planner_config):
+            for _ in range(2):  # the second run's decisions are hits
+                run_episode(preset(), models, latent="TT3", seed=4)
+        misses = memo.cache_info().misses
+        assert memo.cache_info().hits > 0
+        assert calls == ["enumerate_policies", "policy_posterior"] * misses
+        assert widths.count(1) >= misses - 1 and max(widths) > 1  # the planner's opening is the wide one
 
     def test_clearing_the_memo_drops_its_posteriors(self, space, models, monkeypatch):
         # A private memo built as agent's is, so the shared one stays warm

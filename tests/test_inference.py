@@ -381,6 +381,18 @@ def rows_with_zeros(rng, n, count):
 ROW_KINDS = ["0/1 rows", "zeta 1.0", "drawn zeta"]
 
 
+def checked_parent_bayes_update(prior, likelihoods, zeta=1.0):
+    """bayes_update with the parent's checks, numpy's (lks >= 0.0).all() among them, then parent_bayes_update."""
+    if not 0.0 < zeta < math.inf:
+        raise ValueError(f"zeta must be positive and finite, got {zeta!r}")
+    lks = np.asarray(likelihoods, dtype=float)
+    if lks.shape != (len(prior),):
+        raise ValueError("one likelihood per option required")
+    if not (lks >= 0.0).all():
+        raise ValueError("likelihoods must be non-negative")
+    return parent_bayes_update(prior, lks, zeta)
+
+
 class TestConditionRow:
     # condition_row is posteriors for one row, bit for bit: numpy sums up to
     # PW_BLOCKSIZE entries with eight folded accumulators, and longer rows go
@@ -434,6 +446,26 @@ class TestConditionRow:
                 got = outcome(bayes_update, prior, row, zeta)
                 assert isinstance(got, tuple), (prior, row, zeta)  # a raise, not probabilities
                 assert got == outcome(parent_bayes_update, prior, row, zeta)
+
+
+    @pytest.mark.parametrize("row", [
+        [-1e-300, 1.0, 0.5], [0.5, -1.0, 0.5], [-math.inf, 1.0, 0.5],  # negative
+        [math.nan, 1.0, 0.5], [0.5, 0.5, math.nan], [math.nan] * 3,  # NaN
+        [-0.0, 1.0, 0.5], [-0.0, -0.0, 1.0], [-0.0, 0.0, -0.0],  # -0.0 is no negative
+        [math.inf, 1.0, 0.5], [math.inf, math.inf, 0.0],  # an infinite likelihood is no negative
+    ], ids=lambda row: repr(row))
+    def test_the_plain_float_check_rejects_what_numpys_did(self, row):
+        # The row is checked on plain floats, not with (lks >= 0.0).all():
+        # each row gives the parent's posterior bits or its raise, type and
+        # message alike, at zeta 1.0 and 2.0.
+        prior = Categorical((0.5, 0.25, 0.25))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for zeta in (1.0, 2.0):
+                got = outcome(bayes_update, prior, row, zeta)
+                assert got == outcome(checked_parent_bayes_update, prior, row, zeta), (row, zeta)
+                assert got == outcome(bayes_update, prior, np.array(row), zeta)
+        if any(not x >= 0.0 for x in row):
+            assert got == (ValueError, "likelihoods must be non-negative")
 
 
 class TestExpectedInformationGain:
@@ -1016,13 +1048,16 @@ def one_action_decisions(models):
 
 def assert_one_action_walk_equal(belief, policies, models, prefs, read_chunks, zeta):
     """score_policies on a one-action table is bitwise the level walk of its rows padded with a -1 column."""
-    epistemic, pragmatic, _ = score_policies(belief, policies, models, prefs, read_chunks=read_chunks, zeta=zeta)
+    epistemic, pragmatic, totals = score_policies(belief, policies, models, prefs, w_e=8.0, w_p=0.3,
+                                                  read_chunks=read_chunks, zeta=zeta)
     padded = np.pad(policies.ids, ((0, 0), (0, 1)), constant_values=-1)
     level = inference._Rollout(models, prefs, zeta, policies, read_chunks, belief)
     level_e, level_p = level.walk(padded)
     assert level.states == len(policies)
     assert bits(epistemic) == bits(level_e)
     assert bits(pragmatic) == bits(level_p)
+    # The one-action totals, taken in plain floats, are numpy's formula's.
+    assert bits(totals) == bits(-(8.0 * level_e) - (0.3 * level_p))
 
 
 class TestOneActionScorer:
@@ -1116,7 +1151,78 @@ class TestBeyondSixtyFourOrderings:
         self.assert_oracle([policies[i] for i in once], [column[once] for column in shared], models, cfg.prefs)
 
 
+def parent_policy_posterior(totals, gamma):
+    """policy_posterior's array route at every length, the one rule before its plain-float route."""
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be non-negative and finite, got {gamma!r}")
+    totals = np.asarray(totals, dtype=float)
+    if totals.size == 0:
+        raise ValueError("need at least one policy")
+    if not np.isfinite(totals).all():
+        raise ValueError(f"totals must be finite, got {totals.tolist()!r}")
+    scores = -gamma * totals
+    scores -= scores.max()
+    weights = np.exp(scores)
+    post = tuple((weights / weights.sum()).tolist())
+    if abs(sum(post) - 1.0) <= 1e-12:
+        return Categorical._trusted(post)
+    return Categorical(post)
+
+
+# Exponents at which np.exp (numpy 2.4.6, x86-64) and math.exp round
+# differently: the posterior of totals [0.0, -x] under gamma 1.0 takes
+# np.exp(x) as its second weight.
+EXP_DIFFERS = (-4.219811182809181, -7.980617758728532, -27.537869222837603)
+
+
 class TestPolicyPosterior:
+    # Up to PW_BLOCKSIZE policies the posterior is taken in plain floats;
+    # each case below is bitwise the parent's array formula, or raises its
+    # type and message.
+
+    def assert_as_parent(self, totals, gamma):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = outcome(policy_posterior, totals, gamma)
+            assert got == outcome(parent_policy_posterior, totals, gamma), (totals, gamma)
+            assert got == outcome(policy_posterior, np.array(totals, dtype=float), gamma)
+        return got
+
+    def test_equals_the_array_route_on_every_length(self):
+        # Lengths 1-200 cross PW_BLOCKSIZE; totals spread over decades, or
+        # drawn from three values so that ties are common; gamma 0, drawn,
+        # and the presets' gamma_max values.
+        rng = np.random.default_rng(34)
+        for n in range(1, 201):
+            for _ in range(3):
+                totals = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 2, n)
+                tied = rng.choice([-1.25, 0.5, 3.0], n)
+                for values in (totals, tied):
+                    for gamma in (0.0, float(rng.uniform(0.05, 20.0)), 4.0, 16.0):
+                        self.assert_as_parent(values.tolist(), gamma)
+        assert PW_BLOCKSIZE < 200
+
+    def test_gamma_zero_ties_and_extremes(self):
+        for totals in ([0.0], [2.5, 2.5], [-0.0, 0.0, -0.0], [0.0, -0.0], [1e300, -1e300, 0.0], [5e-324, -5e-324]):
+            for gamma in (0.0, 0, 1.0, 1e-300, 1e300):
+                self.assert_as_parent(totals, gamma)
+        assert self.assert_as_parent([0.0, 0.0, 0.0], 0.0) == bits((1 / 3,) * 3)
+        # -gamma * total overflows to inf, and inf - inf makes the weight
+        # NaN: Categorical's own message, as before.
+        assert self.assert_as_parent([-1e300, 0.0], 1e10) == (ValueError, "probabilities must be non-negative")
+
+    def test_the_exponentials_stay_numpys(self):
+        for x in EXP_DIFFERS:
+            assert np.exp([0.0, x]).tolist()[1] != math.exp(x)
+            self.assert_as_parent([0.0, -x], 1.0)
+            assert policy_posterior([0.0, -x], 1.0).probs[1] == float(np.exp(x) / (1.0 + np.exp(x)))
+
+    @pytest.mark.parametrize("n", [2, PW_BLOCKSIZE, PW_BLOCKSIZE + 1])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_totals_are_named_on_both_routes(self, n, bad):
+        totals = [0.5] * (n - 1) + [bad]
+        got = self.assert_as_parent(totals, 1.0)
+        assert got == (ValueError, f"totals must be finite, got {totals!r}")
+
     def test_zero_gamma_is_uniform(self):
         post = policy_posterior([0.3, -2.0, 5.0], gamma=0.0)
         assert np.allclose(post.probs, 1 / 3, atol=1e-15)
